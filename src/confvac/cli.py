@@ -61,6 +61,16 @@ def _merge_config(args):
     return merged
 
 
+def _write_json(payload, out):
+    """Indented, key-sorted JSON to the file ``out``, or to standard output."""
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
+
+
 def cmd_suite(args) -> int:
     merged = _merge_config(args)
     names = list(SUITE_NAMES) if "all" in args.names else args.names
@@ -69,7 +79,7 @@ def cmd_suite(args) -> int:
         cfg = SuiteConfig(
             suite=name,
             samples=merged.get("samples"),
-            seed=merged.get("seed", 20250),
+            seed=merged.get("seed", SuiteConfig.seed),
             epsilon=merged.get("epsilon"),
             h=merged.get("h"),
             step=merged.get("step"),
@@ -167,12 +177,7 @@ def cmd_abraham(args) -> int:
         "step": step,
         "points": int(norms.size),
     }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write_json(payload, args.out)
     return 0
 
 
@@ -188,12 +193,7 @@ def cmd_corr(args) -> int:
         "em_potential": [[[v.real, v.imag] for v in row] for row in em.matrix],
         "hbar": em.hbar,
     }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write_json(payload, args.out)
     return 0
 
 
@@ -209,12 +209,7 @@ def cmd_ray2d(args) -> int:
             "verdict": verdict.verdict,
             "evidence": verdict.evidence,
         }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write_json(payload, args.out)
     return 0
 
 

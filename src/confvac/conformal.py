@@ -38,6 +38,15 @@ def _guard_denominator(value, scale, point, rtol):
             residual=value, point=point)
 
 
+def _guard_rows(singular, residual, points):
+    """Batched ``_guard_denominator``: raise for the first row flagged singular."""
+    if singular.any():
+        i = int(np.argmax(singular))
+        raise SingularPointError(
+            f"event {points[i]} lies on a singular set (denominator {residual[i]:.3e})",
+            residual=float(residual[i]), point=points[i], index=i)
+
+
 # ---------------------------------------------------------------------------
 # primitives
 
@@ -50,6 +59,9 @@ class Translation:
 
     def apply(self, x, rtol=DEFAULT_SINGULAR_RTOL):
         return x + self.offset
+
+    def push(self, y, dy):
+        return y + self.offset, dy, None
 
     def jacobian(self, x):
         return np.eye(4)
@@ -76,6 +88,9 @@ class LorentzTransform:
     def apply(self, x, rtol=DEFAULT_SINGULAR_RTOL):
         return self.matrix @ x
 
+    def push(self, y, dy):
+        return y @ self.matrix.T, dy @ self.matrix.T, None
+
     def jacobian(self, x):
         return self.matrix.copy()
 
@@ -94,6 +109,9 @@ class Dilation:
 
     def apply(self, x, rtol=DEFAULT_SINGULAR_RTOL):
         return self.scale * x
+
+    def push(self, y, dy):
+        return self.scale * y, self.scale * dy, None
 
     def jacobian(self, x):
         return self.scale * np.eye(4)
@@ -118,6 +136,11 @@ class Inversion:
         _guard_denominator(x2, x2, x, rtol)
         return -self.beta * x / x2
 
+    def push(self, y, dy):
+        y2 = minkowski_dot(y, y)
+        s = (-self.beta / y2)[..., None]
+        return s * y, s * (dy - 2.0 * y * (minkowski_dot(y, dy) / y2)[..., None]), y2
+
     def jacobian(self, x):
         x2 = minkowski_dot(x, x)
         reflect = np.eye(4) - 2.0 * np.outer(x, lower_index(x)) / x2
@@ -133,7 +156,12 @@ Primitive = Translation | LorentzTransform | Dilation | Inversion
 
 
 class ConformalMap:
-    """Ordered chain of primitives, applied first-to-last."""
+    """Ordered chain of primitives, applied first-to-last.
+
+    Each primitive's ``push(y, dy)`` maps rows of events and tangent vectors
+    to (images, pushed tangents, denominator), the denominator being the
+    per-row value the primitive divides by (None if it divides by nothing).
+    """
 
     def __init__(self, chain):
         chain = list(chain)
@@ -169,6 +197,28 @@ class ConformalMap:
             lam *= p.factor(y)
             y = p.apply(y, rtol=rtol)
         return lam
+
+    def pushforward(self, x, v, rtol=DEFAULT_SINGULAR_RTOL):
+        """Images and pushed tangents J v of rows x, v of shape (n, 4).
+
+        The (y, dy) pair is carried through the chain.  Raises
+        ``SingularPointError`` for the first row that meets a singular set,
+        with ``index`` set to that row and the denominator of the first
+        primitive that is singular there.
+        """
+        x = np.asarray(x, dtype=float)
+        y, dy = x, np.asarray(v, dtype=float)
+        singular = np.zeros(len(x), dtype=bool)
+        residual = np.zeros(len(x))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for p in self.chain:
+                y, dy, den = p.push(y, dy)
+                if den is not None:
+                    hit = ~singular & (np.abs(den) < rtol * (1.0 + np.abs(den)))
+                    residual[hit] = den[hit]
+                    singular |= hit
+        _guard_rows(singular, residual, x)
+        return y, dy
 
     def inverse(self):
         inv = []
@@ -239,6 +289,26 @@ class AcceleratedFrameForm:
         ph = self.phi(x)
         xi = x - minkowski_dot(x, x) * self.alpha
         return lam * (np.eye(4) + np.outer(xi, ph) - 2.0 * np.outer(self.alpha, lower_index(x)))
+
+    def pushforward(self, x, v, rtol=DEFAULT_SINGULAR_RTOL):
+        """Images and pushed tangents J v of rows x, v of shape (n, 4).
+
+        Closed forms: xbar = lambda (x - x^2 alpha) and
+        J v = lambda (v + xi (phi.v) - 2 alpha (x.v)) with xi = x - x^2 alpha.
+        Raises ``SingularPointError`` for the first row on the singular set,
+        with ``index`` set to that row.
+        """
+        x = np.asarray(x, dtype=float)
+        v = np.asarray(v, dtype=float)
+        x2 = minkowski_dot(x, x)
+        den = self.denominator(x)
+        _guard_rows(np.abs(den) < rtol * (1.0 + np.abs(self.alpha_sq * x2)), den, x)
+        lam = (self.beta / den)[..., None]
+        xi = x - x2[..., None] * self.alpha
+        xv = minkowski_dot(x, v)
+        phi_v = 2.0 * (minkowski_dot(v, self.alpha) - self.alpha_sq * xv) / den
+        jv = lam * (v + xi * phi_v[..., None] - 2.0 * np.multiply.outer(xv, self.alpha))
+        return lam * xi, jv
 
     def as_chain(self) -> ConformalMap:
         return ConformalMap([Inversion(1.0), Translation(self.alpha), Inversion(self.beta)])

@@ -8,13 +8,15 @@ class ConstraintViolationError(ValueError):
 class SingularPointError(ValueError):
     """An event lies on (or too close to) the singular set of a conformal map.
 
-    Carries the offending denominator value in ``residual``.
+    Carries the offending denominator value in ``residual``; a batched
+    evaluation also sets ``index``, the first offending row.
     """
 
-    def __init__(self, message, residual=None, point=None):
+    def __init__(self, message, residual=None, point=None, index=None):
         super().__init__(message)
         self.residual = residual
         self.point = point
+        self.index = index
 
 
 class PoleError(ValueError):

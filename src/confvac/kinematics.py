@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conformal import (AcceleratedFrameForm, ConformalFactorField, Mappable,
-                        apply_map, jacobian_tetrad)
+                        apply_map, jacobian_tetrad)  # noqa: F401  (apply_map re-exported)
 from .errors import SingularPointError
 from .minkowski import (ETA, SIGNATURE, KinematicState, SampledWorldline,
                         Worldline, kinematic_state, minkowski_dot)
@@ -50,9 +50,14 @@ def abraham_norms_on_grid(worldline: Worldline, taus, step=1e-3) -> np.ndarray:
     return np.linalg.norm(w, axis=-1)
 
 
-def abraham_from_state(state: KinematicState) -> AbrahamVector:
+def _abraham_w(state: KinematicState) -> np.ndarray:
+    """w at every proper time of a state, one row per proper time if batched."""
     vdot_sq = minkowski_dot(state.velocity_dot, state.velocity_dot)
-    w = state.velocity_ddot + state.velocity * vdot_sq
+    return state.velocity_ddot + state.velocity * np.expand_dims(vdot_sq, -1)
+
+
+def abraham_from_state(state: KinematicState) -> AbrahamVector:
+    w = _abraham_w(state)
     return AbrahamVector(w=w, residual_norm=float(np.linalg.norm(w)))
 
 
@@ -77,18 +82,14 @@ def classify_motion(worldline: Worldline, grid, step=1e-3, tol=1e-5) -> MotionCl
     """
     grid = np.asarray(grid, dtype=float)
     interior = grid[1:-1] if grid.size > 2 else grid
-    sup_vdot = 0.0
-    sup_w = 0.0
-    accels = []
-    for tau in interior:
-        st = kinematic_state(worldline, tau, step=step)
-        sup_vdot = max(sup_vdot, float(np.linalg.norm(st.velocity_dot)))
-        sup_w = max(sup_w, abraham_from_state(st).residual_norm)
-        accels.append(np.sqrt(abs(minkowski_dot(st.velocity_dot, st.velocity_dot))))
+    st = kinematic_state(worldline, interior, step=step)
+    sup_vdot = np.max(np.linalg.norm(st.velocity_dot, axis=-1), initial=0.0)
+    sup_w = np.max(np.linalg.norm(_abraham_w(st), axis=-1), initial=0.0)
     if sup_vdot < tol:
         return MotionClass(kind="inertial", accel=0.0, tol=tol)
     if sup_w < tol:
-        return MotionClass(kind="uniformly_accelerated", accel=float(np.mean(accels)), tol=tol)
+        accel = np.sqrt(np.abs(minkowski_dot(st.velocity_dot, st.velocity_dot)))
+        return MotionClass(kind="uniformly_accelerated", accel=float(np.mean(accel)), tol=tol)
     return MotionClass(kind="other", accel=None, tol=tol)
 
 
@@ -96,23 +97,24 @@ def pushforward_worldline(m: Mappable, worldline: Worldline, grid,
                           step=1e-3, spline_order=5) -> SampledWorldline:
     """Image worldline, reparametrized by its own proper time.
 
-    Image proper time accumulates by trapezoidal integration of
-    sqrt(dxbar.dxbar) = |J v| d tau along the grid.
+    One batched pass over the grid: the source positions and four-velocities
+    (closed forms, or the 5-point stencil of a sampled worldline, which must
+    stay inside its sampled range) go through ``m.pushforward`` to give the
+    image events and the pushed tangents J v.  Image proper time accumulates
+    by trapezoidal integration of sqrt(dxbar.dxbar) = |J v| d tau along the
+    grid.  If the grid meets a singular set of ``m``, the
+    ``SingularPointError`` names the first grid point that does.
     """
     grid = np.asarray(grid, dtype=float)
-    images = np.empty((grid.size, 4))
-    speed = np.empty(grid.size)
-    for i, tau in enumerate(grid):
-        st = kinematic_state(worldline, tau, step=step)
-        try:
-            images[i] = apply_map(m, st.position)
-            J, _, _ = jacobian_tetrad(m, st.position)
-        except SingularPointError as exc:
-            raise SingularPointError(
-                f"grid point {i} (tau = {tau}) maps through a singular set",
-                residual=exc.residual, point=st.position) from exc
-        jv = J @ st.velocity
-        speed[i] = np.sqrt(max(minkowski_dot(jv, jv), 0.0))
+    st = kinematic_state(worldline, grid, step=step)
+    try:
+        images, jv = m.pushforward(st.position, st.velocity)
+    except SingularPointError as exc:
+        i = exc.index
+        raise SingularPointError(
+            f"grid point {i} (tau = {grid[i]}) maps through a singular set",
+            residual=exc.residual, point=st.position[i], index=i) from exc
+    speed = np.sqrt(np.maximum(minkowski_dot(jv, jv), 0.0))
     dtau = np.diff(grid)
     taubar = np.concatenate([[0.0], np.cumsum(0.5 * (speed[1:] + speed[:-1]) * dtau)])
     return SampledWorldline(taubar, images, spline_order=spline_order)

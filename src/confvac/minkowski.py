@@ -54,13 +54,17 @@ def interval(x, xp) -> float:
 
 @dataclass(frozen=True, eq=False)
 class KinematicState:
-    """Position, four-velocity and its first two proper-time derivatives."""
+    """Position, four-velocity and its first two proper-time derivatives.
+
+    At one proper time every field is a 4-vector; at an array of proper
+    times (shape (n,)) ``tau`` is that array and each field has shape (n, 4).
+    """
 
     position: np.ndarray
     velocity: np.ndarray
     velocity_dot: np.ndarray
     velocity_ddot: np.ndarray
-    tau: float
+    tau: float | np.ndarray
 
     def constraint_residuals(self):
         """(|v.v - 1|, |v.vdot|): both vanish for exact proper-time data."""
@@ -133,7 +137,8 @@ class HyperbolicWorldline:
         return self.accel**2 * self.velocity(tau)
 
     def state(self, tau, step=None) -> KinematicState:
-        tau = float(tau)
+        """Closed-form state at a proper time or an array of them."""
+        tau = float(tau) if np.ndim(tau) == 0 else np.asarray(tau, dtype=float)
         return KinematicState(
             position=self.position(tau),
             velocity=self.velocity(tau),
@@ -179,18 +184,27 @@ class SampledWorldline:
         return out
 
     def state(self, tau, step=1e-3) -> KinematicState:
-        tau = float(tau)
+        """5-point stencil state at a proper time or an array of them.
+
+        Every stencil must lie inside the sampled range; the error names the
+        first proper time whose stencil does not.
+        """
+        tau = float(tau) if np.ndim(tau) == 0 else np.asarray(tau, dtype=float)
         step = float(step)
         if step <= 0:
             raise ValueError("step must be positive")
         lo, hi = self.tau_range
-        if not (lo <= tau <= hi):
-            raise ValueError(f"tau = {tau} outside sampled range [{lo}, {hi}]")
-        if tau - 2 * step < lo or tau + 2 * step > hi:
+        taus = np.atleast_1d(tau)
+        outside = (taus < lo) | (taus > hi)
+        if outside.any():
+            raise ValueError(f"tau = {taus[outside][0]} outside sampled range [{lo}, {hi}]")
+        leaves = (taus - 2 * step < lo) | (taus + 2 * step > hi)
+        if leaves.any():
             raise ValueError(
-                f"step {step} too large: 5-point stencil at tau = {tau} leaves "
-                f"the sampled range [{lo}, {hi}]")
-        pts = self.position(tau + OFFSETS * step)
+                f"step {step} too large: 5-point stencil at tau = {taus[leaves][0]} "
+                f"leaves the sampled range [{lo}, {hi}]")
+        # (5,) @ (..., 5, 4): one stencil per proper time
+        pts = self.position(np.add.outer(tau, OFFSETS * step))
         return KinematicState(
             position=self.position(tau),
             velocity=W_D1 @ pts / step,

@@ -2,8 +2,7 @@
 
 All first/second derivatives use 5-point stencils (4th order accurate);
 third derivatives use the 5-point stencil (2nd order accurate). Mixed
-second derivatives combine two first-derivative stencils (4th order) or
-use the 4-point cross stencil (2nd order) where speed matters.
+second derivatives nest two first-derivative stencils (4th order).
 """
 
 from __future__ import annotations
@@ -15,19 +14,6 @@ W_D1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 W_D2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 W_D3 = np.array([-1.0, 2.0, 0.0, -2.0, 1.0]) / 2.0
 OFFSETS = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-
-
-def derivative(f, t, step, order):
-    """Derivative of a scalar/vector function of one variable at ``t``."""
-    vals = np.array([f(t + o * step) for o in OFFSETS])
-    vals = vals - vals[2]  # weights sum to zero: keep constants exact
-    if order == 1:
-        return np.tensordot(W_D1, vals, axes=1) / step
-    if order == 2:
-        return np.tensordot(W_D2, vals, axes=1) / step**2
-    if order == 3:
-        return np.tensordot(W_D3, vals, axes=1) / step**3
-    raise ValueError(f"unsupported derivative order {order}")
 
 
 def gradient(f, x, step=1e-3):
@@ -82,15 +68,3 @@ def jacobian(f, x, step=1e-5):
         J[:, nu] = W_D1 @ vals / step
     return J
 
-
-def mixed_second(f, x, y, mu, rho, step):
-    """Cross-stencil d/dx^mu d/dy^rho of a two-point function (2nd order).
-
-    ``f`` may return scalars or arrays; the stencil is applied elementwise.
-    """
-    em = np.zeros(4)
-    em[mu] = step
-    er = np.zeros(4)
-    er[rho] = step
-    return (f(x + em, y + er) - f(x + em, y - er)
-            - f(x - em, y + er) + f(x - em, y - er)) / (4.0 * step * step)

@@ -298,7 +298,7 @@ def _conditioned_pushforward_sample(rng, hyperbolic=True):
             x0=rng.uniform(-0.2, 0.2, 4))
         grid = np.arange(-0.8, 0.8 + 1e-12, 1e-3)
         pos = wl.position(grid)
-        den = np.array([form.denominator(p) for p in pos])
+        den = form.denominator(pos)
         if np.min(np.abs(den)) < 0.5 or np.min(den) * np.max(den) < 0:
             continue
         image = pushforward_worldline(form, wl, grid)

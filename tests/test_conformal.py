@@ -168,6 +168,34 @@ def test_chain_jacobian_via_chain_rule():
         np.testing.assert_allclose(J.T @ ETA @ J, lam**2 * ETA, atol=1e-9)
 
 
+def test_batched_pushforward_matches_apply_and_jacobian():
+    rng = np.random.default_rng(5)
+    chain = ConformalMap([Translation(np.array([0.1, 0.0, -0.2, 0.3])), Inversion(1.5),
+                          spatial_rotation([1, 2, 0], 0.7), Dilation(0.7),
+                          lorentz_boost([0.2, 0, 0.1])])
+    for m in (random_form(rng), random_form(rng), chain):
+        x = np.array([safe_event(rng, m) if isinstance(m, AcceleratedFrameForm)
+                      else rng.uniform(-1, 1, 4) for _ in range(50)])
+        v = rng.uniform(-1, 1, (50, 4))
+        xb, jv = m.pushforward(x, v)
+        for k in range(50):
+            np.testing.assert_allclose(xb[k], apply_map(m, x[k]), rtol=1e-13, atol=1e-13)
+            J, _, _ = jacobian_tetrad(m, x[k])
+            np.testing.assert_allclose(jv[k], J @ v[k], rtol=1e-12, atol=1e-12)
+
+
+def test_batched_pushforward_singular_row_index():
+    form = WORKED_FORM  # denominator (1 - t/2)^2 at x = (t, 0, 0, 0)
+    x = np.array([[0.0, 0, 0, 0], [2.0, 0, 0, 0], [1.0, 0, 0, 0], [2.0, 0, 0, 0]])
+    for m in (form, ConformalMap([Translation(np.array([-1.0, 0, 0, 0])), Inversion(1.0)])):
+        with pytest.raises(SingularPointError) as info:
+            m.pushforward(x, np.ones((4, 4)))
+        expected = 1 if m is form else 2
+        assert info.value.index == expected
+        assert info.value.residual == 0.0
+        np.testing.assert_array_equal(info.value.point, x[expected])
+
+
 # ---------------------------------------------------------------------------
 # interval law
 

@@ -3,10 +3,12 @@ import pytest
 from scipy.integrate import cumulative_trapezoid
 
 from confvac import (AcceleratedFrameForm, ConformalFactorField, ConformalMap,
-                     SampledWorldline, SingularPointError, abraham_norms_on_grid,
-                     abraham_vector, classify_motion, hyperbolic_worldline,
-                     kinematic_state, minkowski_dot, pushforward_worldline,
-                     rest_worldline, rigidity_check, transform_abraham)
+                     Dilation, Inversion, SampledWorldline, SingularPointError,
+                     Translation, abraham_norms_on_grid, abraham_vector,
+                     apply_map, classify_motion, hyperbolic_worldline,
+                     jacobian_tetrad, kinematic_state, lorentz_boost,
+                     minkowski_dot, pushforward_worldline, rest_worldline,
+                     rigidity_check, transform_abraham)
 
 HYP = hyperbolic_worldline([1, 0, 0, 0], [0, 1, 0, 0], 1.0)
 
@@ -137,6 +139,97 @@ def test_pushforward_singularity_reports_grid_point():
     grid = np.arange(0.0, 2.5, 1e-2)  # rest worldline hits the set at t = 2
     with pytest.raises(SingularPointError, match="grid point"):
         pushforward_worldline(form, rest_worldline(), grid)
+
+
+def per_point_pushforward(m, wl, grid, step=1e-3):
+    """Reference: image events and proper times one grid point at a time."""
+    images = np.empty((grid.size, 4))
+    speed = np.empty(grid.size)
+    for i, tau in enumerate(grid):
+        st = kinematic_state(wl, tau, step=step)
+        images[i] = apply_map(m, st.position)
+        J, _, _ = jacobian_tetrad(m, st.position)
+        jv = J @ st.velocity
+        speed[i] = np.sqrt(max(minkowski_dot(jv, jv), 0.0))
+    taubar = np.concatenate([[0.0], np.cumsum(0.5 * (speed[1:] + speed[:-1]) * np.diff(grid))])
+    return images, taubar
+
+
+def first_singular_point(m, wl, grid):
+    """Reference: the first grid point where per-point evaluation raises."""
+    for i, tau in enumerate(grid):
+        x = kinematic_state(wl, tau).position
+        try:
+            apply_map(m, x)
+            jacobian_tetrad(m, x)
+        except SingularPointError as exc:
+            return i, exc.residual, x
+    return None
+
+
+PUSH_MAPS = {
+    "form": AcceleratedFrameForm(np.array([0.1, 0.15, -0.1, 0.05]), 1.2),
+    # the translation keeps the inversion's input y^2 >= 1 on every source
+    "chain": ConformalMap([Translation(np.array([2.0, 0.1, -0.2, 0.0])), Inversion(0.8),
+                           Dilation(1.3), lorentz_boost([0.2, 0.1, 0.0]),
+                           Translation(np.array([0.1, 0.0, 0.0, 0.4]))]),
+}
+PUSH_SOURCES = {
+    "hyperbolic": lambda: HYP,
+    "rest": lambda: rest_worldline(np.array([0.1, 0.2, 0.0, -0.1])),
+    "sampled": lambda: sinusoidal_rapidity_worldline(span=0.9),
+}
+
+
+@pytest.mark.parametrize("source", sorted(PUSH_SOURCES))
+@pytest.mark.parametrize("map_name", sorted(PUSH_MAPS))
+def test_batched_pushforward_matches_per_point(map_name, source):
+    m, wl = PUSH_MAPS[map_name], PUSH_SOURCES[source]()
+    grid = np.arange(-0.6, 0.6 + 1e-12, 1e-3)
+    image = pushforward_worldline(m, wl, grid)
+    events, taubar = per_point_pushforward(m, wl, grid)
+    np.testing.assert_allclose(image.events, events, rtol=0,
+                               atol=1e-13 * np.max(np.abs(events)))
+    np.testing.assert_allclose(image.tau, taubar, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("m, wl, grid", [
+    # rest worldline at the origin: 1 - 2 alpha.x + alpha^2 x^2 = (1 - t/2)^2
+    (AcceleratedFrameForm(np.array([0.5, 0.0, 0.0, 0.0]), 1.0), rest_worldline(),
+     np.linspace(2.0 - 1e-5, 2.0 + 1e-5, 101)),
+    # the inversion meets y^2 = (t - 1)^2 = 0 inside the chain
+    (ConformalMap([Translation(np.array([-1.0, 0.0, 0.0, 0.0])), Inversion(1.0),
+                   Dilation(2.0)]), rest_worldline(), np.linspace(1.0 - 1e-5, 1.0 + 1e-5, 101)),
+], ids=["form", "chain"])
+def test_pushforward_reports_first_singular_grid_point(m, wl, grid):
+    i, residual, point = first_singular_point(m, wl, grid)
+    assert 0 < i < grid.size - 1  # several grid points are singular; the first counts
+    with pytest.raises(SingularPointError, match=rf"^grid point {i} \(tau = ") as info:
+        pushforward_worldline(m, wl, grid)
+    assert info.value.index == i
+    assert info.value.residual == pytest.approx(residual, rel=1e-12, abs=1e-30)
+    np.testing.assert_allclose(info.value.point, point, rtol=1e-15)
+
+
+def test_pushforward_sampled_stencil_outside_range_raises():
+    wl = sinusoidal_rapidity_worldline(span=0.9)
+    form = PUSH_MAPS["form"]
+    with pytest.raises(ValueError, match="5-point stencil at tau = 0.8995"):
+        pushforward_worldline(form, wl, np.linspace(-0.5, 0.8995, 101))
+    with pytest.raises(ValueError, match="outside sampled range"):
+        pushforward_worldline(form, wl, np.linspace(-0.5, 0.95, 101))
+
+
+@pytest.mark.parametrize("source", sorted(PUSH_SOURCES))
+def test_batched_state_matches_per_point_states(source):
+    wl = PUSH_SOURCES[source]()
+    taus = np.linspace(-0.5, 0.5, 7)
+    batch = kinematic_state(wl, taus, step=1e-3)
+    for k, tau in enumerate(taus):
+        st = kinematic_state(wl, tau, step=1e-3)
+        for name in ("position", "velocity", "velocity_dot", "velocity_ddot"):
+            np.testing.assert_allclose(getattr(batch, name)[k], getattr(st, name),
+                                       rtol=1e-12, atol=1e-9, err_msg=name)
 
 
 # ---------------------------------------------------------------------------
