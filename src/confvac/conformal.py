@@ -198,7 +198,7 @@ class ConformalMap:
             y = p.apply(y, rtol=rtol)
         return lam
 
-    def pushforward(self, x, v, rtol=DEFAULT_SINGULAR_RTOL):
+    def pushforward(self, x, v):
         """Images and pushed tangents J v of rows x, v of shape (n, 4).
 
         The (y, dy) pair is carried through the chain.  Raises
@@ -214,7 +214,7 @@ class ConformalMap:
             for p in self.chain:
                 y, dy, den = p.push(y, dy)
                 if den is not None:
-                    hit = ~singular & (np.abs(den) < rtol * (1.0 + np.abs(den)))
+                    hit = ~singular & (np.abs(den) < DEFAULT_SINGULAR_RTOL * (1.0 + np.abs(den)))
                     residual[hit] = den[hit]
                     singular |= hit
         _guard_rows(singular, residual, x)
@@ -290,7 +290,7 @@ class AcceleratedFrameForm:
         xi = x - minkowski_dot(x, x) * self.alpha
         return lam * (np.eye(4) + np.outer(xi, ph) - 2.0 * np.outer(self.alpha, lower_index(x)))
 
-    def pushforward(self, x, v, rtol=DEFAULT_SINGULAR_RTOL):
+    def pushforward(self, x, v):
         """Images and pushed tangents J v of rows x, v of shape (n, 4).
 
         Closed forms: xbar = lambda (x - x^2 alpha) and
@@ -302,7 +302,8 @@ class AcceleratedFrameForm:
         v = np.asarray(v, dtype=float)
         x2 = minkowski_dot(x, x)
         den = self.denominator(x)
-        _guard_rows(np.abs(den) < rtol * (1.0 + np.abs(self.alpha_sq * x2)), den, x)
+        scale = 1.0 + np.abs(self.alpha_sq * x2)
+        _guard_rows(np.abs(den) < DEFAULT_SINGULAR_RTOL * scale, den, x)
         lam = (self.beta / den)[..., None]
         xi = x - x2[..., None] * self.alpha
         xv = minkowski_dot(x, v)

@@ -16,8 +16,8 @@ import numpy as np
 from .conformal import (AcceleratedFrameForm, ConformalFactorField, Mappable,
                         apply_map, jacobian_tetrad)  # noqa: F401  (apply_map re-exported)
 from .errors import SingularPointError
-from .minkowski import (ETA, SIGNATURE, KinematicState, SampledWorldline,
-                        Worldline, kinematic_state, minkowski_dot)
+from .minkowski import (ETA, KinematicState, SampledWorldline, Worldline,
+                        kinematic_state, minkowski_dot)
 from .numdiff import OFFSETS, W_D1, W_D2, W_D3
 
 
@@ -45,19 +45,17 @@ def abraham_norms_on_grid(worldline: Worldline, taus, step=1e-3) -> np.ndarray:
     v = np.einsum("s,nsk->nk", W_D1, pts) / step
     vdot = np.einsum("s,nsk->nk", W_D2, pts) / step**2
     vddot = np.einsum("s,nsk->nk", W_D3, pts) / step**3
-    vdot_sq = np.sum(SIGNATURE * vdot * vdot, axis=-1)
-    w = vddot + v * vdot_sq[:, None]
-    return np.linalg.norm(w, axis=-1)
+    return np.linalg.norm(_abraham_w(v, vdot, vddot), axis=-1)
 
 
-def _abraham_w(state: KinematicState) -> np.ndarray:
-    """w at every proper time of a state, one row per proper time if batched."""
-    vdot_sq = minkowski_dot(state.velocity_dot, state.velocity_dot)
-    return state.velocity_ddot + state.velocity * np.expand_dims(vdot_sq, -1)
+def _abraham_w(velocity, velocity_dot, velocity_ddot) -> np.ndarray:
+    """w from the four-velocity and its derivatives, one row per proper time."""
+    vdot_sq = minkowski_dot(velocity_dot, velocity_dot)
+    return velocity_ddot + velocity * np.expand_dims(vdot_sq, -1)
 
 
 def abraham_from_state(state: KinematicState) -> AbrahamVector:
-    w = _abraham_w(state)
+    w = _abraham_w(state.velocity, state.velocity_dot, state.velocity_ddot)
     return AbrahamVector(w=w, residual_norm=float(np.linalg.norm(w)))
 
 
@@ -84,7 +82,8 @@ def classify_motion(worldline: Worldline, grid, step=1e-3, tol=1e-5) -> MotionCl
     interior = grid[1:-1] if grid.size > 2 else grid
     st = kinematic_state(worldline, interior, step=step)
     sup_vdot = np.max(np.linalg.norm(st.velocity_dot, axis=-1), initial=0.0)
-    sup_w = np.max(np.linalg.norm(_abraham_w(st), axis=-1), initial=0.0)
+    w = _abraham_w(st.velocity, st.velocity_dot, st.velocity_ddot)
+    sup_w = np.max(np.linalg.norm(w, axis=-1), initial=0.0)
     if sup_vdot < tol:
         return MotionClass(kind="inertial", accel=0.0, tol=tol)
     if sup_w < tol:
