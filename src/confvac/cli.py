@@ -12,14 +12,15 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import correlations as corrmod
 from . import lightcone2d as lc2
-from .conformal import map_from_dict
-from .errors import SingularPointError
+from .conformal import AcceleratedFrameForm, map_from_dict
+from .errors import PoleError
 from .kinematics import abraham_norms_on_grid, classify_motion
 from .minkowski import SampledWorldline
 from .suites import SUITE_NAMES, SuiteConfig, run_suite
@@ -114,45 +115,42 @@ def _read_events_csv(path):
         if r not in cols:
             raise SystemExit(f"input CSV must have columns t,x1,x2,x3 "
                              f"(optionally tau); got {header}")
-    events = []
-    taus = []
+    names = required + (("tau",) if "tau" in cols else ())
+    table = []
     for ln, row in enumerate(rows, start=2):
         try:
-            events.append([float(row[cols[c]]) for c in required])
-            if "tau" in cols:
-                taus.append(float(row[cols["tau"]]))
+            values = [float(row[cols[c]]) for c in names]
         except (ValueError, IndexError) as exc:
             raise SystemExit(f"line {ln}: cannot parse row {row!r}: {exc}")
-    return (np.asarray(taus) if taus else None), np.asarray(events)
+        if not all(map(math.isfinite, values)):
+            raise SystemExit(f"line {ln}: non-finite value in row {row!r}")
+        table.append(values)
+    table = np.asarray(table, dtype=float).reshape(-1, len(names))
+    return (table[:, 4] if "tau" in cols else None), table[:, :4]
 
 
 def cmd_transform(args) -> int:
     with open(args.map) as fh:
         m = map_from_dict(json.load(fh))
     taus, events = _read_events_csv(args.input)
-    out = sys.stdout if args.out is None else open(args.out, "w", newline="")
-    writer = csv.writer(out)
-    header = (["tau"] if taus is not None else []) + \
+    images, _, lams, residuals, singular = m.evaluate(events)
+    # a form reports its denominator on every row, a chain its residual on
+    # singular rows only
+    lead = [] if taus is None else [taus]
+    values = np.column_stack([*lead, events, images, lams, residuals])
+    cells = np.array(list(map(repr, values.ravel().tolist())), dtype=object)
+    cells = cells.reshape(values.shape)
+    cells[singular, len(lead) + 4:-1] = ""
+    if not isinstance(m, AcceleratedFrameForm):
+        cells[~singular, -1] = ""
+    status = np.where(singular, "singular", "ok").astype(object)[:, None]
+    header = (["tau"] if lead else []) + \
         ["t", "x1", "x2", "x3", "tbar", "x1bar", "x2bar", "x3bar",
          "lambda", "singular_residual", "status"]
+    out = sys.stdout if args.out is None else open(args.out, "w", newline="")
+    writer = csv.writer(out)
     writer.writerow(header)
-    n_bad = 0
-    for i, ev in enumerate(events):
-        prefix = [repr(float(taus[i]))] if taus is not None else []
-        den = None
-        if hasattr(m, "denominator"):
-            den = float(m.denominator(ev))
-        try:
-            img = m.apply(ev)
-            lam = m.factor(ev)
-            row = prefix + [repr(float(v)) for v in ev] + \
-                [repr(float(v)) for v in img] + \
-                [repr(float(lam)), repr(den) if den is not None else "", "ok"]
-        except SingularPointError as exc:
-            n_bad += 1
-            row = prefix + [repr(float(v)) for v in ev] + [""] * 5 + \
-                [repr(den) if den is not None else repr(exc.residual), "singular"]
-        writer.writerow(row)
+    writer.writerows(np.hstack([cells, status]).tolist())
     if args.out is not None:
         out.close()
     return 0
@@ -185,7 +183,10 @@ def cmd_corr(args) -> int:
     x = _parse_vector(args.x, 4)
     xp = _parse_vector(args.xp, 4)
     eps = args.epsilon or 1e-6
-    c = corrmod.scalar_vacuum_correlation(x, xp, eps)
+    try:
+        c = corrmod.scalar_vacuum_correlation(x, xp, eps)
+    except PoleError as exc:
+        raise SystemExit(f"corr: {exc}")
     em = corrmod.em_potential_correlation(x, xp, eps)
     payload = {
         "epsilon": eps,

@@ -12,14 +12,17 @@ the Jacobian and the tetrad f = J / lambda.  The scale factor is kept
 only lambda^2 is fixed by the metric pullback, and the sign bookkeeping is
 what makes the light-ray sign law checkable.
 
-Singular sets (where the denominator above vanishes) are excluded: map
-evaluation raises ``SingularPointError`` carrying the residual.
+Evaluation is batch-first: each map has one non-raising ``evaluate`` over
+event rows (n, 4); ``apply``, ``factor`` and ``pushforward`` take one event
+(a batch of one) or rows and are built on it.  Singular sets (where the
+denominator above vanishes) are excluded: these raise ``SingularPointError``
+for the first singular row, carrying its residual.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
@@ -28,18 +31,11 @@ from .errors import ConstraintViolationError, SingularPointError
 from .minkowski import ETA, SIGNATURE, as_event, interval, lower_index, minkowski_dot
 from .numdiff import gradient, hessian
 
-DEFAULT_SINGULAR_RTOL = 1e-12
-
-
-def _guard_denominator(value, scale, point, rtol):
-    if abs(value) < rtol * (1.0 + abs(scale)):
-        raise SingularPointError(
-            f"event {point} lies on a singular set (denominator {value:.3e})",
-            residual=value, point=point)
+SINGULAR_RTOL = 1e-12   # a row is singular where |den| < SINGULAR_RTOL (1 + |scale|)
 
 
 def _guard_rows(singular, residual, points):
-    """Batched ``_guard_denominator``: raise for the first row flagged singular."""
+    """Raise ``SingularPointError`` for the first row flagged singular."""
     if singular.any():
         i = int(np.argmax(singular))
         raise SingularPointError(
@@ -47,31 +43,48 @@ def _guard_rows(singular, residual, points):
             residual=float(residual[i]), point=points[i], index=i)
 
 
+def _checked(m, x, v=None):
+    """``m.evaluate`` on one event (4,) or rows (n, 4), raising for the first
+    singular row: (images, pushed tangents, signed factors), one event's as
+    a (4,) image and a float factor."""
+    rows = np.asarray(x, dtype=float)
+    single = rows.shape == (4,)
+    rows = rows[None] if single else rows
+    if rows.ndim != 2 or rows.shape[1] != 4:
+        raise ValueError(f"expected a 4-vector or rows of shape (n, 4), got shape {rows.shape}")
+    if not np.isfinite(rows).all():
+        raise ValueError("event components must be finite")
+    images, jv, lam, residual, singular = m.evaluate(rows, v)
+    _guard_rows(singular, residual, rows)
+    return (images[0], jv, float(lam[0])) if single else (images, jv, lam)
+
+
 # ---------------------------------------------------------------------------
 # primitives
 
+class _Primitive:
+    """``push(y, dy)`` maps event rows y (n, 4) and tangent rows dy (None, or
+    rows broadcasting against y) to (images, pushed tangents, signed step
+    factor or None for 1, denominator or None if it divides by nothing)."""
+
+    def apply(self, x):
+        """Image of one event or of rows: a chain of this primitive alone."""
+        return ConformalMap([self]).apply(x)
+
+
 @dataclass(frozen=True, eq=False)
-class Translation:
+class Translation(_Primitive):
     offset: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "offset", as_event(self.offset))
 
-    def apply(self, x, rtol=DEFAULT_SINGULAR_RTOL):
-        return x + self.offset
-
     def push(self, y, dy):
-        return y + self.offset, dy, None
-
-    def jacobian(self, x):
-        return np.eye(4)
-
-    def factor(self, x):
-        return 1.0
+        return y + self.offset, dy, None, None
 
 
 @dataclass(frozen=True, eq=False)
-class LorentzTransform:
+class LorentzTransform(_Primitive):
     matrix: np.ndarray
     tol: float = 1e-9
 
@@ -85,21 +98,15 @@ class LorentzTransform:
                 f"matrix is not Lorentz: max |L^T eta L - eta| = {defect:.3e}")
         object.__setattr__(self, "matrix", m)
 
-    def apply(self, x, rtol=DEFAULT_SINGULAR_RTOL):
-        return self.matrix @ x
-
     def push(self, y, dy):
-        return y @ self.matrix.T, dy @ self.matrix.T, None
-
-    def jacobian(self, x):
-        return self.matrix.copy()
-
-    def factor(self, x):
-        return 1.0
+        # einsum rounds each row as L @ y does; y @ L.T differs in the last bits
+        L = self.matrix
+        return (np.einsum("ij,nj->ni", L, y),
+                None if dy is None else np.einsum("ij,nj->ni", L, dy), None, None)
 
 
 @dataclass(frozen=True, eq=False)
-class Dilation:
+class Dilation(_Primitive):
     scale: float
 
     def __post_init__(self):
@@ -107,22 +114,17 @@ class Dilation:
             raise ConstraintViolationError("dilation scale must be nonzero")
         object.__setattr__(self, "scale", float(self.scale))
 
-    def apply(self, x, rtol=DEFAULT_SINGULAR_RTOL):
-        return self.scale * x
-
     def push(self, y, dy):
-        return self.scale * y, self.scale * dy, None
-
-    def jacobian(self, x):
-        return self.scale * np.eye(4)
-
-    def factor(self, x):
-        return self.scale
+        s = self.scale
+        return s * y, None if dy is None else s * dy, s, None
 
 
 @dataclass(frozen=True, eq=False)
-class Inversion:
-    """xbar = -beta x / x^2, an involution, singular on the light cone x^2 = 0."""
+class Inversion(_Primitive):
+    """xbar = -beta x / x^2, an involution, singular on the light cone x^2 = 0.
+
+    Its signed factor is beta / x^2, so the interval law holds with the
+    plain product lambda(x) lambda(x')."""
 
     beta: float
 
@@ -131,44 +133,23 @@ class Inversion:
             raise ConstraintViolationError("inversion scale beta must be nonzero")
         object.__setattr__(self, "beta", float(self.beta))
 
-    def apply(self, x, rtol=DEFAULT_SINGULAR_RTOL):
-        x2 = minkowski_dot(x, x)
-        _guard_denominator(x2, x2, x, rtol)
-        return -self.beta * x / x2
-
     def push(self, y, dy):
         y2 = minkowski_dot(y, y)
-        s = (-self.beta / y2)[..., None]
-        return s * y, s * (dy - 2.0 * y * (minkowski_dot(y, dy) / y2)[..., None]), y2
-
-    def jacobian(self, x):
-        x2 = minkowski_dot(x, x)
-        reflect = np.eye(4) - 2.0 * np.outer(x, lower_index(x)) / x2
-        return -(self.beta / x2) * reflect
-
-    def factor(self, x):
-        # signed: lambda = beta / x^2, so the interval law holds with the
-        # plain product lambda(x) lambda(x')
-        return self.beta / minkowski_dot(x, x)
-
-
-Primitive = Translation | LorentzTransform | Dilation | Inversion
+        if dy is not None:
+            reflect = dy - 2.0 * y * (minkowski_dot(y, dy) / y2)[..., None]
+            dy = (-self.beta / y2)[..., None] * reflect
+        return -self.beta * y / y2[..., None], dy, self.beta / y2, y2
 
 
 class ConformalMap:
-    """Ordered chain of primitives, applied first-to-last.
-
-    Each primitive's ``push(y, dy)`` maps rows of events and tangent vectors
-    to (images, pushed tangents, denominator), the denominator being the
-    per-row value the primitive divides by (None if it divides by nothing).
-    """
+    """Ordered chain of primitives, applied first-to-last."""
 
     def __init__(self, chain):
         chain = list(chain)
         if not chain:
             chain = [Translation(np.zeros(4))]
         for p in chain:
-            if not isinstance(p, (Translation, LorentzTransform, Dilation, Inversion)):
+            if not isinstance(p, _Primitive):
                 raise ConstraintViolationError(f"unknown primitive {p!r}")
         self.chain = chain
 
@@ -176,49 +157,44 @@ class ConformalMap:
     def identity(cls):
         return cls([Translation(np.zeros(4))])
 
-    def apply(self, x, rtol=DEFAULT_SINGULAR_RTOL):
-        y = as_event(x)
-        for p in self.chain:
-            y = p.apply(y, rtol=rtol)
-        return y
-
-    def jacobian(self, x, rtol=DEFAULT_SINGULAR_RTOL):
-        y = as_event(x)
-        J = np.eye(4)
-        for p in self.chain:
-            J = p.jacobian(y) @ J
-            y = p.apply(y, rtol=rtol)
-        return J
-
-    def factor(self, x, rtol=DEFAULT_SINGULAR_RTOL):
-        y = as_event(x)
-        lam = 1.0
-        for p in self.chain:
-            lam *= p.factor(y)
-            y = p.apply(y, rtol=rtol)
-        return lam
-
-    def pushforward(self, x, v):
-        """Images and pushed tangents J v of rows x, v of shape (n, 4).
-
-        The (y, dy) pair is carried through the chain.  Raises
-        ``SingularPointError`` for the first row that meets a singular set,
-        with ``index`` set to that row and the denominator of the first
-        primitive that is singular there.
+    def evaluate(self, x, v=None):
+        """(images, J v or None, signed factors, residuals, singular) of event
+        rows x (n, 4) and tangent rows v, carried through the chain; never
+        raises.  A row is singular where a primitive's denominator d has
+        |d| < SINGULAR_RTOL (1 + |d|); its residual is the first such d (0 on
+        regular rows), and its other values are meaningless.
         """
-        x = np.asarray(x, dtype=float)
-        y, dy = x, np.asarray(v, dtype=float)
-        singular = np.zeros(len(x), dtype=bool)
+        y, dy = x, v
+        lam = np.ones(len(x))
         residual = np.zeros(len(x))
+        singular = np.zeros(len(x), dtype=bool)
         with np.errstate(divide="ignore", invalid="ignore"):
             for p in self.chain:
-                y, dy, den = p.push(y, dy)
+                y, dy, step, den = p.push(y, dy)
+                if step is not None:
+                    lam = lam * step
                 if den is not None:
-                    hit = ~singular & (np.abs(den) < DEFAULT_SINGULAR_RTOL * (1.0 + np.abs(den)))
-                    residual[hit] = den[hit]
-                    singular |= hit
-        _guard_rows(singular, residual, x)
-        return y, dy
+                    hit = np.abs(den) < SINGULAR_RTOL * (1.0 + np.abs(den))
+                    if hit.any():
+                        first = hit & ~singular
+                        residual[first] = den[first]
+                        singular |= hit
+        return y, dy, lam, residual, singular
+
+    def apply(self, x):
+        return _checked(self, x)[0]
+
+    def factor(self, x):
+        return _checked(self, x)[2]
+
+    def jacobian(self, x):
+        """J at one event: the pushed rows of the identity are the columns of J."""
+        return _checked(self, as_event(x), np.eye(4))[1].T
+
+    def pushforward(self, x, v):
+        """Images and pushed tangents J v of rows x, v of shape (n, 4)."""
+        images, jv, _ = _checked(self, x, np.asarray(v, dtype=float))
+        return images, jv
 
     def inverse(self):
         inv = []
@@ -247,31 +223,46 @@ class AcceleratedFrameForm:
 
     alpha: np.ndarray
     beta: float = 1.0
+    alpha_sq: float = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", as_event(self.alpha))
         if self.beta == 0:
             raise ConstraintViolationError("beta must be nonzero")
         object.__setattr__(self, "beta", float(self.beta))
-
-    @property
-    def alpha_sq(self):
-        return minkowski_dot(self.alpha, self.alpha)
+        object.__setattr__(self, "alpha_sq", minkowski_dot(self.alpha, self.alpha))
 
     def denominator(self, x):
         x = np.asarray(x, dtype=float)
-        return (1.0 - 2.0 * minkowski_dot(x, np.broadcast_to(self.alpha, x.shape))
+        return (1.0 - 2.0 * minkowski_dot(x, self.alpha)
                 + self.alpha_sq * minkowski_dot(x, x))
 
-    def factor(self, x, rtol=DEFAULT_SINGULAR_RTOL):
+    def evaluate(self, x, v=None):
+        """(images, J v or None, signed factors, denominators, singular) of
+        event rows x (n, 4) and tangent rows v; never raises.  Closed forms
+        xbar = lambda xi with xi = x - x^2 alpha and
+        J v = lambda (v + xi (phi.v) - 2 alpha (x.v)); a row is singular where
+        |D| < SINGULAR_RTOL (1 + |alpha^2 x^2|).
+        """
+        x2 = minkowski_dot(x, x)
         den = self.denominator(x)
-        _guard_denominator(den, self.alpha_sq * minkowski_dot(x, x), x, rtol)
-        return self.beta / den
+        singular = np.abs(den) < SINGULAR_RTOL * (1.0 + np.abs(self.alpha_sq * x2))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lam = self.beta / den
+            xi = x - x2[:, None] * self.alpha
+            jv = None
+            if v is not None:
+                xv = minkowski_dot(x, v)
+                phi_v = 2.0 * (minkowski_dot(v, self.alpha) - self.alpha_sq * xv) / den
+                jv = lam[:, None] * (v + xi * phi_v[:, None]
+                                     - 2.0 * np.multiply.outer(xv, self.alpha))
+            return lam[:, None] * xi, jv, lam, den, singular
 
-    def apply(self, x, rtol=DEFAULT_SINGULAR_RTOL):
-        x = as_event(x)
-        lam = self.factor(x, rtol=rtol)
-        return lam * (x - minkowski_dot(x, x) * self.alpha)
+    def factor(self, x):
+        return _checked(self, x)[2]
+
+    def apply(self, x):
+        return _checked(self, x)[0]
 
     def phi(self, x):
         """phi_mu = d_mu ln(lambda), lower index; independent of beta."""
@@ -283,42 +274,23 @@ class AcceleratedFrameForm:
         ph = self.phi(x)
         return np.outer(ph, ph) - (2.0 * self.alpha_sq / self.denominator(x)) * ETA
 
-    def jacobian(self, x, rtol=DEFAULT_SINGULAR_RTOL):
+    def jacobian(self, x):
         x = as_event(x)
-        lam = self.factor(x, rtol=rtol)
+        lam = self.factor(x)
         ph = self.phi(x)
         xi = x - minkowski_dot(x, x) * self.alpha
         return lam * (np.eye(4) + np.outer(xi, ph) - 2.0 * np.outer(self.alpha, lower_index(x)))
 
     def pushforward(self, x, v):
-        """Images and pushed tangents J v of rows x, v of shape (n, 4).
-
-        Closed forms: xbar = lambda (x - x^2 alpha) and
-        J v = lambda (v + xi (phi.v) - 2 alpha (x.v)) with xi = x - x^2 alpha.
-        Raises ``SingularPointError`` for the first row on the singular set,
-        with ``index`` set to that row.
-        """
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        x2 = minkowski_dot(x, x)
-        den = self.denominator(x)
-        scale = 1.0 + np.abs(self.alpha_sq * x2)
-        _guard_rows(np.abs(den) < DEFAULT_SINGULAR_RTOL * scale, den, x)
-        lam = (self.beta / den)[..., None]
-        xi = x - x2[..., None] * self.alpha
-        xv = minkowski_dot(x, v)
-        phi_v = 2.0 * (minkowski_dot(v, self.alpha) - self.alpha_sq * xv) / den
-        jv = lam * (v + xi * phi_v[..., None] - 2.0 * np.multiply.outer(xv, self.alpha))
-        return lam * xi, jv
+        """Images and pushed tangents J v of rows x, v of shape (n, 4)."""
+        images, jv, _ = _checked(self, x, np.asarray(v, dtype=float))
+        return images, jv
 
     def as_chain(self) -> ConformalMap:
         return ConformalMap([Inversion(1.0), Translation(self.alpha), Inversion(self.beta)])
 
     def inverse(self) -> "AcceleratedFrameForm":
         return AcceleratedFrameForm(-self.alpha / self.beta, 1.0 / self.beta)
-
-    def factor_field(self) -> "ConformalFactorField":
-        return ConformalFactorField.from_form(self)
 
 
 Mappable = ConformalMap | AcceleratedFrameForm
@@ -327,24 +299,24 @@ Mappable = ConformalMap | AcceleratedFrameForm
 # ---------------------------------------------------------------------------
 # operations
 
-def conformal_factor(form: AcceleratedFrameForm, x, rtol=DEFAULT_SINGULAR_RTOL) -> float:
+def conformal_factor(form: AcceleratedFrameForm, x) -> float:
     """Signed conformal scale factor beta / (1 - 2 alpha.x + alpha^2 x^2)."""
-    return form.factor(as_event(x), rtol=rtol)
+    return form.factor(as_event(x))
 
 
-def apply_map(m: Mappable, x, rtol=DEFAULT_SINGULAR_RTOL) -> np.ndarray:
-    return m.apply(as_event(x), rtol=rtol)
+def apply_map(m: Mappable, x) -> np.ndarray:
+    return m.apply(as_event(x))
 
 
-def jacobian_tetrad(m: Mappable, x, rtol=DEFAULT_SINGULAR_RTOL):
+def jacobian_tetrad(m: Mappable, x):
     """(J, lambda, f): Jacobian, signed scale factor, tetrad f = J / lambda.
 
     J^T eta J = lambda^2 eta, so f is a (pointwise) Lorentz matrix off the
     singular sets.
     """
     x = as_event(x)
-    J = m.jacobian(x) if isinstance(m, AcceleratedFrameForm) else m.jacobian(x, rtol=rtol)
-    lam = m.factor(x, rtol=rtol)
+    J = m.jacobian(x)
+    lam = m.factor(x)
     return J, lam, J / lam
 
 
@@ -389,18 +361,24 @@ class IntervalLawReport:
     residual: float
 
 
-def verify_interval_law(m: Mappable, x, xp, rtol=DEFAULT_SINGULAR_RTOL) -> IntervalLawReport:
+def verify_interval_law(m: Mappable, x, xp) -> IntervalLawReport:
     """Check (xbar - xbar')^2 = lambda(x) lambda(x') (x - x')^2."""
     x = as_event(x)
     xp = as_event(xp)
-    lhs = interval(apply_map(m, x, rtol=rtol), apply_map(m, xp, rtol=rtol))
-    rhs = m.factor(x, rtol=rtol) * m.factor(xp, rtol=rtol) * interval(x, xp)
+    (xbar, xpbar), _, (lam, lam_p) = _checked(m, np.array([x, xp]))
+    lhs = interval(xbar, xpbar)
+    rhs = lam * lam_p * interval(x, xp)
     residual = abs(lhs - rhs) / max(abs(lhs), 1.0)
     return IntervalLawReport(lhs=float(lhs), rhs=float(rhs), residual=float(residual))
 
 
 # ---------------------------------------------------------------------------
 # light rays
+
+LIGHT_RAY_SAMPLES = 201       # lambda samples along the ray span
+CROSSING_GUARD = 1e-3         # residuals skip samples this close to dt = 0 or a crossing
+DEGENERATE_DIRECTION = 1e-12  # |(f v)^0| below this leaves no image direction
+
 
 @dataclass(frozen=True, eq=False)
 class LightRay:
@@ -446,85 +424,60 @@ class LightRayReport:
     time_formula_residual: float
 
 
-def transform_light_ray(m: Mappable, ray: LightRay, samples=201,
-                        rtol=DEFAULT_SINGULAR_RTOL, crossing_guard=1e-3):
+def transform_light_ray(m: Mappable, ray: LightRay):
     """Map a light ray; returns (image ray, report).
 
     The image direction is f(x') v / (f(x') v)^0 and image coordinate-time
-    intervals are dtbar = (f(x') v)^0 lambda(x) dt.  Sampled points of the
-    image must be collinear with that line; the report carries the maximum
-    deviation, the parameter values where lambda changes sign, and the sign
-    law verdict.
+    intervals are dtbar = (f(x') v)^0 lambda(x) dt.  The samples along the
+    span are mapped in one batch; sampled points of the image must be
+    collinear with that line.  The report carries the maximum deviation, the
+    parameter values where lambda changes sign (refined by brentq), and the
+    sign law verdict.
     """
-    _, lam_origin, tet = jacobian_tetrad(m, ray.origin, rtol=rtol)
+    _, lam_origin, tet = jacobian_tetrad(m, ray.origin)
     fv = tet @ ray.direction
-    if abs(fv[0]) < rtol:
+    if abs(fv[0]) < DEGENERATE_DIRECTION:
         raise SingularPointError("image direction degenerate at the ray origin",
                                  residual=fv[0], point=ray.origin)
     vbar = fv / fv[0]
     vbar[0] = 1.0
-    origin_bar = apply_map(m, ray.origin, rtol=rtol)
+    origin_bar = apply_map(m, ray.origin)
 
     lo, hi = ray.span
-    dts = np.linspace(lo, hi, samples)
-
-    def lam_at(dt):
-        return m.factor(ray.point(dt), rtol=rtol)
-
-    lams = np.empty(samples)
-    ok = np.zeros(samples, dtype=bool)
-    for i, dt in enumerate(dts):
-        try:
-            lams[i] = lam_at(dt)
-            ok[i] = True
-        except SingularPointError:
-            lams[i] = np.nan
+    dts = np.linspace(lo, hi, LIGHT_RAY_SAMPLES)
+    images, _, lams, _, singular = m.evaluate(ray.point(dts))
 
     def inv_lam(dt):
         # 1/lambda crosses zero exactly on the singular set
         try:
-            return 1.0 / lam_at(dt)
+            return 1.0 / m.factor(ray.point(dt))
         except SingularPointError:
             return 0.0
 
-    # scan between consecutive valid samples (a sample landing exactly on the
-    # singular set leaves a gap the flip must still be detected across)
-    crossings = []
-    last = None
-    for i in range(samples):
-        if not ok[i]:
-            continue
-        if last is not None and last[1] * lams[i] < 0:
-            crossings.append(float(brentq(inv_lam, last[0], dts[i])))
-        last = (dts[i], lams[i])
+    # sign flips between consecutive regular samples (a sample landing exactly
+    # on the singular set leaves a gap the flip must still be detected across)
+    regular = np.flatnonzero(~singular)
+    a, b = regular[:-1], regular[1:]
+    flips = lams[a] * lams[b] < 0
+    crossings = [float(brentq(inv_lam, dts[i], dts[j])) for i, j in zip(a[flips], b[flips])]
 
-    # verify the time formula, the sign law, and collinearity away from
-    # crossings and away from dt = 0
+    # the time formula, the sign law and collinearity, away from crossings
+    # and from dt = 0
     global_sign = float(np.sign(fv[0] * lam_origin))
-    col_res = 0.0
-    time_res = 0.0
-    law_ok = True
-    for i, dt in enumerate(dts):
-        if not ok[i] or abs(dt) < crossing_guard:
-            continue
-        if any(abs(dt - c) < crossing_guard for c in crossings):
-            continue
-        dtbar = fv[0] * lams[i] * dt
-        y = apply_map(m, ray.point(dt), rtol=rtol)
-        predicted = origin_bar + vbar * dtbar
-        scale = 1.0 + float(np.max(np.abs(y)))
-        col_res = max(col_res, float(np.max(np.abs(y - predicted))) / scale)
-        time_res = max(time_res, abs((y[0] - origin_bar[0]) - dtbar) / scale)
-        if np.sign(dt) != global_sign * np.sign(lams[i]) * np.sign(lam_origin) * np.sign(dtbar):
-            law_ok = False
+    near = np.abs(dts[:, None] - np.array([0.0, *crossings])) < CROSSING_GUARD
+    keep = ~singular & ~near.any(axis=1)
+    dt, lam, y = dts[keep], lams[keep], images[keep]
+    dtbar = fv[0] * lam * dt
+    predicted = origin_bar + vbar * dtbar[:, None]
+    scale = 1.0 + np.max(np.abs(y), axis=1)
+    col_res = float(np.max(np.max(np.abs(y - predicted), axis=1) / scale, initial=0.0))
+    time_res = float(np.max(np.abs((y[:, 0] - origin_bar[0]) - dtbar) / scale, initial=0.0))
+    law_ok = bool(np.all(np.sign(dt) == global_sign * np.sign(lam) * np.sign(lam_origin)
+                         * np.sign(dtbar)))
 
-    try:
-        image_span_ends = [fv[0] * lam_at(lo) * lo, fv[0] * lam_at(hi) * hi] \
-            if not crossings else [-1.0, 1.0]
-    except SingularPointError:
-        image_span_ends = [-1.0, 1.0]
-    image = LightRay(origin_bar, vbar,
-                     span=(min(image_span_ends), max(image_span_ends)))
+    ends = ([-1.0, 1.0] if crossings or singular[0] or singular[-1]
+            else [fv[0] * lams[0] * lo, fv[0] * lams[-1] * hi])
+    image = LightRay(origin_bar, vbar, span=(min(ends), max(ends)))
     report = LightRayReport(
         sign_crossings=tuple(crossings),
         global_sign=global_sign,

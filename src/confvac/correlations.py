@@ -45,7 +45,8 @@ def scalar_vacuum_correlation(x, xp, epsilon) -> complex:
     xp = as_event(xp)
     den = interval(x, xp) - 1j * epsilon * (x[0] - xp[0])
     if den == 0:
-        return complex(math.inf, 0.0)
+        raise PoleError(f"scalar kernel pole: (x - x')^2 - i eps (t - t') = 0 "
+                        f"at x = {x.tolist()}, x' = {xp.tolist()}")
     return 1.0 / den
 
 
@@ -116,10 +117,8 @@ def verify_scalar_invariance(form: AcceleratedFrameForm, x, xp, epsilon,
     """
     x = as_event(x)
     xp = as_event(xp)
-    lam = form.factor(x)
-    lam_p = form.factor(xp)
-    xb = form.apply(x)
-    xpb = form.apply(xp)
+    lam, lam_p = form.factor(np.array([x, xp]))
+    xb, xpb = form.apply(np.array([x, xp]))
     lhs_ladder = []
     rhs_ladder = []
     for k in range(levels):
@@ -178,7 +177,8 @@ def transport_em_correlation(form: AcceleratedFrameForm, x, xp, epsilon,
     xp = as_event(xp)
     _, lam, f = jacobian_tetrad(form, x)
     _, lam_p, fp = jacobian_tetrad(form, xp)
-    cbar = scalar_vacuum_correlation(form.apply(x), form.apply(xp), epsilon)
+    xb, xpb = form.apply(np.array([x, xp]))
+    cbar = scalar_vacuum_correlation(xb, xpb, epsilon)
     M = (hbar / math.pi) * lam * lam_p * cbar * (f.T @ ETA @ fp)
     return PotentialCorrelationMatrix(matrix=M, frame="conformal",
                                       hbar=hbar, epsilon=epsilon)
@@ -267,18 +267,17 @@ class FieldTensorCorrelation:
                          np.max(np.abs(v + v.transpose(0, 1, 3, 2)))))
 
 
+def _antisymmetrize(A):
+    """K[mu,nu,rho,sig] = A[mu,nu,rho,sig] - A[nu,mu,rho,sig] - A[mu,nu,sig,rho]
+    + A[nu,mu,sig,rho]: antisymmetric in (mu, nu) and in (rho, sig)."""
+    return (A - A.transpose(1, 0, 2, 3) - A.transpose(0, 1, 3, 2)
+            + A.transpose(1, 0, 3, 2))
+
+
 def _assemble_projection(mixed):
-    """Antisymmetrize mixed second derivatives of a potential correlator."""
-    K = np.zeros((4, 4, 4, 4), dtype=complex)
-    for mu in range(4):
-        for nu in range(4):
-            for rho in range(4):
-                for sig in range(4):
-                    K[mu, nu, rho, sig] = (mixed[mu][rho][nu, sig]
-                                           - mixed[nu][rho][mu, sig]
-                                           - mixed[mu][sig][nu, rho]
-                                           + mixed[nu][sig][mu, rho])
-    return K
+    """Antisymmetrize mixed second derivatives of a potential correlator:
+    mixed[mu][rho][nu, sig] is d_mu d'_rho C_{nu sig}."""
+    return _antisymmetrize(np.array(mixed, dtype=complex).transpose(0, 2, 1, 3))
 
 
 def _fd_field_tensor(rule, x, xp, h):
@@ -333,14 +332,8 @@ def minkowski_field_tensor_correlation(x, xp, epsilon, hbar=1.0) -> FieldTensorC
     g = 2.0 * lower_index(s).astype(complex)
     g[0] -= 1j * epsilon
     Kmix = -2.0 * np.outer(g, g) / D**3 + 2.0 * ETA.astype(complex) / D**2
-    K = np.zeros((4, 4, 4, 4), dtype=complex)
-    for mu in range(4):
-        for nu in range(4):
-            for rho in range(4):
-                for sig in range(4):
-                    K[mu, nu, rho, sig] = (hbar / math.pi) * (
-                        ETA[nu, sig] * Kmix[mu, rho] - ETA[mu, sig] * Kmix[nu, rho]
-                        - ETA[nu, rho] * Kmix[mu, sig] + ETA[mu, rho] * Kmix[nu, sig])
+    # A[mu,nu,rho,sig] = eta_{nu sig} Kmix_{mu rho}
+    K = (hbar / math.pi) * _antisymmetrize(ETA[None, :, None, :] * Kmix[:, None, :, None])
     return FieldTensorCorrelation(values=K, h=None, richardson_defect=None)
 
 

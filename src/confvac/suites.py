@@ -246,7 +246,7 @@ def suite_interval_law(cfg: SuiteConfig) -> SuiteReport:
                     x = random_event(rng)
                     xp = random_event(rng)
                 try:
-                    if not (abs(m.factor(x)) < 1e3 and abs(m.factor(xp)) < 1e3):
+                    if not np.all(np.abs(m.factor(np.array([x, xp]))) < 1e3):
                         continue
                     rep = verify_interval_law(m, x, xp)
                 except SingularPointError:

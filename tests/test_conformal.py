@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import confvac.numdiff as numdiff
+from confvac import suites
 from confvac import (ETA, AcceleratedFrameForm, ConformalFactorField,
                      ConformalMap, ConstraintViolationError, Dilation, Inversion,
                      LightRay, SingularPointError, Translation, apply_map,
@@ -194,6 +195,66 @@ def test_batched_pushforward_singular_row_index():
         assert info.value.index == expected
         assert info.value.residual == 0.0
         np.testing.assert_array_equal(info.value.point, x[expected])
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_rows_equal_one_event_at_a_time(seed):
+    # bit for bit: a row's value must not depend on the rows evaluated with it
+    rng = np.random.default_rng(seed)
+    for m in (suites.random_chain(rng), suites.random_form(rng)):
+        x = rng.uniform(-1.0, 1.0, (20, 4))
+        one = {}
+        for k, row in enumerate(x):
+            try:
+                one[k] = (m.apply(row), m.factor(row))
+            except SingularPointError:
+                pass
+        rows = x[list(one)]
+        np.testing.assert_array_equal(m.apply(rows), [img for img, _ in one.values()])
+        np.testing.assert_array_equal(m.factor(rows), [lam for _, lam in one.values()])
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_factor_multiplicative_under_compose(seed):
+    rng = np.random.default_rng(seed)
+    m1, m2 = suites.random_chain(rng), suites.random_chain(rng)
+    x = rng.uniform(-1.0, 1.0, 4)
+    try:
+        expected = m1.factor(m2.apply(x)) * m2.factor(x)
+    except SingularPointError:
+        with pytest.raises(SingularPointError):
+            compose(m1, m2).factor(x)
+        return
+    assert compose(m1, m2).factor(x) == pytest.approx(expected, rel=1e-12)
+
+
+def test_chain_pushforward_rows_match_finite_differences_and_are_conformal():
+    rng = np.random.default_rng(12)
+    t1, t2 = np.array([0.1, 0.0, -0.2, 0.3]), np.array([0.4, -0.1, 0.2, 0.0])
+    m = ConformalMap([Translation(t1), Inversion(1.5), spatial_rotation([1, 2, 0], 0.7),
+                      Dilation(0.7), Translation(t2), Inversion(0.8),
+                      lorentz_boost([0.2, 0, 0.1])])
+    before_second = ConformalMap(m.chain[:5])
+    x = rng.uniform(-1.0, 1.0, (400, 4))
+    y, z = x + t1, before_second.evaluate(x)[0]
+    well_conditioned = ((np.abs(minkowski_dot(y, y)) > 0.3 * np.sum(y * y, axis=1))
+                        & (np.abs(minkowski_dot(z, z)) > 0.3 * np.sum(z * z, axis=1)))
+    x = x[well_conditioned][:30]
+    assert len(x) == 30
+    v = rng.uniform(-1.0, 1.0, x.shape)
+    _, jv = m.pushforward(x, v)
+    lam = m.factor(x)
+    for k in range(len(x)):
+        J_fd = numdiff.jacobian(m.apply, x[k], step=1e-5)
+        np.testing.assert_allclose(jv[k], J_fd @ v[k], rtol=1e-6, atol=1e-6 * abs(lam[k]))
+    # the pushed basis vectors of each row are the columns of its J
+    n = len(x)
+    _, cols = m.pushforward(np.repeat(x, 4, axis=0), np.tile(np.eye(4), (n, 1)))
+    J = cols.reshape(n, 4, 4).transpose(0, 2, 1)
+    np.testing.assert_allclose(np.einsum("kai,ab,kbj->kij", J, ETA, J) / lam[:, None, None]**2,
+                               np.broadcast_to(ETA, (n, 4, 4)), atol=1e-10)
 
 
 # ---------------------------------------------------------------------------

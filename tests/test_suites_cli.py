@@ -115,6 +115,39 @@ def test_cli_transform_worked_example(tmp_path):
     assert rows[2]["status"] == "ok"
 
 
+def test_cli_transform_chain_singular_rows(tmp_path):
+    # (2,0,0,0) meets the first inversion's cone, (9,0,0,0) the second's
+    chain = [{"kind": "translation", "b": [-1.0, 0, 0, 0]}, {"kind": "inversion", "beta": 1.0},
+             {"kind": "dilation", "s": 2.0}, {"kind": "translation", "b": [0.5, 0.25, 0, 0]},
+             {"kind": "inversion", "beta": 1.5}]
+    mapfile = tmp_path / "chain.json"
+    mapfile.write_text(json.dumps({"chain": chain}))
+    infile = tmp_path / "events.csv"
+    infile.write_text("tau,t,x1,x2,x3\n0,0.5,0.1,0,0\n1,2,1,0,0\n2,9,0,0,0\n")
+    outfile = tmp_path / "out.csv"
+    assert main(["transform", "--map", str(mapfile), "--input", str(infile),
+                 "--out", str(outfile)]) == 0
+    rows = list(csv.DictReader(outfile.read_text().splitlines()))
+    assert [r["status"] for r in rows] == ["ok", "singular", "singular"]
+    assert [r["tau"] for r in rows] == ["0.0", "1.0", "2.0"]
+    assert rows[0]["singular_residual"] == "" and float(rows[0]["lambda"]) != 0.0
+    for r in rows[1:]:
+        assert [r[c] for c in ("tbar", "x1bar", "x2bar", "x3bar", "lambda")] == [""] * 5
+        assert r["singular_residual"] == "0.0"
+
+
+def test_cli_transform_rejects_nonfinite_row(tmp_path):
+    mapfile = tmp_path / "map.json"
+    mapfile.write_text(json.dumps({"alpha": [0, 0, 0, 0], "beta": 1.0}))
+    infile = tmp_path / "bad.csv"
+    infile.write_text("t,x1,x2,x3\n1,0,0,0\nnan,0,0,0\n")
+    outfile = tmp_path / "out.csv"
+    with pytest.raises(SystemExit, match="line 3: non-finite"):
+        main(["transform", "--map", str(mapfile), "--input", str(infile),
+              "--out", str(outfile)])
+    assert not outfile.exists()
+
+
 def test_cli_transform_identity_map(tmp_path):
     mapfile = tmp_path / "map.json"
     mapfile.write_text(json.dumps({"chain": [{"kind": "translation",
@@ -165,6 +198,13 @@ def test_cli_corr_outputs_kernel(capsys):
     assert val == pytest.approx(1.0 / (4 - 0.02j))
     em00 = complex(*payload["em_potential"][0][0])
     assert em00 == pytest.approx(val / np.pi)
+
+
+def test_cli_corr_coincident_events_exit_with_pole_message(capsys):
+    with pytest.raises(SystemExit, match="pole") as info:
+        main(["corr", "--x", "0,0,0,0", "--xp", "0,0,0,0"])
+    assert info.value.code != 0
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_ray2d_mirror_verdict(capsys):
