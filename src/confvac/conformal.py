@@ -14,9 +14,10 @@ what makes the light-ray sign law checkable.
 
 Evaluation is batch-first: each map has one non-raising ``evaluate`` over
 event rows (n, 4); ``apply``, ``factor`` and ``pushforward`` take one event
-(a batch of one) or rows and are built on it.  Singular sets (where the
-denominator above vanishes) are excluded: these raise ``SingularPointError``
-for the first singular row, carrying its residual.
+(a batch of one) or rows and are built on it, as is ``jacobian_tetrad``.
+Singular sets (where the denominator above vanishes) are excluded: these
+raise ``SingularPointError`` for the first singular row, carrying its
+residual.
 """
 
 from __future__ import annotations
@@ -187,10 +188,6 @@ class ConformalMap:
     def factor(self, x):
         return _checked(self, x)[2]
 
-    def jacobian(self, x):
-        """J at one event: the pushed rows of the identity are the columns of J."""
-        return _checked(self, as_event(x), np.eye(4))[1].T
-
     def pushforward(self, x, v):
         """Images and pushed tangents J v of rows x, v of shape (n, 4)."""
         images, jv, _ = _checked(self, x, np.asarray(v, dtype=float))
@@ -265,21 +262,17 @@ class AcceleratedFrameForm:
         return _checked(self, x)[0]
 
     def phi(self, x):
-        """phi_mu = d_mu ln(lambda), lower index; independent of beta."""
-        den = self.denominator(x)
+        """phi_mu = d_mu ln(lambda), lower index, at one event (4,) or rows
+        (n, 4); independent of beta."""
+        den = np.asarray(self.denominator(x))[..., None]
         return 2.0 * (lower_index(self.alpha) - self.alpha_sq * lower_index(x)) / den
 
     def phi2(self, x):
-        """phi_{mu nu} = d_mu phi_nu = phi_mu phi_nu - (2 alpha^2 / D) eta."""
+        """phi_{mu nu} = d_mu phi_nu = phi_mu phi_nu - (2 alpha^2 / D) eta,
+        (4, 4) at one event or (n, 4, 4) on rows."""
         ph = self.phi(x)
-        return np.outer(ph, ph) - (2.0 * self.alpha_sq / self.denominator(x)) * ETA
-
-    def jacobian(self, x):
-        x = as_event(x)
-        lam = self.factor(x)
-        ph = self.phi(x)
-        xi = x - minkowski_dot(x, x) * self.alpha
-        return lam * (np.eye(4) + np.outer(xi, ph) - 2.0 * np.outer(self.alpha, lower_index(x)))
+        scale = np.asarray(2.0 * self.alpha_sq / self.denominator(x))[..., None, None]
+        return ph[..., :, None] * ph[..., None, :] - scale * ETA
 
     def pushforward(self, x, v):
         """Images and pushed tangents J v of rows x, v of shape (n, 4)."""
@@ -312,11 +305,11 @@ def jacobian_tetrad(m: Mappable, x):
     """(J, lambda, f): Jacobian, signed scale factor, tetrad f = J / lambda.
 
     J^T eta J = lambda^2 eta, so f is a (pointwise) Lorentz matrix off the
-    singular sets.
+    singular sets.  One evaluation gives both: J's columns are the pushed
+    identity rows, copied to C order (the layout later products round with).
     """
-    x = as_event(x)
-    J = m.jacobian(x)
-    lam = m.factor(x)
+    _, pushed, lam = _checked(m, as_event(x), np.eye(4))
+    J = np.ascontiguousarray(pushed.T)
     return J, lam, J / lam
 
 

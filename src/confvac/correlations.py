@@ -18,6 +18,10 @@ correlations, which is the invariance statement verified here numerically.
 Finite-eps caution: the exact laws are distributional.  All invariance
 checks extrapolate eps -> 0 (linearly or quadratically on an
 (eps, eps/2, eps/4) ladder); finite-eps kernels are not exactly covariant.
+
+Evaluation is batch-first (a single pair is a batch of one): the
+finite-difference field tensor is one pass over its 64 stencil pairs and
+every rung of the regulator ladder.
 """
 
 from __future__ import annotations
@@ -39,15 +43,35 @@ LAST_TERM_MODES = ("exact", "limit", "omit")
 # ---------------------------------------------------------------------------
 # scalar kernel
 
+def _kernel_rows(x, xp, epsilon):
+    """Regulated kernel on pair rows x, x' (n, 4): (n,) complex, or (k, n)
+    for k regulators; PoleError names the first pair on a pole.  The quotient
+    is CPython's complex division (Smith's method) in real arithmetic, so a
+    pair gets the bits of ``1.0 / complex``: numpy's complex divide multiplies
+    by a reciprocal, a last-bit change the 1/(4h^2) of the field-tensor
+    stencil amplifies.  ``0.0 -`` and ``+ 0.0`` give zeros CPython's signs."""
+    d = x - xp
+    re = minkowski_dot(d, d)
+    im = 0.0 - np.multiply.outer(epsilon, d[:, 0])
+    pole = (re == 0) & (im == 0)
+    if pole.any():
+        i = np.unravel_index(np.argmax(pole), pole.shape)[-1]
+        raise PoleError(f"scalar kernel pole: (x - x')^2 - i eps (t - t') = 0 "
+                        f"at x = {x[i].tolist()}, x' = {xp[i].tolist()}")
+    by_re = np.abs(re) >= np.abs(im)
+    big = np.where(by_re, re, im)
+    small = np.where(by_re, im, re)
+    ratio = small / big
+    denom = big + small * ratio
+    c = np.empty(ratio.shape, dtype=complex)
+    c.real = np.where(by_re, 1.0, ratio + 0.0) / denom
+    c.imag = np.where(by_re, 0.0 - ratio, -1.0) / denom
+    return c
+
+
 def scalar_vacuum_correlation(x, xp, epsilon) -> complex:
     """Regulated vacuum kernel 1 / ((x-x')^2 - i eps (t-t'))."""
-    x = as_event(x)
-    xp = as_event(xp)
-    den = interval(x, xp) - 1j * epsilon * (x[0] - xp[0])
-    if den == 0:
-        raise PoleError(f"scalar kernel pole: (x - x')^2 - i eps (t - t') = 0 "
-                        f"at x = {x.tolist()}, x' = {xp.tolist()}")
-    return 1.0 / den
+    return complex(_kernel_rows(as_event(x)[None], as_event(xp)[None], epsilon)[0])
 
 
 def lorentzian(s, width) -> float:
@@ -119,14 +143,9 @@ def verify_scalar_invariance(form: AcceleratedFrameForm, x, xp, epsilon,
     xp = as_event(xp)
     lam, lam_p = form.factor(np.array([x, xp]))
     xb, xpb = form.apply(np.array([x, xp]))
-    lhs_ladder = []
-    rhs_ladder = []
-    for k in range(levels):
-        eps = epsilon * 0.5**k
-        lhs_ladder.append(lam * lam_p * scalar_vacuum_correlation(xb, xpb, eps))
-        rhs_ladder.append(scalar_vacuum_correlation(x, xp, eps))
-    lhs = _extrapolate(lhs_ladder)
-    rhs = _extrapolate(rhs_ladder)
+    c = _kernel_rows(np.array([xb, x]), np.array([xpb, xp]), epsilon * 0.5 ** np.arange(levels))
+    lhs = _extrapolate(lam * lam_p * c[:, 0])
+    rhs = _extrapolate(c[:, 1].tolist())
     residual = abs(lhs - rhs) / max(abs(rhs), 1e-300)
     return ScalarInvarianceReport(lhs=lhs, rhs=rhs, residual=float(residual),
                                   same_side=bool(lam * lam_p > 0))
@@ -151,37 +170,50 @@ def em_potential_correlation(x, xp, epsilon, hbar=1.0) -> PotentialCorrelationMa
 
 
 def _formula_matrix(form, x, xp, epsilon, hbar, last_term):
-    c = scalar_vacuum_correlation(x, xp, epsilon)
+    """The four-term conformal-frame correlator on pair rows x, x' (n, 4):
+    (n, 4, 4), or (k, n, 4, 4) for a ladder of k regulators."""
+    c = _kernel_rows(x, xp, epsilon)[..., None, None]
     phx = form.phi(x)
     phy = form.phi(xp)
     xl = lower_index(x)
     yl = lower_index(xp)
-    r = interval(x, xp)
+    r = minkowski_dot(x - xp, x - xp)[:, None, None]
     M = ETA * c
-    M = M + np.outer(phx, xl - yl) * c
-    M = M + np.outer(yl - xl, phy) * c
+    M = M + phx[:, :, None] * (xl - yl)[:, None, :] * c
+    M = M + (yl - xl)[:, :, None] * phy[:, None, :] * c
+    phph = phx[:, :, None] * phy[:, None, :]
     if last_term == "exact":
-        M = M - 0.5 * np.outer(phx, phy) * (r * c)
+        M = M - 0.5 * phph * (r * c)
     elif last_term == "limit":
-        M = M - 0.5 * np.outer(phx, phy)
+        M = M - 0.5 * phph
     elif last_term != "omit":
         raise ValueError(f"last_term must be one of {LAST_TERM_MODES}")
     return (hbar / math.pi) * M
+
+
+def _transport_matrix(form, x, xp, epsilon, hbar):
+    """lambda lambda' f^T eta f' (hbar/pi) c_image at one pair; (k, 4, 4) for k regulators."""
+    _, lam, f = jacobian_tetrad(form, x)
+    _, lam_p, fp = jacobian_tetrad(form, xp)
+    xb, xpb = form.apply(np.array([x, xp]))
+    cbar = _kernel_rows(xb[None], xpb[None], epsilon)[..., None]
+    return (hbar / math.pi) * lam * lam_p * cbar * (f.T @ ETA @ fp)
+
+
+def _transport_residual(form, x, xp, epsilon, hbar, last_term, levels=3):
+    """Four-term formula vs tetrad transport at one pair, over (eps, eps/2, ...)."""
+    ladder = epsilon * 0.5 ** np.arange(levels)
+    Mf = _extrapolate(_formula_matrix(form, x[None], xp[None], ladder, hbar, last_term)[:, 0])
+    Mt = _extrapolate(_transport_matrix(form, x, xp, ladder, hbar))
+    return float(np.max(np.abs(Mf - Mt)) / max(np.max(np.abs(Mt)), 1e-300))
 
 
 def transport_em_correlation(form: AcceleratedFrameForm, x, xp, epsilon,
                              hbar=1.0) -> PotentialCorrelationMatrix:
     """Conformal-frame correlator by transporting the Minkowski one:
     lambda lambda' f(x)^T eta f(x') (hbar/pi) c_image(xbar, xbar')."""
-    x = as_event(x)
-    xp = as_event(xp)
-    _, lam, f = jacobian_tetrad(form, x)
-    _, lam_p, fp = jacobian_tetrad(form, xp)
-    xb, xpb = form.apply(np.array([x, xp]))
-    cbar = scalar_vacuum_correlation(xb, xpb, epsilon)
-    M = (hbar / math.pi) * lam * lam_p * cbar * (f.T @ ETA @ fp)
-    return PotentialCorrelationMatrix(matrix=M, frame="conformal",
-                                      hbar=hbar, epsilon=epsilon)
+    M = _transport_matrix(form, as_event(x), as_event(xp), epsilon, hbar)
+    return PotentialCorrelationMatrix(matrix=M, frame="conformal", hbar=hbar, epsilon=epsilon)
 
 
 def transformed_em_correlation(form: AcceleratedFrameForm, x, xp, epsilon,
@@ -203,17 +235,9 @@ def transformed_em_correlation(form: AcceleratedFrameForm, x, xp, epsilon,
     """
     x = as_event(x)
     xp = as_event(xp)
-    M = _formula_matrix(form, x, xp, epsilon, hbar, last_term)
+    M = _formula_matrix(form, x[None], xp[None], epsilon, hbar, last_term)[0]
     if check:
-        ladder_f = []
-        ladder_t = []
-        for k in range(3):
-            eps = epsilon * 0.5**k
-            ladder_f.append(_formula_matrix(form, x, xp, eps, hbar, last_term))
-            ladder_t.append(transport_em_correlation(form, x, xp, eps, hbar).matrix)
-        Mf = _extrapolate(ladder_f)
-        Mt = _extrapolate(ladder_t)
-        resid = float(np.max(np.abs(Mf - Mt)) / max(np.max(np.abs(Mt)), 1e-300))
+        resid = _transport_residual(form, x, xp, epsilon, hbar, last_term)
         if resid > check_tol:
             raise InternalConsistencyError(
                 f"four-term formula and tetrad transport disagree: "
@@ -269,28 +293,23 @@ class FieldTensorCorrelation:
 
 def _antisymmetrize(A):
     """K[mu,nu,rho,sig] = A[mu,nu,rho,sig] - A[nu,mu,rho,sig] - A[mu,nu,sig,rho]
-    + A[nu,mu,sig,rho]: antisymmetric in (mu, nu) and in (rho, sig)."""
-    return (A - A.transpose(1, 0, 2, 3) - A.transpose(0, 1, 3, 2)
-            + A.transpose(1, 0, 3, 2))
-
-
-def _assemble_projection(mixed):
-    """Antisymmetrize mixed second derivatives of a potential correlator:
-    mixed[mu][rho][nu, sig] is d_mu d'_rho C_{nu sig}."""
-    return _antisymmetrize(np.array(mixed, dtype=complex).transpose(0, 2, 1, 3))
+    + A[nu,mu,sig,rho] over the last four axes: antisymmetric in (mu, nu)
+    and in (rho, sig)."""
+    A_nu = A.swapaxes(-4, -3)
+    return A - A_nu - A.swapaxes(-2, -1) + A_nu.swapaxes(-2, -1)
 
 
 def _fd_field_tensor(rule, x, xp, h):
-    basis = np.eye(4)
-    mixed = [[None] * 4 for _ in range(4)]
-    for mu in range(4):
-        for rho in range(4):
-            em = h * basis[mu]
-            er = h * basis[rho]
-            mixed[mu][rho] = (rule(x + em, xp + er) - rule(x + em, xp - er)
-                              - rule(x - em, xp + er) + rule(x - em, xp - er)) \
-                / (4.0 * h * h)
-    return _assemble_projection(mixed)
+    """Field tensor by central cross stencils in x and x'.  ``rule`` maps
+    pair rows a, b (64, 4) to correlators (..., 64, 4, 4); it is called once,
+    on every pair of the stencil events x +- h e_mu and x' +- h e_rho.
+    Returns (..., 4, 4, 4, 4)."""
+    steps = np.concatenate([h * np.eye(4), -h * np.eye(4)])
+    C = np.asarray(rule(np.repeat(x + steps, 8, axis=0), np.tile(xp + steps, (8, 1))),
+                   dtype=complex)
+    C = np.moveaxis(C, -3, 0).reshape(2, 4, 2, 4, *C.shape[:-3], 4, 4)  # +-, mu, +-, rho
+    mixed = (C[0, :, 0] - C[0, :, 1] - C[1, :, 0] + C[1, :, 1]) / (4.0 * h * h)
+    return _antisymmetrize(np.moveaxis(mixed, (0, 1), (-4, -2)))  # d_mu d'_rho C_{nu sig}
 
 
 def field_tensor_correlation(rule, x, xp, h, defect_tol=None) -> FieldTensorCorrelation:
@@ -304,10 +323,11 @@ def field_tensor_correlation(rule, x, xp, h, defect_tol=None) -> FieldTensorCorr
     """
     x = as_event(x)
     xp = as_event(xp)
-    K = _fd_field_tensor(rule, x, xp, h)
+    rows = lambda a, b: np.array([rule(p, q) for p, q in zip(a, b)])  # noqa: E731
+    K = _fd_field_tensor(rows, x, xp, h)
     defect = None
     if defect_tol is not None:
-        K_half = _fd_field_tensor(rule, x, xp, h / 2.0)
+        K_half = _fd_field_tensor(rows, x, xp, h / 2.0)
         defect = float(np.max(np.abs(K - K_half)) / max(np.max(np.abs(K_half)), 1e-300))
         if defect > defect_tol:
             raise InternalConsistencyError(
@@ -366,30 +386,16 @@ def verify_em_invariance(form: AcceleratedFrameForm, x, xp, epsilon=1e-2,
     """
     x = as_event(x)
     xp = as_event(xp)
-    lad_fd = []
-    lad_mink = []
-    lad_formula = []
-    lad_transport = []
-    for k in range(levels):
-        eps = epsilon * 0.5**k
-
-        def rule(a, b, eps=eps):
-            return _formula_matrix(form, a, b, eps, hbar, last_term)
-
-        lad_fd.append(_fd_field_tensor(rule, x, xp, h))
-        lad_mink.append(minkowski_field_tensor_correlation(x, xp, eps, hbar).values)
-        lad_formula.append(_formula_matrix(form, x, xp, eps, hbar, last_term))
-        lad_transport.append(transport_em_correlation(form, x, xp, eps, hbar).matrix)
-    K_trans = _extrapolate(lad_fd)
-    K_mink = _extrapolate(lad_mink)
-    M_formula = _extrapolate(lad_formula)
-    M_transport = _extrapolate(lad_transport)
+    ladder = epsilon * 0.5 ** np.arange(levels)
+    K_trans = _extrapolate(_fd_field_tensor(
+        lambda a, b: _formula_matrix(form, a, b, ladder, hbar, last_term), x, xp, h))
+    K_mink = _extrapolate([minkowski_field_tensor_correlation(x, xp, eps, hbar).values
+                           for eps in ladder.tolist()])
     field_residual = float(np.max(np.abs(K_trans - K_mink))
                            / max(np.max(np.abs(K_mink)), 1e-300))
-    transport_residual = float(np.max(np.abs(M_formula - M_transport))
-                               / max(np.max(np.abs(M_transport)), 1e-300))
     return EmInvarianceReport(field_residual=field_residual,
-                              transport_residual=transport_residual,
+                              transport_residual=_transport_residual(
+                                  form, x, xp, epsilon, hbar, last_term, levels),
                               epsilon=epsilon, h=h, last_term=last_term)
 
 

@@ -217,6 +217,36 @@ def test_rows_equal_one_event_at_a_time(seed):
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
+def test_phi_rows_equal_one_event_at_a_time(seed):
+    rng = np.random.default_rng(seed)
+    form = suites.random_form(rng)
+    x = rng.uniform(-1.0, 1.0, (20, 4))
+    assert form.phi(x).shape == (20, 4)
+    assert form.phi2(x).shape == (20, 4, 4)
+    np.testing.assert_array_equal(form.phi(x), [form.phi(row) for row in x])
+    np.testing.assert_array_equal(form.phi2(x), [form.phi2(row) for row in x])
+    assert form.phi(x[0]).shape == (4,) and form.phi2(x[0]).shape == (4, 4)
+
+
+def test_form_tetrad_equals_closed_form_jacobian():
+    # one pushforward of the identity gives the closed-form Jacobian
+    # lambda (1 + xi phi^T - 2 alpha x_lower^T), xi = x - x^2 alpha, bit for bit,
+    # in C order (the layout later matrix products round with)
+    rng = np.random.default_rng(6)
+    for _ in range(200):
+        form = random_form(rng)
+        x = safe_event(rng, form)
+        J, lam, f = jacobian_tetrad(form, x)
+        xi = x - minkowski_dot(x, x) * form.alpha
+        closed = form.factor(x) * (np.eye(4) + np.outer(xi, form.phi(x))
+                                   - 2.0 * np.outer(form.alpha, ETA @ x))
+        np.testing.assert_array_equal(J, closed)
+        np.testing.assert_array_equal(f, closed / lam)
+        assert J.flags.c_contiguous and f.flags.c_contiguous
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
 def test_factor_multiplicative_under_compose(seed):
     rng = np.random.default_rng(seed)
     m1, m2 = suites.random_chain(rng), suites.random_chain(rng)

@@ -1,20 +1,22 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from confvac import (AcceleratedFrameForm, BoundaryError, ConvergenceError,
                      InternalConsistencyError, PoleError, RegularizedKernel,
-                     em_potential_correlation, field_tensor_correlation,
+                     em_potential_correlation, field_tensor_correlation, interval,
                      minkowski_field_tensor_correlation, momentum_space_oracle,
                      scalar_commutator_spectrum, scalar_vacuum_correlation,
                      tetrad_contraction, thermal_spectra,
                      transformed_em_correlation, vacuum_spectra,
                      verify_em_invariance, verify_scalar_invariance)
-from confvac.correlations import lorentzian
+from confvac.correlations import (LAST_TERM_MODES, _fd_field_tensor, _formula_matrix,
+                                  _kernel_rows, lorentzian)
 
 finite4 = st.lists(st.floats(-3, 3), min_size=4, max_size=4)
 
@@ -58,6 +60,54 @@ def test_kernel_coincident_point_raises_pole_error():
     x = [0.3, 0.1, 0.0, 0.0]
     with pytest.raises(PoleError, match="pole"):
         scalar_vacuum_correlation(x, x, 0.01)
+
+
+def bits(c):
+    """The raw bits of complex values, so that equality is bit for bit."""
+    return np.asarray(c, dtype=complex).view(np.uint64)
+
+
+@st.composite
+def kernel_pair(draw):
+    """(x, x', near_null): generic pairs, and near-null pairs whose
+    |(x - x')^2| < eps |t - t'| for every eps >= 1e-3, where the quotient
+    divides through by the imaginary part."""
+    x = np.array(draw(finite4))
+    if draw(st.booleans()):
+        return x, np.array(draw(finite4)), False
+    dt = draw(st.floats(0.01, 2.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    n = np.array(draw(st.lists(st.floats(-1, 1), min_size=3, max_size=3)))
+    assume(np.linalg.norm(n) > 0.1)
+    stretch = 1.0 + draw(st.floats(-1e-4, 1e-4))
+    return x, x - np.array([dt, *(dt * stretch * n / np.linalg.norm(n))]), True
+
+
+@given(st.lists(kernel_pair(), min_size=1, max_size=12), st.floats(1e-3, 1e-1))
+@settings(max_examples=100, deadline=None)
+def test_kernel_rows_equal_pairs_bit_for_bit(pairs, eps):
+    # every row, and every rung of a regulator ladder, gives the bits of
+    # CPython's complex quotient 1.0 / ((x-x')^2 - i eps (t-t')) for its pair
+    x = np.array([p[0] for p in pairs])
+    xp = np.array([p[1] for p in pairs])
+    assume(not np.any(np.all(x == xp, axis=1)))
+    for a, b, near_null in pairs:
+        assert not near_null or abs(interval(a, b)) < eps * abs(a[0] - b[0])
+    ladder = eps * 0.5 ** np.arange(3)
+    by_rung = _kernel_rows(x, xp, ladder)
+    for k, e in enumerate(ladder.tolist()):
+        quotient = [1.0 / (interval(a, b) - 1j * e * (a[0] - b[0])) for a, b in zip(x, xp)]
+        np.testing.assert_array_equal(bits(by_rung[k]), bits(quotient))
+    one = [scalar_vacuum_correlation(a, b, eps) for a, b in zip(x, xp)]
+    assert all(type(c) is complex for c in one)
+    np.testing.assert_array_equal(bits(_kernel_rows(x, xp, eps)), bits(one))
+
+
+def test_kernel_rows_pole_error_names_first_zero_row():
+    x = np.array([[0.5, 1, 0, 0], [0.3, 0.1, 0, 0], [0.9, 0, 0, 0], [0.2, 0.2, 0, 0]])
+    xp = np.array([[0, 0, 0, 0], [0.3, 0.1, 0, 0], [0.9, 0, 0, 0], [0, 0, 0, 0]])
+    for eps in (1e-2, np.array([1e-2, 5e-3])):
+        with pytest.raises(PoleError, match=re.escape("x = [0.3, 0.1, 0.0, 0.0]")):
+            _kernel_rows(x, xp, eps)
 
 
 @given(finite4, finite4, st.floats(1e-6, 1e-1))
@@ -284,6 +334,39 @@ def test_minkowski_field_tensor_closed_form_against_sympy():
     np.testing.assert_allclose(K, expected, atol=1e-10)
 
 
+def _fd_per_pair(rule, x, xp, h):
+    """The cross stencils of the field tensor one pair at a time: 64 calls of
+    a single-pair rule, summed (+,+) - (+,-) - (-,+) + (-,-)."""
+    basis = np.eye(4)
+    mixed = np.empty((4, 4, 4, 4), dtype=complex)
+    for mu in range(4):
+        for rho in range(4):
+            em, er = h * basis[mu], h * basis[rho]
+            mixed[mu, rho] = (rule(x + em, xp + er) - rule(x + em, xp - er)
+                              - rule(x - em, xp + er) + rule(x - em, xp - er)) / (4.0 * h * h)
+    A = mixed.transpose(0, 2, 1, 3)
+    return A - A.transpose(1, 0, 2, 3) - A.transpose(0, 1, 3, 2) + A.transpose(1, 0, 3, 2)
+
+
+@pytest.mark.parametrize("last_term", LAST_TERM_MODES)
+def test_fd_field_tensor_batch_equals_per_pair_stencils(last_term):
+    # one call on all 64 pairs and 3 ladder rungs gives the bits of the
+    # per-pair stencil at each rung
+    rng = np.random.default_rng(43)
+    ladder = 1e-2 * 0.5 ** np.arange(3)
+    for _ in range(4):
+        form = random_form(rng)
+        x, xp = same_side_pair(rng, form, min_interval=0.4)
+        batched = _fd_field_tensor(
+            lambda a, b: _formula_matrix(form, a, b, ladder, 1.0, last_term), x, xp, 1e-4)
+        assert batched.shape == (3, 4, 4, 4, 4)
+        for k, eps in enumerate(ladder.tolist()):
+            ref = _fd_per_pair(
+                lambda a, b: _formula_matrix(form, a[None], b[None], eps, 1.0, last_term)[0],
+                x, xp, 1e-4)
+            np.testing.assert_array_equal(bits(batched[k]), bits(ref))
+
+
 def test_field_tensor_antisymmetry_exact():
     rng = np.random.default_rng(38)
     x, xp = rng.uniform(-1, 1, (2, 4))
@@ -359,6 +442,28 @@ def test_verify_em_invariance_random_and_ablated():
     ablated = verify_em_invariance(form, x, xp, epsilon=1e-2, h=1e-4,
                                    last_term="omit")
     assert ablated.transport_residual > 1e-2  # broken by |phi|^2 r / 2
+
+
+# (alpha, beta, x, x', last_term, field_residual, transport_residual), the
+# residuals recorded (numpy 2.4, x86-64) before the field tensor became one
+# batched pass: a reordering of its arithmetic moves their last digits
+EM_PINNED = [
+    ((0.1, -0.2, 0.05, 0.3), 1.3, (0.2, 0.9, -0.1, 0.3), (-0.1, -0.2, 0.3, -0.4),
+     "exact", 3.772208483923933e-08, 2.4528461988216436e-10),
+    ((-0.3, 0.1, 0.25, -0.1), 0.7, (0.5, -0.4, 0.6, 0.1), (0.3, 0.5, -0.2, -0.3),
+     "exact", 4.1719948103203536e-08, 4.493829540806137e-10),
+    ((0.2, 0.3, -0.1, 0.1), 1.8, (-0.3, 0.1, 0.7, -0.5), (0.1, -0.6, -0.2, 0.4),
+     "omit", 6.050492029929843e-08, 0.3261099662404137),
+]
+
+
+@pytest.mark.parametrize("alpha, beta, x, xp, last_term, field, transport", EM_PINNED)
+def test_verify_em_invariance_pinned_residuals(alpha, beta, x, xp, last_term, field,
+                                               transport):
+    rep = verify_em_invariance(AcceleratedFrameForm(np.array(alpha), beta), x, xp,
+                               epsilon=1e-2, h=1e-4, last_term=last_term)
+    assert (repr(rep.field_residual), repr(rep.transport_residual)) == (
+        repr(field), repr(transport))
 
 
 # ---------------------------------------------------------------------------
