@@ -12,14 +12,13 @@ suites        randomized verification sweeps
 cli           batch front end (``confvac`` console script)
 """
 
-from .conformal import (AcceleratedFrameForm, ConformalFactorField, ConformalMap,
-                        Dilation, Inversion, LightRay, LorentzTransform,
-                        Translation, apply_map, canonical_form, compose,
-                        conformal_factor, image_singular_residual, invert,
-                        jacobian_tetrad, lorentz_boost, map_from_dict,
-                        map_from_json, map_to_dict, map_to_json, ricci_conformal,
-                        singular_residual, spatial_rotation, transform_light_ray,
-                        verify_interval_law)
+from .conformal import (AcceleratedFrameForm, ConformalMap, Dilation, Inversion,
+                        LightRay, LorentzTransform, Translation, apply_map,
+                        canonical_form, compose, conformal_factor,
+                        image_singular_residual, invert, jacobian_tetrad,
+                        lorentz_boost, map_from_dict, map_from_json, map_to_dict,
+                        map_to_json, ricci_conformal, singular_residual,
+                        spatial_rotation, transform_light_ray, verify_interval_law)
 from .correlations import (FieldTensorCorrelation, PotentialCorrelationMatrix,
                            RegularizedKernel, SpectralPoint,
                            em_potential_correlation, field_tensor_correlation,
@@ -27,8 +26,8 @@ from .correlations import (FieldTensorCorrelation, PotentialCorrelationMatrix,
                            momentum_space_oracle, scalar_commutator_spectrum,
                            scalar_vacuum_correlation, tetrad_contraction,
                            thermal_spectra, transformed_em_correlation,
-                           transport_em_correlation, vacuum_spectra,
-                           verify_em_invariance, verify_scalar_invariance)
+                           vacuum_spectra, verify_em_invariance,
+                           verify_scalar_invariance)
 from .errors import (BoundaryError, ConstraintViolationError, ConvergenceError,
                      InternalConsistencyError, PoleError, SingularPointError)
 from .kinematics import (AbrahamVector, MotionClass, abraham_norms_on_grid,
@@ -41,8 +40,7 @@ from .lightcone2d import (Homography2D, MirrorVerdict, RayMap2D, SampledRule,
                           raymap_to_json, schwarzian, to_lightcone, vacuum_verdict)
 from .minkowski import (ETA, SIGNATURE, HyperbolicWorldline, KinematicState,
                         SampledWorldline, as_event, hyperbolic_worldline, interval,
-                        kinematic_state, minkowski_dot, minkowski_sq,
-                        rest_worldline)
+                        kinematic_state, minkowski_dot, rest_worldline)
 from .suites import SuiteConfig, SuiteReport, run_suite
 
 __version__ = "0.1.0"

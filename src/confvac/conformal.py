@@ -30,7 +30,6 @@ from scipy.optimize import brentq
 
 from .errors import ConstraintViolationError, SingularPointError
 from .minkowski import ETA, SIGNATURE, as_event, interval, lower_index, minkowski_dot
-from .numdiff import gradient, hessian
 
 SINGULAR_RTOL = 1e-12   # a row is singular where |den| < SINGULAR_RTOL (1 + |scale|)
 
@@ -301,16 +300,29 @@ def apply_map(m: Mappable, x) -> np.ndarray:
     return m.apply(as_event(x))
 
 
+def _frames(m: Mappable, rows):
+    """(images (n, 4), signed factors (n,), Jacobians and tetrads f = J / lambda
+    (n, 4, 4)) of finite event rows from one evaluation, raising for the
+    first singular event.  Each event is pushed with the four identity rows,
+    which become the columns of its J, copied to C order (the layout later
+    products round with)."""
+    n = len(rows)
+    images, pushed, lam, residual, singular = m.evaluate(
+        np.repeat(rows, 4, axis=0), np.tile(np.eye(4), (n, 1)))
+    _guard_rows(singular[::4], residual[::4], rows)
+    J = np.ascontiguousarray(pushed.reshape(n, 4, 4).transpose(0, 2, 1))
+    lam = lam[::4]
+    return images[::4], lam, J, J / lam[:, None, None]
+
+
 def jacobian_tetrad(m: Mappable, x):
     """(J, lambda, f): Jacobian, signed scale factor, tetrad f = J / lambda.
 
     J^T eta J = lambda^2 eta, so f is a (pointwise) Lorentz matrix off the
-    singular sets.  One evaluation gives both: J's columns are the pushed
-    identity rows, copied to C order (the layout later products round with).
+    singular sets.  One evaluation gives all three.
     """
-    _, pushed, lam = _checked(m, as_event(x), np.eye(4))
-    J = np.ascontiguousarray(pushed.T)
-    return J, lam, J / lam
+    _, lam, J, f = _frames(m, as_event(x)[None])
+    return J[0], float(lam[0]), f[0]
 
 
 def singular_residual(form: AcceleratedFrameForm, x) -> float:
@@ -352,17 +364,21 @@ class IntervalLawReport:
     lhs: float
     rhs: float
     residual: float
+    lam: float      # lambda(x)
+    lam_p: float    # lambda(x')
 
 
 def verify_interval_law(m: Mappable, x, xp) -> IntervalLawReport:
-    """Check (xbar - xbar')^2 = lambda(x) lambda(x') (x - x')^2."""
+    """Check (xbar - xbar')^2 = lambda(x) lambda(x') (x - x')^2, with the pair
+    evaluated as one batch of two; the report carries both factors."""
     x = as_event(x)
     xp = as_event(xp)
     (xbar, xpbar), _, (lam, lam_p) = _checked(m, np.array([x, xp]))
     lhs = interval(xbar, xpbar)
     rhs = lam * lam_p * interval(x, xp)
     residual = abs(lhs - rhs) / max(abs(lhs), 1.0)
-    return IntervalLawReport(lhs=float(lhs), rhs=float(rhs), residual=float(residual))
+    return IntervalLawReport(lhs=float(lhs), rhs=float(rhs), residual=float(residual),
+                             lam=float(lam), lam_p=float(lam_p))
 
 
 # ---------------------------------------------------------------------------
@@ -427,14 +443,13 @@ def transform_light_ray(m: Mappable, ray: LightRay):
     parameter values where lambda changes sign (refined by brentq), and the
     sign law verdict.
     """
-    _, lam_origin, tet = jacobian_tetrad(m, ray.origin)
+    (origin_bar,), (lam_origin,), _, (tet,) = _frames(m, ray.origin[None])
     fv = tet @ ray.direction
     if abs(fv[0]) < DEGENERATE_DIRECTION:
         raise SingularPointError("image direction degenerate at the ray origin",
                                  residual=fv[0], point=ray.origin)
     vbar = fv / fv[0]
     vbar[0] = 1.0
-    origin_bar = apply_map(m, ray.origin)
 
     lo, hi = ray.span
     dts = np.linspace(lo, hi, LIGHT_RAY_SAMPLES)
@@ -482,55 +497,22 @@ def transform_light_ray(m: Mappable, ray: LightRay):
 
 
 # ---------------------------------------------------------------------------
-# conformal factor fields and Ricci curvature
+# Ricci curvature
 
-@dataclass(frozen=True, eq=False)
-class ConformalFactorField:
-    """A conformal scale factor with its log-gradient phi_mu and phi_{mu nu}.
-
-    Closed forms are used when constructed from an accelerated-frame map;
-    otherwise both derivative fields fall back to 4th-order finite
-    differences of ln|lambda|.
-    """
-
-    lam: object                 # Callable[[event], float]
-    phi: object = None          # Callable[[event], (4,)] or None
-    phi2: object = None         # Callable[[event], (4,4)] or None
-    step: float = 1e-3
-
-    @classmethod
-    def from_form(cls, form: AcceleratedFrameForm, step=1e-3):
-        return cls(lam=form.factor, phi=form.phi, phi2=form.phi2, step=step)
-
-    @classmethod
-    def from_scalar(cls, lam, step=1e-3):
-        return cls(lam=lam, phi=None, phi2=None, step=step)
-
-    def _log_lam(self, x):
-        return float(np.log(abs(self.lam(x))))
-
-    def phi_at(self, x):
-        if self.phi is not None:
-            return np.asarray(self.phi(x), dtype=float)
-        return gradient(self._log_lam, x, step=self.step)
-
-    def phi2_at(self, x):
-        if self.phi2 is not None:
-            return np.asarray(self.phi2(x), dtype=float)
-        return hessian(self._log_lam, x, step=self.step)
-
-
-def ricci_conformal(field: ConformalFactorField, x) -> np.ndarray:
-    """Ricci tensor of the metric lambda(x)^2 eta:
+def ricci_conformal(phi, phi2) -> np.ndarray:
+    """Ricci tensor of the metric lambda(x)^2 eta at one event, from
+    phi_mu = d_mu ln|lambda| (4,) and phi_{mu nu} = d_mu phi_nu (4, 4) there:
 
     R_{mu nu} = -eta_{mu nu} eta^{ab} (phi_{ab} + 2 phi_a phi_b)
                 - 2 (phi_{mu nu} - phi_mu phi_nu)
 
-    Vanishes identically for factors of the accelerated-frame family.
+    Vanishes identically for factors of the accelerated-frame family.  The
+    derivatives come from the closed forms (``form.phi``, ``form.phi2``) or
+    from finite differences of ln|lambda| alone
+    (``numdiff.gradient_hessian``).
     """
-    x = as_event(x)
-    ph = field.phi_at(x)
-    ph2 = field.phi2_at(x)
+    ph = np.asarray(phi, dtype=float)
+    ph2 = np.asarray(phi2, dtype=float)
     trace = float(np.sum(SIGNATURE * (np.diag(ph2) + 2.0 * ph * ph)))
     return -ETA * trace - 2.0 * (ph2 - np.outer(ph, ph))
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .conformal import AcceleratedFrameForm, jacobian_tetrad
+from .conformal import AcceleratedFrameForm, _checked, _frames
 from .errors import (BoundaryError, ConvergenceError, InternalConsistencyError,
                      PoleError)
 from .minkowski import ETA, as_event, interval, lower_index, minkowski_dot
@@ -141,8 +141,7 @@ def verify_scalar_invariance(form: AcceleratedFrameForm, x, xp, epsilon,
     """
     x = as_event(x)
     xp = as_event(xp)
-    lam, lam_p = form.factor(np.array([x, xp]))
-    xb, xpb = form.apply(np.array([x, xp]))
+    (xb, xpb), _, (lam, lam_p) = _checked(form, np.array([x, xp]))
     c = _kernel_rows(np.array([xb, x]), np.array([xpb, xp]), epsilon * 0.5 ** np.arange(levels))
     lhs = _extrapolate(lam * lam_p * c[:, 0])
     rhs = _extrapolate(c[:, 1].tolist())
@@ -193,10 +192,8 @@ def _formula_matrix(form, x, xp, epsilon, hbar, last_term):
 
 def _transport_matrix(form, x, xp, epsilon, hbar):
     """lambda lambda' f^T eta f' (hbar/pi) c_image at one pair; (k, 4, 4) for k regulators."""
-    _, lam, f = jacobian_tetrad(form, x)
-    _, lam_p, fp = jacobian_tetrad(form, xp)
-    xb, xpb = form.apply(np.array([x, xp]))
-    cbar = _kernel_rows(xb[None], xpb[None], epsilon)[..., None]
+    images, (lam, lam_p), _, (f, fp) = _frames(form, np.array([x, xp]))
+    cbar = _kernel_rows(images[:1], images[1:], epsilon)[..., None]
     return (hbar / math.pi) * lam * lam_p * cbar * (f.T @ ETA @ fp)
 
 
@@ -206,14 +203,6 @@ def _transport_residual(form, x, xp, epsilon, hbar, last_term, levels=3):
     Mf = _extrapolate(_formula_matrix(form, x[None], xp[None], ladder, hbar, last_term)[:, 0])
     Mt = _extrapolate(_transport_matrix(form, x, xp, ladder, hbar))
     return float(np.max(np.abs(Mf - Mt)) / max(np.max(np.abs(Mt)), 1e-300))
-
-
-def transport_em_correlation(form: AcceleratedFrameForm, x, xp, epsilon,
-                             hbar=1.0) -> PotentialCorrelationMatrix:
-    """Conformal-frame correlator by transporting the Minkowski one:
-    lambda lambda' f(x)^T eta f(x') (hbar/pi) c_image(xbar, xbar')."""
-    M = _transport_matrix(form, as_event(x), as_event(xp), epsilon, hbar)
-    return PotentialCorrelationMatrix(matrix=M, frame="conformal", hbar=hbar, epsilon=epsilon)
 
 
 def transformed_em_correlation(form: AcceleratedFrameForm, x, xp, epsilon,
@@ -261,11 +250,9 @@ def tetrad_contraction(form: AcceleratedFrameForm, x, xp) -> TetradContractionRe
     """
     x = as_event(x)
     xp = as_event(xp)
-    _, _, f = jacobian_tetrad(form, x)
-    _, _, fp = jacobian_tetrad(form, xp)
+    _, _, _, (f, fp) = _frames(form, np.array([x, xp]))
     lhs = f.T @ ETA @ fp
-    phx = form.phi(x)
-    phy = form.phi(xp)
+    phx, phy = form.phi(np.array([x, xp]))
     xl = lower_index(x)
     yl = lower_index(xp)
     rhs = (ETA + np.outer(phx, xl - yl) + np.outer(yl - xl, phy)

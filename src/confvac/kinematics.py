@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import (AcceleratedFrameForm, ConformalFactorField, Mappable,
-                        apply_map, jacobian_tetrad)  # noqa: F401  (apply_map re-exported)
+from .conformal import (AcceleratedFrameForm, Mappable, apply_map,
+                        jacobian_tetrad)  # noqa: F401  (apply_map re-exported)
 from .errors import SingularPointError
 from .minkowski import (ETA, KinematicState, SampledWorldline, Worldline,
                         kinematic_state, minkowski_dot)
@@ -139,20 +139,20 @@ class HillTransformResult:
 
 
 def transform_abraham(form: AcceleratedFrameForm, state: KinematicState,
-                      field: ConformalFactorField | None = None) -> HillTransformResult:
+                      derivatives=None) -> HillTransformResult:
     """Transformation law of the Abraham vector under an accelerated-frame map.
 
-    ``field`` overrides the conformal factor used in the correction term;
-    supplying a non-flat factor (e.g. lambda = exp(t)) demonstrates why the
-    reduced law needs the accelerated-frame family.
+    The correction term uses phi_mu = d_mu ln|lambda| and phi_{mu nu} =
+    d_mu phi_nu at the state's position: the map's closed forms, or the pair
+    ``derivatives = (phi, phi2)`` ((4,) and (4, 4)) in their place.
+    Derivatives of a non-flat factor (e.g. lambda = exp(t), through
+    ``numdiff.gradient_hessian``) demonstrate why the reduced law needs the
+    accelerated-frame family.
     """
     x = state.position
     J, lam, _ = jacobian_tetrad(form, x)
     w = abraham_from_state(state).w
-    if field is None:
-        field = ConformalFactorField.from_form(form)
-    ph = field.phi_at(x)
-    ph2 = field.phi2_at(x)
+    ph, ph2 = (form.phi(x), form.phi2(x)) if derivatives is None else derivatives
     v = state.velocity
     # correction_rho = v^sigma (phi_{rho sigma} - phi_rho phi_sigma), lower rho
     corr_lower = (ph2 - np.outer(ph, ph)) @ v

@@ -145,9 +145,10 @@ class SampledRule:
 
     @classmethod
     def from_callable(cls, fn, lo, hi, n=2001, spline_order=5):
+        """Sample ``fn`` on n evenly spaced points of [lo, hi]; ``fn`` takes
+        the whole grid array and returns the array of values."""
         u = np.linspace(lo, hi, n)
-        return cls(u, np.asarray([fn(v) for v in u], dtype=float),
-                   spline_order=spline_order)
+        return cls(u, np.asarray(fn(u), dtype=float), spline_order=spline_order)
 
     @property
     def domain(self):
@@ -251,8 +252,7 @@ def _compose_components(first, then):
     else:
         # first is a homography feeding a sampled rule: pull its grid back
         u = homography_invert(first)(then.u)
-    vals = np.asarray([then(first(v)) for v in u], dtype=float)
-    return SampledRule(np.asarray(u, dtype=float), vals)
+    return SampledRule(u, then(first(u)))
 
 
 def _invert_component(component):

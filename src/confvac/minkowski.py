@@ -37,10 +37,6 @@ def minkowski_dot(x, y) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-def minkowski_sq(x):
-    return minkowski_dot(x, x)
-
-
 def lower_index(x):
     """Lower the index of a contravariant 4-vector: x_mu = eta_{mu nu} x^nu."""
     return SIGNATURE * np.asarray(x, dtype=float)

@@ -22,15 +22,15 @@ import numpy as np
 
 from . import correlations as corr
 from . import lightcone2d as lc2
-from .conformal import (AcceleratedFrameForm, ConformalFactorField, ConformalMap,
-                        Dilation, Inversion, LightRay, Translation, lorentz_boost,
-                        map_to_dict, ricci_conformal, transform_light_ray,
-                        verify_interval_law)
+from .conformal import (AcceleratedFrameForm, ConformalMap, Dilation, Inversion,
+                        LightRay, Translation, lorentz_boost, map_to_dict,
+                        ricci_conformal, transform_light_ray, verify_interval_law)
 from .errors import SingularPointError
 from .kinematics import (abraham_norms_on_grid, pushforward_worldline,
                          transform_abraham)
 from .minkowski import (HyperbolicWorldline, interval, kinematic_state,
                         minkowski_dot, rest_worldline)
+from .numdiff import gradient_hessian
 
 SUITE_NAMES = (
     "interval-law",
@@ -246,12 +246,11 @@ def suite_interval_law(cfg: SuiteConfig) -> SuiteReport:
                     x = random_event(rng)
                     xp = random_event(rng)
                 try:
-                    if not np.all(np.abs(m.factor(np.array([x, xp]))) < 1e3):
-                        continue
                     rep = verify_interval_law(m, x, xp)
                 except SingularPointError:
                     continue
-                break
+                if abs(rep.lam) < 1e3 and abs(rep.lam_p) < 1e3:
+                    break
             residuals[i] = rep.residual
             if worst is None or rep.residual > worst[0]:
                 worst = (rep.residual, map_to_dict(m), [x.tolist(), xp.tolist()],
@@ -269,7 +268,8 @@ def suite_interval_law(cfg: SuiteConfig) -> SuiteReport:
 
 def suite_ricci_flat(cfg: SuiteConfig) -> SuiteReport:
     """Ricci tensor of random accelerated-frame factors vanishes, with the
-    log-gradient fields obtained by finite differences of lambda alone."""
+    log-gradient fields obtained by finite differences of lambda alone: all
+    170 stencil events of a sample go through the map in one batch."""
     n = cfg.samples or 50
     tol = cfg.tol or 1e-7
     step = cfg.step or 1e-3
@@ -279,8 +279,8 @@ def suite_ricci_flat(cfg: SuiteConfig) -> SuiteReport:
         for i in range(n):
             form = random_form(rng)
             x = random_event_off_singular(rng, form, min_residual=0.3)
-            fld = ConformalFactorField.from_scalar(form.factor, step=step)
-            vals[i] = np.max(np.abs(ricci_conformal(fld, x)))
+            phi, phi2 = gradient_hessian(lambda r: np.log(np.abs(form.factor(r))), x, step)
+            vals[i] = np.max(np.abs(ricci_conformal(phi, phi2)))
         check = CheckResult(name="ricci-max-component", statistic=float(vals.max()),
                             tolerance=tol, mean=float(vals.mean()),
                             extra={"samples": n, "fd_step": step})

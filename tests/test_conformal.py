@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import confvac.numdiff as numdiff
 from confvac import suites
-from confvac import (ETA, AcceleratedFrameForm, ConformalFactorField,
-                     ConformalMap, ConstraintViolationError, Dilation, Inversion,
+from confvac import (ETA, AcceleratedFrameForm, ConformalMap,
+                     ConstraintViolationError, Dilation, Inversion,
                      LightRay, SingularPointError, Translation, apply_map,
                      canonical_form, compose, conformal_factor,
                      image_singular_residual, interval, invert, jacobian_tetrad,
@@ -332,6 +332,43 @@ def test_interval_law_random_forms(seed):
     assert verify_interval_law(form, x, xp).residual < 1e-9
 
 
+def test_interval_law_report_carries_both_factors():
+    rng = np.random.default_rng(12)
+    form = random_form(rng)
+    x, xp = safe_event(rng, form), safe_event(rng, form)
+    rep = verify_interval_law(form, x, xp)
+    assert (rep.lam, rep.lam_p) == (form.factor(x), form.factor(xp))
+
+
+class BentForm:
+    """Not conformal: an accelerated-frame form followed by
+    y -> y + delta (y.y) n.  It reports the form's own factors, so the
+    interval law must fail by O(delta)."""
+
+    def __init__(self, form, n, delta=1e-3):
+        self.form, self.n, self.delta = form, np.asarray(n, dtype=float), delta
+
+    def evaluate(self, x, v=None):
+        images, _, lam, residual, singular = self.form.evaluate(x)
+        bent = images + self.delta * minkowski_dot(images, images)[:, None] * self.n
+        return bent, None, lam, residual, singular
+
+
+def test_interval_law_fails_three_decades_on_non_conformal_map():
+    rng = np.random.default_rng(2025)
+    n = np.array([0.3, 0.5, -0.2, 0.7])
+    n /= np.linalg.norm(n)
+    members, bent = [], []
+    for _ in range(200):
+        form = suites.random_form(rng)
+        x = suites.random_event_off_singular(rng, form)
+        xp = suites.random_event_off_singular(rng, form)
+        members.append(verify_interval_law(form, x, xp).residual)
+        bent.append(verify_interval_law(BentForm(form, n), x, xp).residual)
+    assert max(members) < 1e-9          # the suite's tolerance
+    assert max(bent) >= 1e-6            # three decades above it
+
+
 # ---------------------------------------------------------------------------
 # light rays
 
@@ -401,26 +438,33 @@ def test_sign_flip_recorded_once_and_law_holds():
 # ---------------------------------------------------------------------------
 # Ricci
 
+def log_abs_factor(form):
+    """ln|lambda| on event rows, the only input the finite differences see."""
+    return lambda r: np.log(np.abs(form.factor(r)))
+
+
 def test_ricci_vanishes_for_form_factors():
     rng = np.random.default_rng(8)
     for _ in range(10):
         form = random_form(rng)
         x = safe_event(rng, form, min_res=0.3)
-        closed = ricci_conformal(ConformalFactorField.from_form(form), x)
+        closed = ricci_conformal(form.phi(x), form.phi2(x))
         assert np.max(np.abs(closed)) < 1e-12
-        fd = ricci_conformal(ConformalFactorField.from_scalar(form.factor), x)
+        fd = ricci_conformal(*numdiff.gradient_hessian(log_abs_factor(form), x))
         assert np.max(np.abs(fd)) < 1e-7
 
 
 def test_ricci_constant_factor_zero():
-    field = ConformalFactorField.from_scalar(lambda x: 2.0)
-    assert np.max(np.abs(ricci_conformal(field, [0.1, 0.2, 0.3, 0.4]))) < 1e-12
+    derivs = numdiff.gradient_hessian(lambda r: np.log(np.abs(np.full(len(r), 2.0))),
+                                      [0.1, 0.2, 0.3, 0.4])
+    assert np.max(np.abs(ricci_conformal(*derivs))) < 1e-12
 
 
 def test_ricci_exponential_factor_nonzero():
     # lambda = exp(t): phi = (1,0,0,0), phi2 = 0, hence R = -2 eta + 2 phi phi
-    field = ConformalFactorField.from_scalar(lambda x: float(np.exp(x[0])))
-    R = ricci_conformal(field, [0.0, 0.0, 0.0, 0.0])
+    derivs = numdiff.gradient_hessian(lambda r: np.log(np.abs(np.exp(r[:, 0]))),
+                                      [0.0, 0.0, 0.0, 0.0])
+    R = ricci_conformal(*derivs)
     expected = np.diag([0.0, 2.0, 2.0, 2.0])
     np.testing.assert_allclose(R, expected, atol=1e-6)
 
@@ -429,13 +473,60 @@ def test_factor_field_closed_forms_match_fd():
     rng = np.random.default_rng(9)
     form = random_form(rng)
     x = safe_event(rng, form, min_res=0.3)
-    closed = ConformalFactorField.from_form(form)
-    fd = ConformalFactorField.from_scalar(form.factor)
-    np.testing.assert_allclose(closed.phi_at(x), fd.phi_at(x), atol=1e-9)
-    np.testing.assert_allclose(closed.phi2_at(x), fd.phi2_at(x), atol=1e-7)
+    phi_fd, phi2_fd = numdiff.gradient_hessian(log_abs_factor(form), x)
+    np.testing.assert_allclose(form.phi(x), phi_fd, atol=1e-9)
+    np.testing.assert_allclose(form.phi2(x), phi2_fd, atol=1e-7)
     # phi2 symmetric
-    p2 = closed.phi2_at(x)
+    p2 = form.phi2(x)
     np.testing.assert_allclose(p2, p2.T, atol=1e-14)
+
+
+def stencil_reference(f, x, h):
+    """Event-by-event nested stencils: each 5-term sum is ``W @ row``."""
+    f1 = lambda y: float(f(y[None])[0])  # noqa: E731
+    e = h * np.eye(4)
+    g, H = np.zeros(4), np.zeros((4, 4))
+    for mu in range(4):
+        vals = np.array([f1(x + o * e[mu]) for o in numdiff.OFFSETS])
+        g[mu] = numdiff.W_D1 @ (vals - vals[2]) / h
+        H[mu, mu] = numdiff.W_D2 @ (vals - vals[2]) / h**2
+        for nu in range(mu + 1, 4):
+            inner = [numdiff.W_D1 @ np.array([f1(x + o * e[mu] + p * e[nu])
+                                              for p in numdiff.OFFSETS]) / h
+                     for o in numdiff.OFFSETS]
+            H[mu, nu] = H[nu, mu] = numdiff.W_D1 @ np.array(inner) / h
+    return g, H
+
+
+def test_gradient_hessian_one_call_rounds_as_event_by_event_stencils():
+    rng = np.random.default_rng(10)
+    for k in range(30):
+        form = random_form(rng)
+        x = safe_event(rng, form, min_res=0.3)
+        h = (1e-3, 2e-3, 5e-4)[k % 3]
+        shapes = []
+
+        def f(rows, form=form):
+            shapes.append(rows.shape)
+            return np.log(np.abs(form.factor(rows)))
+
+        g, H = numdiff.gradient_hessian(f, x, h)
+        assert shapes == [(170, 4)]
+        g_ref, H_ref = stencil_reference(log_abs_factor(form), x, h)
+        assert np.array_equal(g, g_ref) and np.array_equal(H, H_ref)
+
+
+def test_stencil_event_on_singular_set_raises():
+    # the worked form is singular at t = 2 on the time axis; the stencil
+    # event x + h e_0 lands there exactly, x itself does not
+    form = WORKED_FORM
+    step = 2.0 ** -10
+    x = np.array([2.0 - step, 0.0, 0.0, 0.0])
+    assert singular_residual(form, x) > 0.0
+    assert singular_residual(form, x + np.array([step, 0, 0, 0])) == 0.0
+    with pytest.raises(SingularPointError) as info:
+        numdiff.gradient_hessian(log_abs_factor(form), x, step)
+    assert info.value.residual == 0.0
 
 
 # ---------------------------------------------------------------------------

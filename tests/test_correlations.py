@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 from confvac import (AcceleratedFrameForm, BoundaryError, ConvergenceError,
                      InternalConsistencyError, PoleError, RegularizedKernel,
+                     SingularPointError,
                      em_potential_correlation, field_tensor_correlation, interval,
                      minkowski_field_tensor_correlation, momentum_space_oracle,
                      scalar_commutator_spectrum, scalar_vacuum_correlation,
@@ -289,6 +290,18 @@ def test_tetrad_contraction_random():
         x, xp = same_side_pair(rng, form)
         worst = max(worst, tetrad_contraction(form, x, xp).residual)
     assert worst < 1e-10
+
+
+def test_tetrad_contraction_singular_event_named_once():
+    # the pair is evaluated as one batch; the error names the event of the
+    # pair that lies on the singular set, by its index in the pair
+    form = AcceleratedFrameForm(np.array([0.5, 0.0, 0.0, 0.0]), 1.0)  # singular at t = 2
+    regular, singular = np.array([1.0, 0, 0, 0]), np.array([2.0, 0, 0, 0])
+    for pair, index in (((regular, singular), 1), ((singular, regular), 0)):
+        with pytest.raises(SingularPointError) as info:
+            tetrad_contraction(form, *pair)
+        assert info.value.index == index
+        np.testing.assert_array_equal(info.value.point, singular)
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
-from confvac import (AcceleratedFrameForm, ConformalFactorField, ConformalMap,
-                     Dilation, Inversion, SampledWorldline, SingularPointError,
+from confvac import (AcceleratedFrameForm, ConformalMap, Dilation, Inversion,
+                     SampledWorldline, SingularPointError,
                      Translation, abraham_norms_on_grid, abraham_vector,
                      apply_map, classify_motion, hyperbolic_worldline,
                      jacobian_tetrad, kinematic_state, lorentz_boost,
                      minkowski_dot, pushforward_worldline, rest_worldline,
                      rigidity_check, transform_abraham)
+from confvac.numdiff import gradient_hessian
 
 HYP = hyperbolic_worldline([1, 0, 0, 0], [0, 1, 0, 0], 1.0)
 
@@ -279,10 +280,11 @@ def test_transform_abraham_matches_finite_difference_pushforward():
 
 
 def test_transform_abraham_nonflat_factor_disagrees():
-    exp_field = ConformalFactorField.from_scalar(lambda x: float(np.exp(x[0])))
     form = AcceleratedFrameForm(np.array([0.1, 0.0, 0.0, 0.0]), 1.0)
     st = HYP.state(0.4)
-    res = transform_abraham(form, st, field=exp_field)
+    exp_derivatives = gradient_hessian(lambda r: np.log(np.abs(np.exp(r[:, 0]))),
+                                       st.position)
+    res = transform_abraham(form, st, derivatives=exp_derivatives)
     assert res.disagreement > 1e-3
 
 

@@ -251,6 +251,18 @@ def test_sinusoidal_mirror_modifies_vacuum():
     assert v.evidence > 1e-2
 
 
+def test_mirror_composition_equals_pointwise_composition():
+    # the sampled composite is built from one array call per rule; its samples
+    # are the point-by-point compositions, bit for bit
+    rule = SampledRule.from_callable(lambda u: u + 0.1 * np.sin(u), -2.5, 2.5, n=401)
+    h = Homography2D(1.1, 0.05, -0.2, (1 + 0.05 * 0.2) / 1.1)
+    comp = mirror_scattering_map(RayMap2D(f_plus=rule, f_minus=h))
+    inv = rule.inverse()
+    g_plus = comp.f_plus
+    assert np.array_equal(g_plus.f, [inv(h(u)) for u in g_plus.u])
+    assert np.array_equal(rule.f, [u + 0.1 * np.sin(u) for u in rule.u])
+
+
 def test_inertial_mirror_invariant():
     k = np.exp(0.4)   # Doppler factor of a boosted rest frame
     frame = RayMap2D(Homography2D(1 / np.sqrt(k), 0, 0, np.sqrt(k)),
