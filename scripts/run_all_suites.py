@@ -2,9 +2,15 @@
 """Run every verification suite at full sample counts and write JSON reports.
 
 Usage: python scripts/run_all_suites.py [--seed N] [--outdir reports/]
+
+Standard output gives each suite's verdict, the sha256 of its report
+(``to_json(include_wall_time=False)``, the bytes fixed by config and seed)
+and its checks; wall times go to standard error.  Comparing the reports of
+two versions is then a ``diff`` of their standard outputs.
 """
 
 import argparse
+import hashlib
 import pathlib
 import sys
 
@@ -28,7 +34,9 @@ def main():
             out=str(outdir / f"{name}.json") if outdir else None)
         report = run_suite(cfg)
         mark = "PASS" if report.passed else "FAIL"
-        print(f"{name:20s} {mark}  ({report.wall_time_s:6.2f}s)")
+        digest = hashlib.sha256(report.to_json(include_wall_time=False).encode()).hexdigest()
+        print(f"{name:20s} {mark}  sha256 {digest}")
+        print(f"{name:20s} {report.wall_time_s:6.2f}s", file=sys.stderr)
         for c in report.checks:
             print(f"    {c.name:38s} {c.statistic:.3e} {c.comparator} "
                   f"{c.tolerance:.1e}")

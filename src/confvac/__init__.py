@@ -15,7 +15,7 @@ cli           batch front end (``confvac`` console script)
 from .conformal import (AcceleratedFrameForm, ConformalMap, Dilation, Inversion,
                         LightRay, LorentzTransform, Translation, apply_map,
                         canonical_form, compose, conformal_factor,
-                        image_singular_residual, invert, jacobian_tetrad,
+                        image_singular_residual, jacobian_tetrad,
                         lorentz_boost, map_from_dict, map_from_json, map_to_dict,
                         map_to_json, ricci_conformal, singular_residual,
                         spatial_rotation, transform_light_ray, verify_interval_law)

@@ -215,44 +215,76 @@ class AcceleratedFrameForm:
     extends continuously across the inner light cone x^2 = 0 where the raw
     three-primitive chain is undefined, so the only singular set kept here is
     the vanishing denominator.
+
+    ``alpha`` (n, 4) and ``beta`` (n,) stack n forms for batch checks.  They
+    meet event rows cyclically, row j form j mod n, so rows made of whole
+    blocks of n (the two events of n pairs, an event's four tangents) meet
+    their form in every block; each row gets the bits of its own form.
     """
 
     alpha: np.ndarray
-    beta: float = 1.0
-    alpha_sq: float = field(init=False, repr=False)
+    beta: float | np.ndarray = 1.0
+    alpha_sq: float | np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", as_event(self.alpha))
-        if self.beta == 0:
+        beta = np.asarray(self.beta, dtype=float)
+        if beta.ndim == 0:
+            alpha = as_event(self.alpha)
+        else:
+            alpha = np.asarray(self.alpha, dtype=float)
+            if beta.ndim != 1 or alpha.shape != (len(beta), 4):
+                raise ValueError(f"stacked forms need alpha (n, 4) and beta (n,), "
+                                 f"got shapes {alpha.shape} and {beta.shape}")
+            if not np.isfinite(alpha).all():
+                raise ValueError("alpha components must be finite")
+        if np.any(beta == 0):
             raise ConstraintViolationError("beta must be nonzero")
-        object.__setattr__(self, "beta", float(self.beta))
-        object.__setattr__(self, "alpha_sq", minkowski_dot(self.alpha, self.alpha))
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", float(beta) if beta.ndim == 0 else beta)
+        object.__setattr__(self, "alpha_sq", minkowski_dot(alpha, alpha))
+
+    def _blocks(self, x):
+        """Rows x (N, 4) as (N / n, n, 4) for n stacked forms, so that they
+        broadcast against alpha and beta; x itself for one form."""
+        return x if isinstance(self.beta, float) else x.reshape(-1, len(self.beta), 4)
+
+    def _rows(self, x, *arrays):
+        """Arrays computed on ``_blocks(x)`` back on the rows of x."""
+        if isinstance(self.beta, float):
+            return arrays
+        return tuple(None if a is None else a.reshape(len(x), *a.shape[2:]) for a in arrays)
+
+    def _denominator(self, y):
+        return (1.0 - 2.0 * minkowski_dot(y, self.alpha)
+                + self.alpha_sq * minkowski_dot(y, y))
 
     def denominator(self, x):
         x = np.asarray(x, dtype=float)
-        return (1.0 - 2.0 * minkowski_dot(x, self.alpha)
-                + self.alpha_sq * minkowski_dot(x, x))
+        return self._rows(x, self._denominator(self._blocks(x)))[0]
 
     def evaluate(self, x, v=None):
         """(images, J v or None, signed factors, denominators, singular) of
         event rows x (n, 4) and tangent rows v; never raises.  Closed forms
         xbar = lambda xi with xi = x - x^2 alpha and
         J v = lambda (v + xi (phi.v) - 2 alpha (x.v)); a row is singular where
-        |D| < SINGULAR_RTOL (1 + |alpha^2 x^2|).
+        |D| < SINGULAR_RTOL (1 + |alpha^2 x^2|).  Stacked forms need v as
+        full rows.
         """
-        x2 = minkowski_dot(x, x)
-        den = self.denominator(x)
-        singular = np.abs(den) < SINGULAR_RTOL * (1.0 + np.abs(self.alpha_sq * x2))
+        y = self._blocks(x)
+        y2 = minkowski_dot(y, y)
+        den = 1.0 - 2.0 * minkowski_dot(y, self.alpha) + self.alpha_sq * y2
+        singular = np.abs(den) < SINGULAR_RTOL * (1.0 + np.abs(self.alpha_sq * y2))
         with np.errstate(divide="ignore", invalid="ignore"):
             lam = self.beta / den
-            xi = x - x2[:, None] * self.alpha
+            xi = y - y2[..., None] * self.alpha
             jv = None
             if v is not None:
-                xv = minkowski_dot(x, v)
-                phi_v = 2.0 * (minkowski_dot(v, self.alpha) - self.alpha_sq * xv) / den
-                jv = lam[:, None] * (v + xi * phi_v[:, None]
-                                     - 2.0 * np.multiply.outer(xv, self.alpha))
-            return lam[:, None] * xi, jv, lam, den, singular
+                w = self._blocks(v)
+                yw = minkowski_dot(y, w)
+                phi_w = 2.0 * (minkowski_dot(w, self.alpha) - self.alpha_sq * yw) / den
+                jv = lam[..., None] * (w + xi * phi_w[..., None]
+                                       - 2.0 * yw[..., None] * self.alpha)
+            return self._rows(x, lam[..., None] * xi, jv, lam, den, singular)
 
     def factor(self, x):
         return _checked(self, x)[2]
@@ -260,18 +292,26 @@ class AcceleratedFrameForm:
     def apply(self, x):
         return _checked(self, x)[0]
 
+    def _phi(self, y, den):
+        lowered = np.asarray(self.alpha_sq)[..., None] * lower_index(y)
+        return 2.0 * (lower_index(self.alpha) - lowered) / den[..., None]
+
     def phi(self, x):
         """phi_mu = d_mu ln(lambda), lower index, at one event (4,) or rows
         (n, 4); independent of beta."""
-        den = np.asarray(self.denominator(x))[..., None]
-        return 2.0 * (lower_index(self.alpha) - self.alpha_sq * lower_index(x)) / den
+        x = np.asarray(x, dtype=float)
+        y = self._blocks(x)
+        return self._rows(x, self._phi(y, np.asarray(self._denominator(y))))[0]
 
     def phi2(self, x):
         """phi_{mu nu} = d_mu phi_nu = phi_mu phi_nu - (2 alpha^2 / D) eta,
         (4, 4) at one event or (n, 4, 4) on rows."""
-        ph = self.phi(x)
-        scale = np.asarray(2.0 * self.alpha_sq / self.denominator(x))[..., None, None]
-        return ph[..., :, None] * ph[..., None, :] - scale * ETA
+        x = np.asarray(x, dtype=float)
+        y = self._blocks(x)
+        den = np.asarray(self._denominator(y))
+        ph = self._phi(y, den)
+        scale = np.asarray(2.0 * self.alpha_sq / den)[..., None, None]
+        return self._rows(x, ph[..., :, None] * ph[..., None, :] - scale * ETA)[0]
 
     def pushforward(self, x, v):
         """Images and pushed tangents J v of rows x, v of shape (n, 4)."""
@@ -303,16 +343,17 @@ def apply_map(m: Mappable, x) -> np.ndarray:
 def _frames(m: Mappable, rows):
     """(images (n, 4), signed factors (n,), Jacobians and tetrads f = J / lambda
     (n, 4, 4)) of finite event rows from one evaluation, raising for the
-    first singular event.  Each event is pushed with the four identity rows,
-    which become the columns of its J, copied to C order (the layout later
-    products round with)."""
+    first singular event.  The rows are pushed four times over, block nu
+    with the identity row e_nu, which gives column nu of each J (so n stacked
+    forms meet n rows); J is copied to C order, the layout later products
+    round with."""
     n = len(rows)
     images, pushed, lam, residual, singular = m.evaluate(
-        np.repeat(rows, 4, axis=0), np.tile(np.eye(4), (n, 1)))
-    _guard_rows(singular[::4], residual[::4], rows)
-    J = np.ascontiguousarray(pushed.reshape(n, 4, 4).transpose(0, 2, 1))
-    lam = lam[::4]
-    return images[::4], lam, J, J / lam[:, None, None]
+        np.tile(rows, (4, 1)), np.repeat(np.eye(4), n, axis=0))
+    _guard_rows(singular[:n], residual[:n], rows)
+    J = np.ascontiguousarray(pushed.reshape(4, n, 4).transpose(1, 2, 0))
+    lam = lam[:n]
+    return images[:n], lam, J, J / lam[:, None, None]
 
 
 def jacobian_tetrad(m: Mappable, x):
@@ -344,10 +385,6 @@ def compose(m1: Mappable, m2: Mappable) -> ConformalMap:
     return ConformalMap(list(c2.chain) + list(c1.chain))
 
 
-def invert(m: Mappable) -> Mappable:
-    return m.inverse()
-
-
 def canonical_form(m: ConformalMap):
     """Extract (alpha, beta) when the chain is literally inversion, translation,
     inversion; returns None otherwise."""
@@ -359,26 +396,41 @@ def canonical_form(m: ConformalMap):
     return None
 
 
+def _pair_rows(x, xp):
+    """Events x, x' of one pair (4,) or of pair rows (n, 4) as one batch of
+    2n finite rows, x rows first, and whether they were one pair."""
+    pairs = np.asarray([x, xp], dtype=float)
+    if pairs.ndim not in (2, 3) or pairs.shape[-1] != 4 or not np.isfinite(pairs).all():
+        raise ValueError(f"expected two finite 4-vectors or two (n, 4) row arrays, "
+                         f"got shape {pairs.shape}")
+    return pairs.reshape(-1, 4), pairs.ndim == 2
+
+
 @dataclass(frozen=True)
 class IntervalLawReport:
-    lhs: float
-    rhs: float
-    residual: float
-    lam: float      # lambda(x)
-    lam_p: float    # lambda(x')
+    """Floats for one pair, (n,) arrays for pair rows."""
+
+    lhs: float | np.ndarray
+    rhs: float | np.ndarray
+    residual: float | np.ndarray
+    lam: float | np.ndarray      # lambda(x)
+    lam_p: float | np.ndarray    # lambda(x')
 
 
 def verify_interval_law(m: Mappable, x, xp) -> IntervalLawReport:
-    """Check (xbar - xbar')^2 = lambda(x) lambda(x') (x - x')^2, with the pair
-    evaluated as one batch of two; the report carries both factors."""
-    x = as_event(x)
-    xp = as_event(xp)
-    (xbar, xpbar), _, (lam, lam_p) = _checked(m, np.array([x, xp]))
-    lhs = interval(xbar, xpbar)
-    rhs = lam * lam_p * interval(x, xp)
-    residual = abs(lhs - rhs) / max(abs(lhs), 1.0)
-    return IntervalLawReport(lhs=float(lhs), rhs=float(rhs), residual=float(residual),
-                             lam=float(lam), lam_p=float(lam_p))
+    """Check (xbar - xbar')^2 = lambda(x) lambda(x') (x - x')^2 on one pair or
+    on pair rows (n stacked forms: pair i by form i), all events evaluated as
+    one batch; the report carries both factors."""
+    rows, single = _pair_rows(x, xp)
+    n = len(rows) // 2
+    images, _, lam = _checked(m, rows)
+    lhs = interval(images[:n], images[n:])
+    rhs = lam[:n] * lam[n:] * interval(rows[:n], rows[n:])
+    residual = np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1.0)
+    fields = (lhs, rhs, residual, lam[:n], lam[n:])
+    if single:
+        fields = (float(a[0]) for a in fields)
+    return IntervalLawReport(*fields)
 
 
 # ---------------------------------------------------------------------------

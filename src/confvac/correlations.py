@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .conformal import AcceleratedFrameForm, _checked, _frames
+from .conformal import AcceleratedFrameForm, _checked, _frames, _pair_rows
 from .errors import (BoundaryError, ConvergenceError, InternalConsistencyError,
                      PoleError)
 from .minkowski import ETA, as_event, interval, lower_index, minkowski_dot
@@ -123,31 +123,42 @@ def _extrapolate(values):
 
 @dataclass(frozen=True)
 class ScalarInvarianceReport:
-    lhs: complex
-    rhs: complex
-    residual: float
-    same_side: bool
+    """Scalars for one pair, (n,) arrays for pair rows."""
+
+    lhs: complex | np.ndarray
+    rhs: complex | np.ndarray
+    residual: float | np.ndarray
+    same_side: bool | np.ndarray
 
 
 def verify_scalar_invariance(form: AcceleratedFrameForm, x, xp, epsilon,
                              levels=2) -> ScalarInvarianceReport:
-    """Check lambda(x) lambda(x') c_image(xbar, xbar') = c(x, x').
+    """Check lambda(x) lambda(x') c_image(xbar, xbar') = c(x, x') on one pair
+    or on pair rows (n stacked forms: pair i by form i).
 
     Both sides carry the same numeric regulator and are extrapolated to
     eps -> 0 (finite-eps kernels are not exactly covariant).  The report
     notes whether the pair sits on one side of the singular set; for
     straddling pairs the sign bookkeeping of the light-ray law applies and
-    the finite-eps comparison is not meaningful.
+    the finite-eps comparison is not meaningful.  The residual's moduli are
+    ``np.hypot``, which rounds as ``abs(complex)`` does; ``np.abs`` of a
+    complex array does not.
     """
-    x = as_event(x)
-    xp = as_event(xp)
-    (xb, xpb), _, (lam, lam_p) = _checked(form, np.array([x, xp]))
-    c = _kernel_rows(np.array([xb, x]), np.array([xpb, xp]), epsilon * 0.5 ** np.arange(levels))
-    lhs = _extrapolate(lam * lam_p * c[:, 0])
-    rhs = _extrapolate(c[:, 1].tolist())
-    residual = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-    return ScalarInvarianceReport(lhs=lhs, rhs=rhs, residual=float(residual),
-                                  same_side=bool(lam * lam_p > 0))
+    rows, single = _pair_rows(x, xp)
+    n = len(rows) // 2
+    images, _, lam = _checked(form, rows)
+    c = _kernel_rows(np.concatenate([images[:n], rows[:n]]),
+                     np.concatenate([images[n:], rows[n:]]), epsilon * 0.5 ** np.arange(levels))
+    factors = lam[:n] * lam[n:]
+    lhs = _extrapolate(factors * c[:, :n])
+    rhs = _extrapolate(c[:, n:])
+    diff = lhs - rhs
+    residual = np.hypot(diff.real, diff.imag) / np.maximum(np.hypot(rhs.real, rhs.imag), 1e-300)
+    if single:
+        return ScalarInvarianceReport(lhs=lhs[0], rhs=complex(rhs[0]),
+                                      residual=float(residual[0]),
+                                      same_side=bool(factors[0] > 0))
+    return ScalarInvarianceReport(lhs=lhs, rhs=rhs, residual=residual, same_side=factors > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -237,27 +248,41 @@ def transformed_em_correlation(form: AcceleratedFrameForm, x, xp, epsilon,
 
 @dataclass(frozen=True)
 class TetradContractionReport:
+    """(4, 4) matrices and a float for one pair; (n, 4, 4) and (n,) for rows."""
+
     lhs: np.ndarray
     rhs: np.ndarray
-    residual: float
+    residual: float | np.ndarray
+
+
+def _outer(a, b):
+    """Row-wise outer products of (n, 4) rows, rounded as ``np.outer``."""
+    return a[:, :, None] * b[:, None, :]
 
 
 def tetrad_contraction(form: AcceleratedFrameForm, x, xp) -> TetradContractionReport:
-    """Two-point tetrad contraction identity:
+    """Two-point tetrad contraction identity, on one pair or on pair rows
+    (n stacked forms: pair i by form i):
 
     f(x)^T eta f(x') = eta + phi(x) (x - x') + phi(x') (x' - x)
                        - (1/2) phi(x) phi(x') (x' - x)^2
+
+    The left side is a stacked ``@``, which rounds each pair as
+    ``f.T @ ETA @ fp`` does (``einsum`` does not).
     """
-    x = as_event(x)
-    xp = as_event(xp)
-    _, _, _, (f, fp) = _frames(form, np.array([x, xp]))
-    lhs = f.T @ ETA @ fp
-    phx, phy = form.phi(np.array([x, xp]))
-    xl = lower_index(x)
-    yl = lower_index(xp)
-    rhs = (ETA + np.outer(phx, xl - yl) + np.outer(yl - xl, phy)
-           - 0.5 * np.outer(phx, phy) * interval(x, xp))
-    residual = float(np.max(np.abs(lhs - rhs)))
+    rows, single = _pair_rows(x, xp)
+    n = len(rows) // 2
+    _, _, _, f = _frames(form, rows)
+    lhs = np.swapaxes(f[:n], 1, 2) @ ETA @ f[n:]
+    ph = form.phi(rows)
+    phx, phy = ph[:n], ph[n:]
+    xl = lower_index(rows[:n])
+    yl = lower_index(rows[n:])
+    rhs = (ETA + _outer(phx, xl - yl) + _outer(yl - xl, phy)
+           - 0.5 * _outer(phx, phy) * interval(rows[:n], rows[n:])[:, None, None])
+    residual = np.max(np.abs(lhs - rhs), axis=(1, 2))
+    if single:
+        return TetradContractionReport(lhs=lhs[0], rhs=rhs[0], residual=float(residual[0]))
     return TetradContractionReport(lhs=lhs, rhs=rhs, residual=residual)
 
 

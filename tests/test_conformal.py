@@ -11,7 +11,7 @@ from confvac import (ETA, AcceleratedFrameForm, ConformalMap,
                      ConstraintViolationError, Dilation, Inversion,
                      LightRay, SingularPointError, Translation, apply_map,
                      canonical_form, compose, conformal_factor,
-                     image_singular_residual, interval, invert, jacobian_tetrad,
+                     image_singular_residual, interval, jacobian_tetrad,
                      lorentz_boost, map_from_json, map_to_json, minkowski_dot,
                      ricci_conformal, singular_residual, spatial_rotation,
                      transform_light_ray, verify_interval_law)
@@ -228,6 +228,43 @@ def test_phi_rows_equal_one_event_at_a_time(seed):
     assert form.phi(x[0]).shape == (4,) and form.phi2(x[0]).shape == (4, 4)
 
 
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def stacked(forms):
+    return AcceleratedFrameForm(np.array([f.alpha for f in forms]),
+                                np.array([f.beta for f in forms]))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 4))
+@settings(max_examples=40, deadline=None)
+def test_stacked_forms_equal_single_forms_bit_for_bit(seed, n, blocks):
+    # row j meets form j mod n and gets the bits of that form's own call
+    rng = np.random.default_rng(seed)
+    forms = [suites.random_form(rng) for _ in range(n)]
+    batch = stacked(forms)
+    x = rng.uniform(-1.0, 1.0, (blocks * n, 4))
+    v = rng.uniform(-1.0, 1.0, (blocks * n, 4))
+    evaluated = batch.evaluate(x, v)
+    phi, phi2, den = batch.phi(x), batch.phi2(x), batch.denominator(x)
+    for j, row in enumerate(x):
+        form = forms[j % n]
+        for a, b in zip(evaluated, form.evaluate(row[None], v[j:j + 1])):
+            assert same_bits(a[j], b[0])
+        assert same_bits(phi[j], form.phi(row))
+        assert same_bits(phi2[j], form.phi2(row))
+        assert same_bits(den[j], form.denominator(row))
+
+
+def test_stacked_form_shapes_checked():
+    with pytest.raises(ValueError, match="stacked forms"):
+        AcceleratedFrameForm(np.zeros((3, 4)), np.ones(2))
+    with pytest.raises(ConstraintViolationError, match="nonzero"):
+        AcceleratedFrameForm(np.zeros((2, 4)), np.array([1.0, 0.0]))
+
+
 def test_form_tetrad_equals_closed_form_jacobian():
     # one pushforward of the identity gives the closed-form Jacobian
     # lambda (1 + xi phi^T - 2 alpha x_lower^T), xi = x - x^2 alpha, bit for bit,
@@ -338,6 +375,30 @@ def test_interval_law_report_carries_both_factors():
     x, xp = safe_event(rng, form), safe_event(rng, form)
     rep = verify_interval_law(form, x, xp)
     assert (rep.lam, rep.lam_p) == (form.factor(x), form.factor(xp))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+@settings(max_examples=30, deadline=None)
+def test_interval_law_pair_rows_equal_pairs_bit_for_bit(seed, n):
+    rng = np.random.default_rng(seed)
+    forms = [suites.random_form(rng) for _ in range(n)]
+    x, xp = (np.array(col) for col in zip(*[suites.random_same_side_pair(rng, f)
+                                             for f in forms]))
+    chain = suites.random_chain(rng)
+    for m, per_pair in ((stacked(forms), forms), (chain, [chain] * n)):
+        rows = verify_interval_law(m, x, xp)
+        for i in range(n):
+            one = verify_interval_law(per_pair[i], x[i], xp[i])
+            for name in ("lhs", "rhs", "residual", "lam", "lam_p"):
+                assert isinstance(getattr(one, name), float)
+                assert same_bits(getattr(rows, name)[i], getattr(one, name))
+
+
+def test_malformed_pairs_rejected():
+    for x, xp in (([0.0, 0, 0], [0.0, 0, 0]), (np.zeros((2, 4)), np.zeros((3, 4))),
+                  ([np.nan, 0, 0, 0], [0.0, 0, 0, 0])):
+        with pytest.raises(ValueError):
+            verify_interval_law(WORKED_FORM, x, xp)
 
 
 class BentForm:
@@ -545,7 +606,7 @@ def test_compose_invert_identity_on_random_events():
     rng = np.random.default_rng(10)
     m = ConformalMap([Inversion(1.3), Translation(np.array([0.2, -0.1, 0.0, 0.3])),
                       Dilation(0.8), lorentz_boost([0.1, 0.2, 0.0])])
-    round_trip = compose(invert(m), m)
+    round_trip = compose(m.inverse(), m)
     checked = 0
     for _ in range(1000):
         x = rng.uniform(-1, 1, 4)

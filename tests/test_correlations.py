@@ -304,6 +304,34 @@ def test_tetrad_contraction_singular_event_named_once():
         np.testing.assert_array_equal(info.value.point, singular)
 
 
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+@settings(max_examples=30, deadline=None)
+def test_pair_rows_equal_pairs_bit_for_bit(seed, n):
+    # n stacked forms on pair rows: pair i by form i, with the bits of its own call
+    rng = np.random.default_rng(seed)
+    forms = [random_form(rng) for _ in range(n)]
+    x, xp = (np.array(col) for col in zip(*[same_side_pair(rng, f) for f in forms]))
+    form = AcceleratedFrameForm(np.array([f.alpha for f in forms]),
+                                np.array([f.beta for f in forms]))
+    tet = tetrad_contraction(form, x, xp)
+    sca = verify_scalar_invariance(form, x, xp, 1e-6)
+    for i, f in enumerate(forms):
+        one = tetrad_contraction(f, x[i], xp[i])
+        assert isinstance(one.residual, float)
+        for name in ("lhs", "rhs", "residual"):
+            assert same_bits(getattr(tet, name)[i], getattr(one, name))
+        one = verify_scalar_invariance(f, x[i], xp[i], 1e-6)
+        for name in ("lhs", "rhs", "residual", "same_side"):
+            assert same_bits(getattr(sca, name)[i], getattr(one, name))
+        # the moduli round as abs(complex) does
+        assert one.residual == abs(one.lhs - one.rhs) / max(abs(one.rhs), 1e-300)
+
+
 # ---------------------------------------------------------------------------
 # field-tensor correlations
 

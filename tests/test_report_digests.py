@@ -10,7 +10,8 @@ import hashlib
 
 import pytest
 
-from confvac.suites import SUITE_NAMES, SuiteConfig, run_suite
+from confvac import map_from_dict, verify_interval_law
+from confvac.suites import CANDIDATE_BLOCK, SUITE_NAMES, SuiteConfig, run_suite
 
 # suite -> (samples, sha256 of the report at seed 7)
 DIGESTS = {
@@ -37,3 +38,23 @@ def test_report_bytes_pinned(name):
     report = run_suite(SuiteConfig(suite=name, samples=samples, seed=7))
     text = report.to_json(include_wall_time=False)
     assert hashlib.sha256(text.encode()).hexdigest() == digest, text
+
+
+# interval-law past two candidate blocks and many stream refills, recorded
+# with the per-sample driver (one map drawn, then evaluated, per iteration)
+LONG_INTERVAL_LAW = (2500, "811c8c1b8f7e84790442f6c494cac0a0d6e232f396d705cdabd5643c2b78020a")
+
+
+def test_interval_law_bytes_pinned_across_candidate_blocks():
+    samples, digest = LONG_INTERVAL_LAW
+    assert samples > 2 * CANDIDATE_BLOCK
+    report = run_suite(SuiteConfig(suite="interval-law", samples=samples, seed=7))
+    text = report.to_json(include_wall_time=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest, text
+    # the worst sample is a maximum of the per-sample residuals (the first,
+    # under the per-sample driver's strict >), and its map and points
+    # reproduce its residual
+    worst = report.checks[0].extra["worst"]
+    assert worst["residual"] == max(report.sample_residuals["interval-law-residual"])
+    rep = verify_interval_law(map_from_dict(worst["map"]), *worst["points"])
+    assert (rep.residual, rep.lhs, rep.rhs) == (worst["residual"], worst["lhs"], worst["rhs"])
