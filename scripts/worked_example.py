@@ -16,9 +16,9 @@ def main():
     form = cv.AcceleratedFrameForm(np.array([0.5, 0.0, 0.0, 0.0]), 1.0)
     x = np.array([1.0, 0.0, 0.0, 0.0])
     print("== accelerated-frame map, alpha = (0.5,0,0,0), beta = 1 ==")
-    print("scale factor at (1,0,0,0):", cv.conformal_factor(form, x))
+    print("scale factor at (1,0,0,0):", form.factor(x))
     print("image of (1,0,0,0):      ", cv.apply_map(form, x))
-    print("singular residual there: ", cv.singular_residual(form, x))
+    print("singular residual there: ", form.denominator(x))
 
     xp = np.array([0.2, -0.1, 0.0, 0.0])
     rep = cv.verify_interval_law(form, x, xp)

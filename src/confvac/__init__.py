@@ -13,15 +13,13 @@ cli           batch front end (``confvac`` console script)
 """
 
 from .conformal import (AcceleratedFrameForm, ConformalMap, Dilation, Inversion,
-                        LightRay, LorentzTransform, Translation, apply_map,
-                        canonical_form, compose, conformal_factor,
-                        image_singular_residual, jacobian_tetrad,
-                        lorentz_boost, map_from_dict, map_from_json, map_to_dict,
-                        map_to_json, ricci_conformal, singular_residual,
-                        spatial_rotation, transform_light_ray, verify_interval_law)
+                        LightRay, LorentzTransform, Translation, apply_map, compose,
+                        image_singular_residual, jacobian_tetrad, lorentz_boost,
+                        map_from_dict, map_to_dict, ricci_conformal, spatial_rotation,
+                        transform_light_ray, verify_interval_law)
 from .correlations import (FieldTensorCorrelation, PotentialCorrelationMatrix,
-                           RegularizedKernel, SpectralPoint,
-                           em_potential_correlation, field_tensor_correlation,
+                           SpectralPoint, em_potential_correlation,
+                           field_tensor_correlation,
                            minkowski_field_tensor_correlation,
                            momentum_space_oracle, scalar_commutator_spectrum,
                            scalar_vacuum_correlation, tetrad_contraction,
@@ -35,12 +33,12 @@ from .kinematics import (AbrahamVector, MotionClass, abraham_norms_on_grid,
                          rigidity_check, transform_abraham)
 from .lightcone2d import (Homography2D, MirrorVerdict, RayMap2D, SampledRule,
                           accelerated_frame_maps_2d, cross_ratio, from_lightcone,
-                          homography_apply, homography_compose, homography_invert,
-                          is_homographic, mirror_scattering_map, raymap_from_json,
-                          raymap_to_json, schwarzian, to_lightcone, vacuum_verdict)
+                          homography_compose, homography_invert, is_homographic,
+                          mirror_scattering_map, schwarzian, to_lightcone,
+                          vacuum_verdict)
 from .minkowski import (ETA, SIGNATURE, HyperbolicWorldline, KinematicState,
-                        SampledWorldline, as_event, hyperbolic_worldline, interval,
-                        kinematic_state, minkowski_dot, rest_worldline)
+                        SampledWorldline, as_event, interval, minkowski_dot,
+                        rest_worldline)
 from .suites import SuiteConfig, SuiteReport, run_suite
 
 __version__ = "0.1.0"

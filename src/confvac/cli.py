@@ -33,21 +33,23 @@ def _parse_vector(text, n):
     return np.asarray(parts)
 
 
-def _add_common(parser):
-    parser.add_argument("--seed", type=int, default=None, help="random seed")
-    parser.add_argument("--samples", type=int, default=None, help="sample count")
-    parser.add_argument("--tol", type=float, default=None, help="main tolerance")
-    parser.add_argument("--epsilon", type=float, default=None,
-                        help="two-point regulator")
-    parser.add_argument("--step", type=float, default=None,
-                        help="proper-time finite-difference step")
-    parser.add_argument("--h", type=float, default=None,
-                        help="coordinate finite-difference step")
-    parser.add_argument("--out", default=None, help="output file path")
-    parser.add_argument("--format", dest="fmt", choices=("json", "csv"),
-                        default="json")
-    parser.add_argument("--config", default=None,
-                        help="JSON config file; explicit flags take precedence")
+FLAGS = {
+    "--seed": dict(type=int, help="random seed"),
+    "--samples": dict(type=int, help="sample count"),
+    "--tol": dict(type=float, help="main tolerance"),
+    "--epsilon": dict(type=float, help="two-point regulator"),
+    "--step": dict(type=float, help="proper-time finite-difference step"),
+    "--h": dict(type=float, help="coordinate finite-difference step"),
+    "--out": dict(help="output file path"),
+    "--format": dict(dest="fmt", choices=("json", "csv"), default="json"),
+    "--config": dict(help="JSON config file; explicit flags take precedence"),
+}
+
+
+def _add_flags(parser, *names):
+    """Declare the shared flags that the subcommand's handler reads."""
+    for name in names:
+        parser.add_argument(name, **FLAGS[name])
 
 
 def _merge_config(args):
@@ -56,7 +58,7 @@ def _merge_config(args):
         with open(args.config) as fh:
             merged.update(json.load(fh))
     for key in ("seed", "samples", "tol", "epsilon", "step", "h", "out", "fmt"):
-        val = getattr(args, key, None)
+        val = getattr(args, key)
         if val is not None:
             merged[key] = val
     return merged
@@ -223,7 +225,7 @@ def build_parser():
     p = sub.add_parser("suite", help="run named verification suites")
     p.add_argument("names", nargs="+",
                    help=f"suite names or 'all'; known: {', '.join(SUITE_NAMES)}")
-    _add_common(p)
+    _add_flags(p, *FLAGS)
     p.set_defaults(func=cmd_suite)
 
     p = sub.add_parser("transform", help="map a CSV of events through a conformal map")
@@ -231,19 +233,19 @@ def build_parser():
                    '({"alpha": [...], "beta": ...} or {"chain": [...]})')
     p.add_argument("--input", required=True,
                    help="CSV with columns t,x1,x2,x3 (optional tau)")
-    _add_common(p)
+    _add_flags(p, "--out")
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("abraham", help="Abraham-vector sweep of a sampled worldline")
     p.add_argument("--worldline", required=True,
                    help="CSV with columns tau,t,x1,x2,x3")
-    _add_common(p)
+    _add_flags(p, "--step", "--tol", "--out")
     p.set_defaults(func=cmd_abraham)
 
     p = sub.add_parser("corr", help="two-point kernels at a pair of events")
     p.add_argument("--x", required=True, help="event 't,x1,x2,x3'")
     p.add_argument("--xp", required=True, help="second event 't,x1,x2,x3'")
-    _add_common(p)
+    _add_flags(p, "--epsilon", "--out")
     p.set_defaults(func=cmd_corr)
 
     p = sub.add_parser("ray2d", help="2D light-cone maps and mirror verdicts")
@@ -251,7 +253,7 @@ def build_parser():
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--mirror", action="store_true",
                    help="also emit the mirror-scattering composite and verdict")
-    _add_common(p)
+    _add_flags(p, "--out")
     p.set_defaults(func=cmd_ray2d)
 
     return parser

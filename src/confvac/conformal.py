@@ -22,7 +22,6 @@ residual.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -244,15 +243,15 @@ class AcceleratedFrameForm:
         object.__setattr__(self, "alpha_sq", minkowski_dot(alpha, alpha))
 
     def _blocks(self, x):
-        """Rows x (N, 4) as (N / n, n, 4) for n stacked forms, so that they
-        broadcast against alpha and beta; x itself for one form."""
-        return x if isinstance(self.beta, float) else x.reshape(-1, len(self.beta), 4)
+        """Events x (..., 4) as (N / n, n, 4) for n forms (one form is a stack
+        of one), so that they broadcast against alpha and beta."""
+        return x.reshape(-1, np.size(self.beta), 4)
 
     def _rows(self, x, *arrays):
-        """Arrays computed on ``_blocks(x)`` back on the rows of x."""
-        if isinstance(self.beta, float):
-            return arrays
-        return tuple(None if a is None else a.reshape(len(x), *a.shape[2:]) for a in arrays)
+        """Arrays computed on ``_blocks(x)`` back on the events of x; one
+        event's scalar comes back as a scalar."""
+        return tuple(None if a is None else a.reshape(x.shape[:-1] + a.shape[2:])[()]
+                     for a in arrays)
 
     def _denominator(self, y):
         return (1.0 - 2.0 * minkowski_dot(y, self.alpha)
@@ -301,16 +300,16 @@ class AcceleratedFrameForm:
         (n, 4); independent of beta."""
         x = np.asarray(x, dtype=float)
         y = self._blocks(x)
-        return self._rows(x, self._phi(y, np.asarray(self._denominator(y))))[0]
+        return self._rows(x, self._phi(y, self._denominator(y)))[0]
 
     def phi2(self, x):
         """phi_{mu nu} = d_mu phi_nu = phi_mu phi_nu - (2 alpha^2 / D) eta,
         (4, 4) at one event or (n, 4, 4) on rows."""
         x = np.asarray(x, dtype=float)
         y = self._blocks(x)
-        den = np.asarray(self._denominator(y))
+        den = self._denominator(y)
         ph = self._phi(y, den)
-        scale = np.asarray(2.0 * self.alpha_sq / den)[..., None, None]
+        scale = (2.0 * self.alpha_sq / den)[..., None, None]
         return self._rows(x, ph[..., :, None] * ph[..., None, :] - scale * ETA)[0]
 
     def pushforward(self, x, v):
@@ -330,11 +329,6 @@ Mappable = ConformalMap | AcceleratedFrameForm
 
 # ---------------------------------------------------------------------------
 # operations
-
-def conformal_factor(form: AcceleratedFrameForm, x) -> float:
-    """Signed conformal scale factor beta / (1 - 2 alpha.x + alpha^2 x^2)."""
-    return form.factor(as_event(x))
-
 
 def apply_map(m: Mappable, x) -> np.ndarray:
     return m.apply(as_event(x))
@@ -366,11 +360,6 @@ def jacobian_tetrad(m: Mappable, x):
     return J[0], float(lam[0]), f[0]
 
 
-def singular_residual(form: AcceleratedFrameForm, x) -> float:
-    """Source-side singular-set equation value 1 - 2 alpha.x + alpha^2 x^2."""
-    return float(form.denominator(as_event(x)))
-
-
 def image_singular_residual(form: AcceleratedFrameForm, xbar) -> float:
     """Image-side singular-set equation value 1 + 2 alpha.xbar + alpha^2 xbar^2."""
     xbar = as_event(xbar)
@@ -383,17 +372,6 @@ def compose(m1: Mappable, m2: Mappable) -> ConformalMap:
     c1 = m1.as_chain() if isinstance(m1, AcceleratedFrameForm) else m1
     c2 = m2.as_chain() if isinstance(m2, AcceleratedFrameForm) else m2
     return ConformalMap(list(c2.chain) + list(c1.chain))
-
-
-def canonical_form(m: ConformalMap):
-    """Extract (alpha, beta) when the chain is literally inversion, translation,
-    inversion; returns None otherwise."""
-    ch = m.chain
-    if (len(ch) == 3 and isinstance(ch[0], Inversion)
-            and isinstance(ch[1], Translation) and isinstance(ch[2], Inversion)):
-        b1, t, b2 = ch[0].beta, ch[1].offset, ch[2].beta
-        return AcceleratedFrameForm(t / b1, b2 / b1)
-    return None
 
 
 def _pair_rows(x, xp):
@@ -638,11 +616,3 @@ def map_from_dict(d: dict) -> Mappable:
         else:
             raise ValueError(f"unknown primitive kind {kind!r}")
     return ConformalMap(chain)
-
-
-def map_to_json(m: Mappable) -> str:
-    return json.dumps(map_to_dict(m))
-
-
-def map_from_json(s: str) -> Mappable:
-    return map_from_dict(json.loads(s))

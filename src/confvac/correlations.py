@@ -38,6 +38,7 @@ from .errors import (BoundaryError, ConvergenceError, InternalConsistencyError,
 from .minkowski import ETA, as_event, interval, lower_index, minkowski_dot
 
 LAST_TERM_MODES = ("exact", "limit", "omit")
+LADDER = np.array([1.0, 0.5, 0.25])   # regulators eps * LADDER of the invariance checks
 
 
 # ---------------------------------------------------------------------------
@@ -81,44 +82,15 @@ def lorentzian(s, width) -> float:
     return width / (math.pi * (s * s + width * width))
 
 
-@dataclass(frozen=True)
-class RegularizedKernel:
-    """The two-point kernel at fixed regulator, with its PV / delta split.
-
-    Hermiticity: kernel(x, x') = conj(kernel(x', x)).
-    """
-
-    epsilon: float
-
-    def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-
-    def __call__(self, x, xp) -> complex:
-        return scalar_vacuum_correlation(x, xp, self.epsilon)
-
-    def principal_part(self, x, xp) -> float:
-        """Real part: the regulated principal value of 1/(x-x')^2."""
-        return self(x, xp).real
-
-    def delta_sgn_part(self, x, xp) -> float:
-        """Imaginary part: pi sgn(t-t') L_{eps|t-t'|}((x-x')^2)."""
-        return self(x, xp).imag
-
-
 # ---------------------------------------------------------------------------
 # scalar invariance
 
 def _extrapolate(values):
-    """Richardson-extrapolate values sampled at eps * (1, 1/2, 1/4, ...) to 0."""
-    n = len(values)
-    if n == 1:
-        return values[0]
-    if n == 2:
+    """Richardson-extrapolate values sampled at eps * LADDER[:2] (linearly) or
+    at eps * LADDER (quadratically) to eps = 0."""
+    if len(values) == 2:
         return 2.0 * values[1] - values[0]
-    if n == 3:
-        return (values[0] - 6.0 * values[1] + 8.0 * values[2]) / 3.0
-    raise ValueError("supported ladders have 1..3 levels")
+    return (values[0] - 6.0 * values[1] + 8.0 * values[2]) / 3.0
 
 
 @dataclass(frozen=True)
@@ -131,24 +103,24 @@ class ScalarInvarianceReport:
     same_side: bool | np.ndarray
 
 
-def verify_scalar_invariance(form: AcceleratedFrameForm, x, xp, epsilon,
-                             levels=2) -> ScalarInvarianceReport:
+def verify_scalar_invariance(form: AcceleratedFrameForm, x, xp,
+                             epsilon) -> ScalarInvarianceReport:
     """Check lambda(x) lambda(x') c_image(xbar, xbar') = c(x, x') on one pair
     or on pair rows (n stacked forms: pair i by form i).
 
     Both sides carry the same numeric regulator and are extrapolated to
-    eps -> 0 (finite-eps kernels are not exactly covariant).  The report
-    notes whether the pair sits on one side of the singular set; for
-    straddling pairs the sign bookkeeping of the light-ray law applies and
-    the finite-eps comparison is not meaningful.  The residual's moduli are
-    ``np.hypot``, which rounds as ``abs(complex)`` does; ``np.abs`` of a
-    complex array does not.
+    eps -> 0 from (eps, eps/2) (finite-eps kernels are not exactly
+    covariant).  The report notes whether the pair sits on one side of the
+    singular set; for straddling pairs the sign bookkeeping of the light-ray
+    law applies and the finite-eps comparison is not meaningful.  The
+    residual's moduli are ``np.hypot``, which rounds as ``abs(complex)``
+    does; ``np.abs`` of a complex array does not.
     """
     rows, single = _pair_rows(x, xp)
     n = len(rows) // 2
     images, _, lam = _checked(form, rows)
     c = _kernel_rows(np.concatenate([images[:n], rows[:n]]),
-                     np.concatenate([images[n:], rows[n:]]), epsilon * 0.5 ** np.arange(levels))
+                     np.concatenate([images[n:], rows[n:]]), epsilon * LADDER[:2])
     factors = lam[:n] * lam[n:]
     lhs = _extrapolate(factors * c[:, :n])
     rhs = _extrapolate(c[:, n:])
@@ -208,9 +180,9 @@ def _transport_matrix(form, x, xp, epsilon, hbar):
     return (hbar / math.pi) * lam * lam_p * cbar * (f.T @ ETA @ fp)
 
 
-def _transport_residual(form, x, xp, epsilon, hbar, last_term, levels=3):
-    """Four-term formula vs tetrad transport at one pair, over (eps, eps/2, ...)."""
-    ladder = epsilon * 0.5 ** np.arange(levels)
+def _transport_residual(form, x, xp, epsilon, hbar, last_term):
+    """Four-term formula vs tetrad transport at one pair, over eps * LADDER."""
+    ladder = epsilon * LADDER
     Mf = _extrapolate(_formula_matrix(form, x[None], xp[None], ladder, hbar, last_term)[:, 0])
     Mt = _extrapolate(_transport_matrix(form, x, xp, ladder, hbar))
     return float(np.max(np.abs(Mf - Mt)) / max(np.max(np.abs(Mt)), 1e-300))
@@ -379,14 +351,13 @@ class EmInvarianceReport:
 
 
 def verify_em_invariance(form: AcceleratedFrameForm, x, xp, epsilon=1e-2,
-                         h=1e-4, hbar=1.0, last_term="exact",
-                         levels=3) -> EmInvarianceReport:
+                         h=1e-4, hbar=1.0, last_term="exact") -> EmInvarianceReport:
     """Field-tensor correlations in the conformal frame equal the Minkowski
     ones at the same events: the gauge corrections drop out.
 
     ``field_residual``: FD field-tensor of the transformed potential rule vs
     the closed-form Minkowski field tensor, both Richardson-extrapolated in
-    eps over ``levels`` ladder rungs (eps, eps/2, eps/4).
+    eps over the ladder (eps, eps/2, eps/4).
 
     ``transport_residual``: the potential-level cross-check of the four-term
     formula against the tetrad transport route, same ladder.  Omitting the
@@ -398,7 +369,7 @@ def verify_em_invariance(form: AcceleratedFrameForm, x, xp, epsilon=1e-2,
     """
     x = as_event(x)
     xp = as_event(xp)
-    ladder = epsilon * 0.5 ** np.arange(levels)
+    ladder = epsilon * LADDER
     K_trans = _extrapolate(_fd_field_tensor(
         lambda a, b: _formula_matrix(form, a, b, ladder, hbar, last_term), x, xp, h))
     K_mink = _extrapolate([minkowski_field_tensor_correlation(x, xp, eps, hbar).values
@@ -407,7 +378,7 @@ def verify_em_invariance(form: AcceleratedFrameForm, x, xp, epsilon=1e-2,
                            / max(np.max(np.abs(K_mink)), 1e-300))
     return EmInvarianceReport(field_residual=field_residual,
                               transport_residual=_transport_residual(
-                                  form, x, xp, epsilon, hbar, last_term, levels),
+                                  form, x, xp, epsilon, hbar, last_term),
                               epsilon=epsilon, h=h, last_term=last_term)
 
 
@@ -484,15 +455,15 @@ def scalar_commutator_spectrum(k, width) -> float:
 # ---------------------------------------------------------------------------
 # momentum-space oracle
 
-def momentum_space_oracle(x, xp, epsilon, cutoff=None, hbar=1.0,
-                          tail_tol=1e-6) -> complex:
+def momentum_space_oracle(x, xp, epsilon, cutoff=None, hbar=1.0) -> complex:
     """Positive-frequency on-shell representation of the vacuum kernel.
 
     Integrates (hbar / 2 pi^2) * int_0^cutoff dk sin(k R)/R e^{-i k dt - eps k}
     (with sin(kR)/R -> k as R -> 0) by adaptive quadrature.  The result is
     proportional to the closed-form kernel c(x, x'); only the proportionality
     is meaningful, so callers fit and report the constant.  Raises
-    ConvergenceError when the truncated tail is not negligible.
+    ConvergenceError when the truncated tail plus the quadrature error
+    exceeds 1e-6 of the value.
     """
     x = as_event(x)
     xp = as_event(xp)
@@ -520,7 +491,7 @@ def momentum_space_oracle(x, xp, epsilon, cutoff=None, hbar=1.0,
     tail = math.exp(-epsilon * cutoff) * (cutoff / epsilon + 1.0 / epsilon**2)
     tail *= hbar / (2.0 * math.pi**2)
     quad_err = (hbar / (2.0 * math.pi**2)) * math.hypot(re_err, im_err)
-    if tail + quad_err > tail_tol * max(abs(value), 1e-300):
+    if tail + quad_err > 1e-6 * max(abs(value), 1e-300):
         raise ConvergenceError(
             f"momentum integral not converged at cutoff {cutoff}: tail bound "
             f"{tail:.3e}, quadrature error {quad_err:.3e}, value {abs(value):.3e}")

@@ -16,8 +16,7 @@ import numpy as np
 from .conformal import (AcceleratedFrameForm, Mappable, apply_map,
                         jacobian_tetrad)  # noqa: F401  (apply_map re-exported)
 from .errors import SingularPointError
-from .minkowski import (ETA, KinematicState, SampledWorldline, Worldline,
-                        kinematic_state, minkowski_dot)
+from .minkowski import ETA, KinematicState, SampledWorldline, Worldline, minkowski_dot
 from .numdiff import OFFSETS, W_D1, W_D2, W_D3
 
 
@@ -29,15 +28,16 @@ class AbrahamVector:
 
 def abraham_vector(worldline: Worldline, tau, step=1e-3) -> AbrahamVector:
     """w = vddot + v (vdot.vdot) at proper time tau."""
-    st = kinematic_state(worldline, tau, step=step)
-    return abraham_from_state(st)
+    st = worldline.state(tau, step=step)
+    w = _abraham_w(st.velocity, st.velocity_dot, st.velocity_ddot)
+    return AbrahamVector(w=w, residual_norm=float(np.linalg.norm(w)))
 
 
 def abraham_norms_on_grid(worldline: Worldline, taus, step=1e-3) -> np.ndarray:
     """Euclidean norms of w at many proper times, one vectorized sweep.
 
-    Same 5-point stencils as ``kinematic_state``; all stencil points must lie
-    inside the worldline's domain.
+    Same 5-point stencils as ``SampledWorldline.state``; all stencil points
+    must lie inside the worldline's domain.
     """
     taus = np.asarray(taus, dtype=float)
     pts = worldline.position((taus[:, None] + OFFSETS[None, :] * step).ravel())
@@ -52,11 +52,6 @@ def _abraham_w(velocity, velocity_dot, velocity_ddot) -> np.ndarray:
     """w from the four-velocity and its derivatives, one row per proper time."""
     vdot_sq = minkowski_dot(velocity_dot, velocity_dot)
     return velocity_ddot + velocity * np.expand_dims(vdot_sq, -1)
-
-
-def abraham_from_state(state: KinematicState) -> AbrahamVector:
-    w = _abraham_w(state.velocity, state.velocity_dot, state.velocity_ddot)
-    return AbrahamVector(w=w, residual_norm=float(np.linalg.norm(w)))
 
 
 @dataclass(frozen=True)
@@ -80,7 +75,7 @@ def classify_motion(worldline: Worldline, grid, step=1e-3, tol=1e-5) -> MotionCl
     """
     grid = np.asarray(grid, dtype=float)
     interior = grid[1:-1] if grid.size > 2 else grid
-    st = kinematic_state(worldline, interior, step=step)
+    st = worldline.state(interior, step=step)
     sup_vdot = np.max(np.linalg.norm(st.velocity_dot, axis=-1), initial=0.0)
     w = _abraham_w(st.velocity, st.velocity_dot, st.velocity_ddot)
     sup_w = np.max(np.linalg.norm(w, axis=-1), initial=0.0)
@@ -93,7 +88,7 @@ def classify_motion(worldline: Worldline, grid, step=1e-3, tol=1e-5) -> MotionCl
 
 
 def pushforward_worldline(m: Mappable, worldline: Worldline, grid,
-                          step=1e-3, spline_order=5) -> SampledWorldline:
+                          step=1e-3) -> SampledWorldline:
     """Image worldline, reparametrized by its own proper time.
 
     One batched pass over the grid: the source positions and four-velocities
@@ -105,7 +100,7 @@ def pushforward_worldline(m: Mappable, worldline: Worldline, grid,
     ``SingularPointError`` names the first grid point that does.
     """
     grid = np.asarray(grid, dtype=float)
-    st = kinematic_state(worldline, grid, step=step)
+    st = worldline.state(grid, step=step)
     try:
         images, jv = m.pushforward(st.position, st.velocity)
     except SingularPointError as exc:
@@ -116,7 +111,7 @@ def pushforward_worldline(m: Mappable, worldline: Worldline, grid,
     speed = np.sqrt(np.maximum(minkowski_dot(jv, jv), 0.0))
     dtau = np.diff(grid)
     taubar = np.concatenate([[0.0], np.cumsum(0.5 * (speed[1:] + speed[:-1]) * dtau)])
-    return SampledWorldline(taubar, images, spline_order=spline_order)
+    return SampledWorldline(taubar, images)
 
 
 @dataclass(frozen=True)
@@ -151,7 +146,7 @@ def transform_abraham(form: AcceleratedFrameForm, state: KinematicState,
     """
     x = state.position
     J, lam, _ = jacobian_tetrad(form, x)
-    w = abraham_from_state(state).w
+    w = _abraham_w(state.velocity, state.velocity_dot, state.velocity_ddot)
     ph, ph2 = (form.phi(x), form.phi2(x)) if derivatives is None else derivatives
     v = state.velocity
     # correction_rho = v^sigma (phi_{rho sigma} - phi_rho phi_sigma), lower rho

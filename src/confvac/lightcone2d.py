@@ -15,7 +15,6 @@ frame map fitting the mirror's trajectory.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -105,10 +104,6 @@ class Homography2D:
         return None  # entire line minus the pole
 
 
-def homography_apply(h: Homography2D, u):
-    return h(u)
-
-
 def homography_compose(h1: Homography2D, h2: Homography2D) -> Homography2D:
     """The map u -> h2(h1(u)) (apply h1 first, then h2)."""
     m = h2.matrix @ h1.matrix
@@ -124,11 +119,11 @@ def homography_invert(h: Homography2D) -> Homography2D:
 
 @dataclass(frozen=True, eq=False)
 class SampledRule:
-    """Strictly increasing map given by (u, f(u)) samples, spline-interpolated."""
+    """Strictly increasing map given by (u, f(u)) samples, interpolated by a
+    quintic spline (third derivatives enter the Schwarzian)."""
 
     u: np.ndarray
     f: np.ndarray
-    spline_order: int = 5
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float)
@@ -137,18 +132,16 @@ class SampledRule:
             raise ValueError("need matching 1-d sample arrays with >= 4 points")
         if np.any(np.diff(u) <= 0) or np.any(np.diff(f) <= 0):
             raise ConstraintViolationError("sampled rule must be strictly increasing")
-        k = min(int(self.spline_order), u.size - 1)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "f", f)
-        object.__setattr__(self, "spline_order", k)
-        object.__setattr__(self, "_spline", make_interp_spline(u, f, k=k))
+        object.__setattr__(self, "_spline", make_interp_spline(u, f, k=min(5, u.size - 1)))
 
     @classmethod
-    def from_callable(cls, fn, lo, hi, n=2001, spline_order=5):
+    def from_callable(cls, fn, lo, hi, n=2001):
         """Sample ``fn`` on n evenly spaced points of [lo, hi]; ``fn`` takes
         the whole grid array and returns the array of values."""
         u = np.linspace(lo, hi, n)
-        return cls(u, np.asarray(fn(u), dtype=float), spline_order=spline_order)
+        return cls(u, np.asarray(fn(u), dtype=float))
 
     @property
     def domain(self):
@@ -166,7 +159,7 @@ class SampledRule:
         return (self._spline(u, 1), self._spline(u, 2), self._spline(u, 3))
 
     def inverse(self) -> "SampledRule":
-        return SampledRule(self.f, self.u, spline_order=self.spline_order)
+        return SampledRule(self.f, self.u)
 
 
 RayComponent = Homography2D | SampledRule
@@ -337,11 +330,3 @@ def raymap_from_dict(d: dict) -> RayMap2D:
         return SampledRule(np.asarray(entry["u"], dtype=float),
                            np.asarray(entry["f"], dtype=float))
     return RayMap2D(f_plus=comp(d["f_plus"]), f_minus=comp(d["f_minus"]))
-
-
-def raymap_to_json(m: RayMap2D) -> str:
-    return json.dumps(raymap_to_dict(m))
-
-
-def raymap_from_json(s: str) -> RayMap2D:
-    return raymap_from_dict(json.loads(s))

@@ -145,14 +145,13 @@ class HyperbolicWorldline:
 
 
 class SampledWorldline:
-    """Worldline given by (tau, event) samples, interpolated by splines.
-
-    Quintic splines are used by default so that third derivatives of the
-    position (needed for the radiation-reaction combination) remain accurate;
-    cubic splines lose three orders of magnitude there.
+    """Worldline given by (tau, event) samples, interpolated by one quintic
+    spline of the event vector, so that third derivatives of the position
+    (needed for the radiation-reaction combination) remain accurate; cubic
+    splines lose three orders of magnitude there.
     """
 
-    def __init__(self, tau, events, spline_order=5):
+    def __init__(self, tau, events):
         tau = np.asarray(tau, dtype=float)
         events = np.asarray(events, dtype=float)
         if tau.ndim != 1 or events.shape != (tau.size, 4):
@@ -161,11 +160,9 @@ class SampledWorldline:
             raise ConstraintViolationError("sample proper times must be strictly increasing")
         if not (np.all(np.isfinite(tau)) and np.all(np.isfinite(events))):
             raise ValueError("samples must be finite")
-        k = min(int(spline_order), tau.size - 1)
         self.tau = tau
         self.events = events
-        self.spline_order = k
-        self._splines = [make_interp_spline(tau, events[:, i], k=k) for i in range(4)]
+        self._spline = make_interp_spline(tau, events, k=min(5, tau.size - 1))
 
     @property
     def tau_range(self):
@@ -176,8 +173,7 @@ class SampledWorldline:
         lo, hi = self.tau_range
         if np.any(tau < lo) or np.any(tau > hi):
             raise ValueError(f"tau outside sampled range [{lo}, {hi}]")
-        out = np.stack([s(tau) for s in self._splines], axis=-1)
-        return out
+        return self._spline(tau)
 
     def state(self, tau, step=1e-3) -> KinematicState:
         """5-point stencil state at a proper time or an array of them.
@@ -213,15 +209,5 @@ class SampledWorldline:
 Worldline = HyperbolicWorldline | SampledWorldline
 
 
-def hyperbolic_worldline(v0, vdot0, accel, x0=None, tol=1e-9) -> HyperbolicWorldline:
-    """Construct uniformly accelerated motion from constrained initial data."""
-    return HyperbolicWorldline(v0, vdot0, accel, x0=x0, tol=tol)
-
-
 def rest_worldline(x0=None) -> HyperbolicWorldline:
     return HyperbolicWorldline([1.0, 0, 0, 0], np.zeros(4), 0.0, x0=x0)
-
-
-def kinematic_state(worldline, tau, step=1e-3) -> KinematicState:
-    """Kinematic state at proper time tau (closed form or finite differences)."""
-    return worldline.state(tau, step=step)

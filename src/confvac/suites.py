@@ -36,8 +36,7 @@ from .conformal import (AcceleratedFrameForm, ConformalMap, Dilation, Inversion,
 from .errors import SingularPointError
 from .kinematics import (abraham_norms_on_grid, pushforward_worldline,
                          transform_abraham)
-from .minkowski import (HyperbolicWorldline, interval, kinematic_state,
-                        minkowski_dot, rest_worldline)
+from .minkowski import HyperbolicWorldline, interval, minkowski_dot, rest_worldline
 from .numdiff import gradient_hessian
 
 SUITE_NAMES = (
@@ -220,9 +219,9 @@ def _ball(rng, radius):
             return v
 
 
-def _form_params(rng, alpha_max=0.5, beta_range=(0.5, 2.0)):
+def _form_params(rng, alpha_max=0.5):
     alpha = _ball(rng, alpha_max)
-    return alpha, rng.uniform(*beta_range)
+    return alpha, rng.uniform(0.5, 2.0)
 
 
 def _off_singular(rng, alpha, beta, radius, min_residual):
@@ -251,8 +250,8 @@ def _same_side(rng, alpha, beta, radius, min_residual, min_interval):
             return x, xp
 
 
-def random_form(rng, alpha_max=0.5, beta_range=(0.5, 2.0)) -> AcceleratedFrameForm:
-    alpha, beta = _form_params(rng, alpha_max, beta_range)
+def random_form(rng, alpha_max=0.5) -> AcceleratedFrameForm:
+    alpha, beta = _form_params(rng, alpha_max)
     return AcceleratedFrameForm(np.array(alpha), beta)
 
 
@@ -303,9 +302,9 @@ def _same_side_blocks(rng, n, min_interval):
         yield AcceleratedFrameForm(alpha, beta), x, xp
 
 
-def random_hyperbolic(rng, accel_range=(0.2, 0.8), boost=0.3, origin=0.2):
-    a = rng.uniform(*accel_range)
-    u = rng.uniform(-boost, boost, 3)
+def random_hyperbolic(rng):
+    a = rng.uniform(0.2, 0.8)
+    u = rng.uniform(-0.3, 0.3, 3)
     g = 1.0 / np.sqrt(1.0 - u @ u)
     v0 = np.array([g, *(g * u)])
     while True:
@@ -315,7 +314,7 @@ def random_hyperbolic(rng, accel_range=(0.2, 0.8), boost=0.3, origin=0.2):
         if norm > 1e-3:
             break
     vdot0 = n / norm * a
-    x0 = rng.uniform(-origin, origin, 4)
+    x0 = rng.uniform(-0.2, 0.2, 4)
     return HyperbolicWorldline(v0, vdot0, a, x0=x0)
 
 
@@ -480,7 +479,7 @@ def suite_abraham(cfg: SuiteConfig) -> SuiteReport:
             taus = image.tau[(image.tau > lo + margin) & (image.tau < hi - margin)]
             sup_w[i] = float(np.max(abraham_norms_on_grid(image, taus, step=step)))
             # transformation law at a random interior proper time of the source
-            st = kinematic_state(wl, rng.uniform(-0.5, 0.5))
+            st = wl.state(rng.uniform(-0.5, 0.5))
             res = transform_abraham(form, st)
             hill[i] = res.disagreement
         checks = [

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from confvac import (AcceleratedFrameForm, BoundaryError, ConvergenceError,
-                     InternalConsistencyError, PoleError, RegularizedKernel,
-                     SingularPointError,
+                     InternalConsistencyError, PoleError, SingularPointError,
                      em_potential_correlation, field_tensor_correlation, interval,
                      minkowski_field_tensor_correlation, momentum_space_oracle,
                      scalar_commutator_spectrum, scalar_vacuum_correlation,
@@ -138,13 +137,12 @@ def test_kernel_homogeneity_degree_minus_two(s, x, xp):
 
 
 def test_kernel_split_imag_linear_in_eps_off_cone():
-    k1 = RegularizedKernel(1e-4)
-    k2 = RegularizedKernel(5e-5)
     x, xp = [0.7, 1.5, 0, 0], [0, 0, 0, 0]
-    assert k2.delta_sgn_part(x, xp) == pytest.approx(
-        0.5 * k1.delta_sgn_part(x, xp), rel=1e-3)
+    c1 = scalar_vacuum_correlation(x, xp, 1e-4)
+    c2 = scalar_vacuum_correlation(x, xp, 5e-5)
+    assert c2.imag == pytest.approx(0.5 * c1.imag, rel=1e-3)
     # real part approaches the principal value 1/interval
-    assert k1.principal_part(x, xp) == pytest.approx(1.0 / (0.49 - 2.25), rel=1e-6)
+    assert c1.real == pytest.approx(1.0 / (0.49 - 2.25), rel=1e-6)
 
 
 def test_kernel_split_delta_identity_against_bump():

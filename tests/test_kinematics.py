@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
-from confvac import (AcceleratedFrameForm, ConformalMap, Dilation, Inversion,
-                     SampledWorldline, SingularPointError,
-                     Translation, abraham_norms_on_grid, abraham_vector,
-                     apply_map, classify_motion, hyperbolic_worldline,
-                     jacobian_tetrad, kinematic_state, lorentz_boost,
+from confvac import (AcceleratedFrameForm, ConformalMap, Dilation,
+                     HyperbolicWorldline, Inversion, SampledWorldline,
+                     SingularPointError, Translation, abraham_norms_on_grid,
+                     abraham_vector, apply_map, classify_motion,
+                     jacobian_tetrad, lorentz_boost,
                      minkowski_dot, pushforward_worldline, rest_worldline,
                      rigidity_check, transform_abraham)
 from confvac.numdiff import gradient_hessian
 
-HYP = hyperbolic_worldline([1, 0, 0, 0], [0, 1, 0, 0], 1.0)
+HYP = HyperbolicWorldline([1, 0, 0, 0], [0, 1, 0, 0], 1.0)
 
 
 def sinusoidal_rapidity_worldline(span=1.5, h=5e-4, amplitude=0.1):
@@ -31,7 +31,7 @@ def sinusoidal_rapidity_worldline(span=1.5, h=5e-4, amplitude=0.1):
 
 def test_abraham_zero_on_hyperbolic_any_accel():
     for a in (0.3, 1.0, 2.5):
-        wl = hyperbolic_worldline([1, 0, 0, 0], [0, 0, a, 0], a)
+        wl = HyperbolicWorldline([1, 0, 0, 0], [0, 0, a, 0], a)
         for tau in (-0.7, 0.0, 1.3):
             assert abraham_vector(wl, tau).residual_norm < 1e-12
 
@@ -147,7 +147,7 @@ def per_point_pushforward(m, wl, grid, step=1e-3):
     images = np.empty((grid.size, 4))
     speed = np.empty(grid.size)
     for i, tau in enumerate(grid):
-        st = kinematic_state(wl, tau, step=step)
+        st = wl.state(tau, step=step)
         images[i] = apply_map(m, st.position)
         J, _, _ = jacobian_tetrad(m, st.position)
         jv = J @ st.velocity
@@ -159,7 +159,7 @@ def per_point_pushforward(m, wl, grid, step=1e-3):
 def first_singular_point(m, wl, grid):
     """Reference: the first grid point where per-point evaluation raises."""
     for i, tau in enumerate(grid):
-        x = kinematic_state(wl, tau).position
+        x = wl.state(tau).position
         try:
             apply_map(m, x)
             jacobian_tetrad(m, x)
@@ -225,9 +225,9 @@ def test_pushforward_sampled_stencil_outside_range_raises():
 def test_batched_state_matches_per_point_states(source):
     wl = PUSH_SOURCES[source]()
     taus = np.linspace(-0.5, 0.5, 7)
-    batch = kinematic_state(wl, taus, step=1e-3)
+    batch = wl.state(taus, step=1e-3)
     for k, tau in enumerate(taus):
-        st = kinematic_state(wl, tau, step=1e-3)
+        st = wl.state(tau, step=1e-3)
         for name in ("position", "velocity", "velocity_dot", "velocity_ddot"):
             np.testing.assert_allclose(getattr(batch, name)[k], getattr(st, name),
                                        rtol=1e-12, atol=1e-9, err_msg=name)
@@ -267,7 +267,7 @@ def test_transform_abraham_matches_finite_difference_pushforward():
     image = pushforward_worldline(form, wl, grid)
 
     tau0 = 0.2
-    st = kinematic_state(wl, tau0, step=1e-3)
+    st = wl.state(tau0, step=1e-3)
     res = transform_abraham(form, st)
 
     # locate the image proper time of tau0 and measure w there

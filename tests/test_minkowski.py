@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid
 
-from confvac import (ConstraintViolationError, KinematicState,
-                     SampledWorldline, hyperbolic_worldline, interval,
-                     kinematic_state, minkowski_dot, rest_worldline)
+from confvac import (ConstraintViolationError, HyperbolicWorldline,
+                     KinematicState, SampledWorldline, interval, minkowski_dot,
+                     rest_worldline)
 from confvac.minkowski import as_event
 
 
@@ -48,7 +48,7 @@ def test_as_event_rejects_nonfinite():
 
 def test_hyperbolic_position_closed_form():
     # independent oracle: cumulative quadrature of the velocity formula
-    wl = hyperbolic_worldline([1, 0, 0, 0], [0, 1, 0, 0], 1.0)
+    wl = HyperbolicWorldline([1, 0, 0, 0], [0, 1, 0, 0], 1.0)
     taus = np.linspace(-1.0, 1.0, 2001)
     vel = wl.velocity(taus)
     pos_oracle = np.stack(
@@ -73,17 +73,17 @@ def test_zero_acceleration_is_rest():
 
 def test_constraint_rejection_names_violation():
     with pytest.raises(ConstraintViolationError, match="vdot0.vdot0"):
-        hyperbolic_worldline([1, 0, 0, 0], [0, 1, 0, 0], 2.0)
+        HyperbolicWorldline([1, 0, 0, 0], [0, 1, 0, 0], 2.0)
     with pytest.raises(ConstraintViolationError, match="unit-norm"):
-        hyperbolic_worldline([2, 0, 0, 0], [0, 2, 0, 0], 2.0)
+        HyperbolicWorldline([2, 0, 0, 0], [0, 2, 0, 0], 2.0)
     with pytest.raises(ConstraintViolationError, match="orthogonality"):
-        hyperbolic_worldline([math.cosh(0.3), math.sinh(0.3), 0, 0],
+        HyperbolicWorldline([math.cosh(0.3), math.sinh(0.3), 0, 0],
                              [0, 1, 0, 0], 1.0)
 
 
 def test_kinematic_state_analytic_values():
-    wl = hyperbolic_worldline([1, 0, 0, 0], [0, 1, 0, 0], 1.0)
-    st0 = kinematic_state(wl, 0.0)
+    wl = HyperbolicWorldline([1, 0, 0, 0], [0, 1, 0, 0], 1.0)
+    st0 = wl.state(0.0)
     np.testing.assert_allclose(st0.velocity, [1, 0, 0, 0], atol=1e-15)
     np.testing.assert_allclose(st0.velocity_dot, [0, 1, 0, 0], atol=1e-15)
     np.testing.assert_allclose(st0.velocity_ddot, [1, 0, 0, 0], atol=1e-15)
@@ -95,7 +95,7 @@ def test_hyperbolic_identities(a, rapidity, tau):
     # boosted initial data still satisfies the constraints exactly enough
     v0 = np.array([math.cosh(rapidity), math.sinh(rapidity), 0, 0])
     vdot0 = a * np.array([math.sinh(rapidity), math.cosh(rapidity), 0, 0])
-    wl = hyperbolic_worldline(v0, vdot0, a)
+    wl = HyperbolicWorldline(v0, vdot0, a)
     stt = wl.state(tau)
     r1, r2 = stt.constraint_residuals()
     assert r1 < 1e-12 and r2 < 1e-12
@@ -115,11 +115,11 @@ def _sampled_copy(wl, lo=-1.0, hi=1.0, h=1e-3):
 
 
 def test_sampled_matches_analytic_state():
-    wl = hyperbolic_worldline([1, 0, 0, 0], [0, 1, 0, 0], 1.0)
+    wl = HyperbolicWorldline([1, 0, 0, 0], [0, 1, 0, 0], 1.0)
     sampled = _sampled_copy(wl)
     for tau in (-0.4, 0.0, 0.3, 0.55):
-        st_s = kinematic_state(sampled, tau, step=1e-3)
-        st_a = kinematic_state(wl, tau)
+        st_s = sampled.state(tau, step=1e-3)
+        st_a = wl.state(tau)
         np.testing.assert_allclose(st_s.position, st_a.position, atol=1e-6)
         np.testing.assert_allclose(st_s.velocity, st_a.velocity, atol=1e-6)
         np.testing.assert_allclose(st_s.velocity_dot, st_a.velocity_dot, atol=1e-6)
@@ -129,24 +129,24 @@ def test_sampled_matches_analytic_state():
 def test_sampled_state_convergence_order():
     # velocity error from the 5-point stencil is O(step^4): use a dense spline
     # so interpolation error stays below the differencing error
-    wl = hyperbolic_worldline([1, 0, 0, 0], [0, 1, 0, 0], 1.0)
+    wl = HyperbolicWorldline([1, 0, 0, 0], [0, 1, 0, 0], 1.0)
     sampled = _sampled_copy(wl, h=2e-4)
     errs = []
     for step in (8e-3, 4e-3):
-        st_s = kinematic_state(sampled, 0.2, step=step)
+        st_s = sampled.state(0.2, step=step)
         errs.append(np.max(np.abs(st_s.velocity - wl.velocity(0.2))))
     assert errs[0] / errs[1] > 8.0  # ~16 for clean 4th order
 
 
 def test_sampled_domain_and_step_errors():
-    wl = hyperbolic_worldline([1, 0, 0, 0], [0, 1, 0, 0], 1.0)
+    wl = HyperbolicWorldline([1, 0, 0, 0], [0, 1, 0, 0], 1.0)
     sampled = _sampled_copy(wl)
     with pytest.raises(ValueError, match="outside sampled range"):
-        kinematic_state(sampled, 2.0)
+        sampled.state(2.0)
     with pytest.raises(ValueError, match="too large"):
-        kinematic_state(sampled, 0.999, step=1e-3)
+        sampled.state(0.999, step=1e-3)
     with pytest.raises(ValueError, match="positive"):
-        kinematic_state(sampled, 0.0, step=-1.0)
+        sampled.state(0.0, step=-1.0)
 
 
 def test_sampled_requires_increasing_tau():

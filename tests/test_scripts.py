@@ -18,6 +18,7 @@ def test_worked_example_runs(capsys):
     _main("worked_example.py")()
     out = capsys.readouterr().out
     assert "scale factor at (1,0,0,0): 4.0" in out
+    assert "singular residual there:  0.25" in out.splitlines()
     assert "classified uniformly_accelerated" in out
 
 

@@ -172,8 +172,8 @@ def test_cli_transform_parse_error_line_numbered(tmp_path):
 
 
 def test_cli_abraham_classifies_hyperbolic(tmp_path, capsys):
-    from confvac import hyperbolic_worldline
-    wl = hyperbolic_worldline([1, 0, 0, 0], [0, 1, 0, 0], 1.0)
+    from confvac import HyperbolicWorldline
+    wl = HyperbolicWorldline([1, 0, 0, 0], [0, 1, 0, 0], 1.0)
     taus = np.arange(-1.0, 1.0 + 1e-9, 1e-3)
     pos = wl.position(taus)
     lines = ["tau,t,x1,x2,x3"]
@@ -214,6 +214,23 @@ def test_cli_ray2d_mirror_verdict(capsys):
     assert payload["frame"]["f_plus"]["kind"] == "homography"
     assert payload["mirror"]["verdict"] == "invariant"
     assert payload["mirror"]["evidence"] < 1e-8
+
+
+def test_cli_rejects_flags_the_handler_does_not_read(tmp_path, capsys):
+    mapfile = tmp_path / "map.json"
+    mapfile.write_text(json.dumps({"alpha": [0.5, 0, 0, 0], "beta": 1.0}))
+    infile = tmp_path / "events.csv"
+    infile.write_text("t,x1,x2,x3\n1,0,0,0\n")
+    for argv, flag in (
+            (["transform", "--map", str(mapfile), "--input", str(infile), "--seed", "3"],
+             "--seed"),
+            (["ray2d", "--alpha", "0.1,0.3", "--samples", "2"], "--samples")):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag}" in captured.err
 
 
 def test_cli_config_file_with_flag_precedence(tmp_path):
