@@ -41,7 +41,7 @@ FLAGS = {
     "--step": dict(type=float, help="proper-time finite-difference step"),
     "--h": dict(type=float, help="coordinate finite-difference step"),
     "--out": dict(help="output file path"),
-    "--format": dict(dest="fmt", choices=("json", "csv"), default="json"),
+    "--format": dict(dest="fmt", choices=("json", "csv"), help="report format (default json)"),
     "--config": dict(help="JSON config file; explicit flags take precedence"),
 }
 

@@ -15,6 +15,8 @@ what makes the light-ray sign law checkable.
 Evaluation is batch-first: each map has one non-raising ``evaluate`` over
 event rows (n, 4); ``apply``, ``factor`` and ``pushforward`` take one event
 (a batch of one) or rows and are built on it, as is ``jacobian_tetrad``.
+Primitives also take stacked parameters, one per event row, and
+``evaluate_chains`` pushes many chains at once, one row each.
 Singular sets (where the denominator above vanishes) are excluded: these
 raise ``SingularPointError`` for the first singular row, carrying its
 residual.
@@ -60,11 +62,24 @@ def _checked(m, x, v=None):
 
 # ---------------------------------------------------------------------------
 # primitives
+#
+# A primitive holds one parameter, or a stack of m parameters (a leading axis)
+# that meet m event rows one by one: push broadcasts them row by row.
+
+def _scales(value, what):
+    """A nonzero scale as a float, or a stack of them as an array (m,)."""
+    a = np.asarray(value, dtype=float)
+    if a.ndim > 1:
+        raise ValueError(f"{what} must be a scalar or a stack (m,), got shape {a.shape}")
+    if np.any(a == 0):
+        raise ConstraintViolationError(f"{what} must be nonzero")
+    return float(a) if a.ndim == 0 else a
+
 
 class _Primitive:
     """``push(y, dy)`` maps event rows y (n, 4) and tangent rows dy (None, or
-    rows broadcasting against y) to (images, pushed tangents, signed step
-    factor or None for 1, denominator or None if it divides by nothing)."""
+    rows like y) to (images, pushed tangents, signed step factor or None for
+    1, denominator or None if it divides by nothing)."""
 
     def apply(self, x):
         """Image of one event or of rows: a chain of this primitive alone."""
@@ -73,10 +88,16 @@ class _Primitive:
 
 @dataclass(frozen=True, eq=False)
 class Translation(_Primitive):
-    offset: np.ndarray
+    offset: np.ndarray      # (4,), or (m, 4) stacked
 
     def __post_init__(self):
-        object.__setattr__(self, "offset", as_event(self.offset))
+        offset = np.asarray(self.offset, dtype=float)
+        if offset.ndim != 2:
+            offset = as_event(offset)
+        elif offset.shape[1] != 4 or not np.isfinite(offset).all():
+            raise ValueError(f"stacked offsets must be finite rows (m, 4), "
+                             f"got shape {offset.shape}")
+        object.__setattr__(self, "offset", offset)
 
     def push(self, y, dy):
         return y + self.offset, dy, None, None
@@ -84,38 +105,38 @@ class Translation(_Primitive):
 
 @dataclass(frozen=True, eq=False)
 class LorentzTransform(_Primitive):
-    matrix: np.ndarray
+    matrix: np.ndarray      # (4, 4), or (m, 4, 4) stacked
     tol: float = 1e-9
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (4, 4):
+        if m.ndim not in (2, 3) or m.shape[-2:] != (4, 4):
             raise ConstraintViolationError("Lorentz matrix must be 4x4")
-        defect = np.max(np.abs(m.T @ ETA @ m - ETA))
-        if defect > self.tol:
+        defect = np.max(np.abs(np.swapaxes(m, -1, -2) @ ETA @ m - ETA), axis=(-2, -1))
+        bad = np.flatnonzero(defect > self.tol)
+        if bad.size:
+            which = "matrix" if m.ndim == 2 else f"matrix {bad[0]} of the stack"
             raise ConstraintViolationError(
-                f"matrix is not Lorentz: max |L^T eta L - eta| = {defect:.3e}")
+                f"{which} is not Lorentz: max |L^T eta L - eta| = {defect.flat[bad[0]]:.3e}")
         object.__setattr__(self, "matrix", m)
 
     def push(self, y, dy):
         # einsum rounds each row as L @ y does; y @ L.T differs in the last bits
         L = self.matrix
-        return (np.einsum("ij,nj->ni", L, y),
-                None if dy is None else np.einsum("ij,nj->ni", L, dy), None, None)
+        return (np.einsum("...ij,...j->...i", L, y),
+                None if dy is None else np.einsum("...ij,...j->...i", L, dy), None, None)
 
 
 @dataclass(frozen=True, eq=False)
 class Dilation(_Primitive):
-    scale: float
+    scale: float | np.ndarray   # or (m,) stacked
 
     def __post_init__(self):
-        if self.scale == 0:
-            raise ConstraintViolationError("dilation scale must be nonzero")
-        object.__setattr__(self, "scale", float(self.scale))
+        object.__setattr__(self, "scale", _scales(self.scale, "dilation scale"))
 
     def push(self, y, dy):
-        s = self.scale
-        return s * y, None if dy is None else s * dy, s, None
+        s = np.asarray(self.scale)[..., None]
+        return s * y, None if dy is None else s * dy, self.scale, None
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,19 +146,71 @@ class Inversion(_Primitive):
     Its signed factor is beta / x^2, so the interval law holds with the
     plain product lambda(x) lambda(x')."""
 
-    beta: float
+    beta: float | np.ndarray    # or (m,) stacked
 
     def __post_init__(self):
-        if self.beta == 0:
-            raise ConstraintViolationError("inversion scale beta must be nonzero")
-        object.__setattr__(self, "beta", float(self.beta))
+        object.__setattr__(self, "beta", _scales(self.beta, "inversion scale beta"))
 
     def push(self, y, dy):
+        beta = np.asarray(self.beta)[..., None]
         y2 = minkowski_dot(y, y)
         if dy is not None:
             reflect = dy - 2.0 * y * (minkowski_dot(y, dy) / y2)[..., None]
-            dy = (-self.beta / y2)[..., None] * reflect
-        return -self.beta * y / y2[..., None], dy, self.beta / y2, y2
+            dy = (-beta / y2[..., None]) * reflect
+        return -beta * y / y2[..., None], dy, self.beta / y2, y2
+
+
+def _walk(steps, x, v):
+    """(images, J v or None, signed factors, residuals, singular) of event rows
+    x (n, 4) and tangent rows v pushed through ``steps``, each a list of
+    (primitive, the rows it pushes); never raises.  A row is singular where a
+    primitive's denominator d has |d| < SINGULAR_RTOL (1 + |d|); its residual
+    is the first such d (0 on regular rows), and its other values are
+    meaningless."""
+    y = np.array(x, dtype=float)
+    dy = None if v is None else np.array(np.broadcast_to(v, y.shape), dtype=float)
+    lam = np.ones(len(y))
+    residual = np.zeros(len(y))
+    singular = np.zeros(len(y), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for groups in steps:
+            for p, rows in groups:
+                y[rows], jv, step, den = p.push(y[rows], None if dy is None else dy[rows])
+                if dy is not None:
+                    dy[rows] = jv
+                if step is not None:
+                    lam[rows] = lam[rows] * step
+                if den is not None:
+                    hit = np.abs(den) < SINGULAR_RTOL * (1.0 + np.abs(den))
+                    residual[rows] = np.where(hit & ~singular[rows], den, residual[rows])
+                    singular[rows] |= hit
+    return y, dy, lam, residual, singular
+
+
+def evaluate_chains(chains, x, v=None):
+    """(images, J v or None, signed factors, residuals, singular) of event rows
+    x (n, 4), row i through chain i of n, and tangent rows v; never raises.
+
+    A chain is a sequence of (primitive class, parameter) pairs.  At each step
+    the rows are grouped by class, and each group goes through one primitive
+    stacked from its rows' parameters (one validation per group), so row i
+    gets the bits of ``ConformalMap([cls(p) for cls, p in chains[i]]).evaluate``.
+    """
+    if len(x) != len(chains):
+        raise ValueError(f"{len(chains)} chains need {len(chains)} event rows, got {len(x)}")
+
+    def steps():
+        for s in range(max(map(len, chains), default=0)):
+            groups = {}
+            for i, chain in enumerate(chains):
+                if s < len(chain):
+                    rows, params = groups.setdefault(chain[s][0], ([], []))
+                    rows.append(i)
+                    params.append(chain[s][1])
+            yield [(cls(np.array(params)), np.array(rows))
+                   for cls, (rows, params) in groups.items()]
+
+    return _walk(steps(), x, v)
 
 
 class ConformalMap:
@@ -159,26 +232,8 @@ class ConformalMap:
     def evaluate(self, x, v=None):
         """(images, J v or None, signed factors, residuals, singular) of event
         rows x (n, 4) and tangent rows v, carried through the chain; never
-        raises.  A row is singular where a primitive's denominator d has
-        |d| < SINGULAR_RTOL (1 + |d|); its residual is the first such d (0 on
-        regular rows), and its other values are meaningless.
-        """
-        y, dy = x, v
-        lam = np.ones(len(x))
-        residual = np.zeros(len(x))
-        singular = np.zeros(len(x), dtype=bool)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for p in self.chain:
-                y, dy, step, den = p.push(y, dy)
-                if step is not None:
-                    lam = lam * step
-                if den is not None:
-                    hit = np.abs(den) < SINGULAR_RTOL * (1.0 + np.abs(den))
-                    if hit.any():
-                        first = hit & ~singular
-                        residual[first] = den[first]
-                        singular |= hit
-        return y, dy, lam, residual, singular
+        raises (see ``_walk``)."""
+        return _walk([[(p, slice(None))] for p in self.chain], x, v)
 
     def apply(self, x):
         return _checked(self, x)[0]
@@ -394,21 +449,25 @@ class IntervalLawReport:
     lam: float | np.ndarray      # lambda(x)
     lam_p: float | np.ndarray    # lambda(x')
 
+    @classmethod
+    def from_images(cls, rows, images, lam) -> "IntervalLawReport":
+        """The law on 2n pair rows (x rows first), from their images and
+        signed factors."""
+        n = len(rows) // 2
+        lhs = interval(images[:n], images[n:])
+        rhs = lam[:n] * lam[n:] * interval(rows[:n], rows[n:])
+        residual = np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1.0)
+        return cls(lhs, rhs, residual, lam[:n], lam[n:])
+
 
 def verify_interval_law(m: Mappable, x, xp) -> IntervalLawReport:
     """Check (xbar - xbar')^2 = lambda(x) lambda(x') (x - x')^2 on one pair or
     on pair rows (n stacked forms: pair i by form i), all events evaluated as
     one batch; the report carries both factors."""
     rows, single = _pair_rows(x, xp)
-    n = len(rows) // 2
     images, _, lam = _checked(m, rows)
-    lhs = interval(images[:n], images[n:])
-    rhs = lam[:n] * lam[n:] * interval(rows[:n], rows[n:])
-    residual = np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1.0)
-    fields = (lhs, rhs, residual, lam[:n], lam[n:])
-    if single:
-        fields = (float(a[0]) for a in fields)
-    return IntervalLawReport(*fields)
+    report = IntervalLawReport.from_images(rows, images, lam)
+    return IntervalLawReport(*(float(a[0]) for a in vars(report).values())) if single else report
 
 
 # ---------------------------------------------------------------------------
@@ -550,20 +609,25 @@ def ricci_conformal(phi, phi2) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # helpers for building Lorentz primitives
 
-def lorentz_boost(velocity3) -> LorentzTransform:
-    """Pure boost with 3-velocity u (|u| < 1)."""
+def boost_matrix(velocity3) -> np.ndarray:
+    """Matrix of the pure boost with 3-velocity u (|u| < 1)."""
     u = np.asarray(velocity3, dtype=float)
     u2 = float(u @ u)
     if u2 >= 1.0:
         raise ConstraintViolationError("boost speed must be < 1")
     if u2 == 0.0:
-        return LorentzTransform(np.eye(4))
+        return np.eye(4)
     g = 1.0 / np.sqrt(1.0 - u2)
     L = np.eye(4)
     L[0, 0] = g
     L[0, 1:] = L[1:, 0] = -g * u
     L[1:, 1:] = np.eye(3) + (g - 1.0) * np.outer(u, u) / u2
-    return LorentzTransform(L)
+    return L
+
+
+def lorentz_boost(velocity3) -> LorentzTransform:
+    """Pure boost with 3-velocity u (|u| < 1)."""
+    return LorentzTransform(boost_matrix(velocity3))
 
 
 def spatial_rotation(axis, angle) -> LorentzTransform:

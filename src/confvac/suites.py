@@ -14,7 +14,8 @@ interval-law, scalar-invariance and tetrad-identity draw, then evaluate
 once, then filter: a block of candidates is drawn in stream order (through
 ``DrawStream``, which replays the generator's doubles bit for bit), the
 whole block is evaluated in one array pass (its forms as one stacked
-``AcceleratedFrameForm``), and the first n accepted are kept in order.  No
+``AcceleratedFrameForm``, interval-law's chains as one ``evaluate_chains``
+stack), and the first n accepted are kept in order.  No
 draw depends on an evaluation, so the samples, and the reports, are those of
 drawing and evaluating one sample at a time.
 """
@@ -30,9 +31,10 @@ import numpy as np
 
 from . import correlations as corr
 from . import lightcone2d as lc2
-from .conformal import (AcceleratedFrameForm, ConformalMap, Dilation, Inversion,
-                        LightRay, Translation, lorentz_boost, map_to_dict,
-                        ricci_conformal, transform_light_ray, verify_interval_law)
+from .conformal import (AcceleratedFrameForm, ConformalMap, Dilation, IntervalLawReport,
+                        Inversion, LightRay, LorentzTransform, Translation, boost_matrix,
+                        evaluate_chains, map_to_dict, ricci_conformal,
+                        transform_light_ray, verify_interval_law)
 from .errors import SingularPointError
 from .kinematics import (abraham_norms_on_grid, pushforward_worldline,
                          transform_abraham)
@@ -255,22 +257,32 @@ def random_form(rng, alpha_max=0.5) -> AcceleratedFrameForm:
     return AcceleratedFrameForm(np.array(alpha), beta)
 
 
-def random_chain(rng) -> ConformalMap:
-    prims = []
+def _chain_params(rng):
+    """2 to 4 random primitives as (class, parameter) pairs, for
+    ``evaluate_chains``."""
+    params = []
     for _ in range(rng.integers(2, 5)):
         kind = rng.integers(0, 4)
         if kind == 0:
-            prims.append(Translation(rng.uniform(-0.5, 0.5, 4)))
+            params.append((Translation, rng.uniform(-0.5, 0.5, 4)))
         elif kind == 1:
             u = rng.uniform(-0.4, 0.4, 3)
             if u @ u >= 0.9:
                 u = u / np.linalg.norm(u) * 0.5
-            prims.append(lorentz_boost(u))
+            params.append((LorentzTransform, boost_matrix(u)))
         elif kind == 2:
-            prims.append(Dilation(rng.uniform(0.5, 2.0)))
+            params.append((Dilation, rng.uniform(0.5, 2.0)))
         else:
-            prims.append(Inversion(rng.uniform(0.5, 2.0)))
-    return ConformalMap(prims)
+            params.append((Inversion, rng.uniform(0.5, 2.0)))
+    return params
+
+
+def _chain(params) -> ConformalMap:
+    return ConformalMap([cls(p) for cls, p in params])
+
+
+def random_chain(rng) -> ConformalMap:
+    return _chain(_chain_params(rng))
 
 
 def random_event(rng, radius=1.0):
@@ -340,10 +352,11 @@ def _interval_law_block(stream, k):
     """k interval-law candidates, drawn in stream order, then evaluated:
     (maps, points (k, 2, 4), values (5, k)).  A candidate is an
     accelerated-frame form (probability 0.7), kept in maps as its (alpha,
-    beta), with two events off its singular set, or a primitive chain with
-    two events in the unit ball.  values holds each candidate's residual,
-    lhs, rhs, lambda and lambda', NaN for a singular chain; the forms are
-    evaluated as one stacked batch, each chain on its own pair."""
+    beta), with two events off its singular set, or a primitive chain, kept
+    as its ``_chain_params`` list, with two events in the unit ball.  values
+    holds each candidate's residual, lhs, rhs, lambda and lambda', NaN for a
+    singular chain; the forms are evaluated as one stacked batch, the chains
+    as one ``evaluate_chains`` stack."""
     maps, pairs = [], []
     for _ in range(k):
         if stream.random() < 0.7:
@@ -352,7 +365,7 @@ def _interval_law_block(stream, k):
             pairs.append((_off_singular(stream, alpha, beta, 1.0, 0.1)[0],
                           _off_singular(stream, alpha, beta, 1.0, 0.1)[0]))
         else:
-            maps.append(random_chain(stream.generator()))
+            maps.append(_chain_params(stream.generator()))
             pairs.append((_ball(stream, 1.0), _ball(stream, 1.0)))
     points = np.array(pairs)
     values = np.full((5, k), np.nan)
@@ -362,14 +375,13 @@ def _interval_law_block(stream, k):
         rep = verify_interval_law(AcceleratedFrameForm(alpha, beta),
                                   points[forms, 0], points[forms, 1])
         values[:, forms] = rep.residual, rep.lhs, rep.rhs, rep.lam, rep.lam_p
-    for i, m in enumerate(maps):
-        if isinstance(m, tuple):
-            continue
-        try:
-            rep = verify_interval_law(m, points[i, 0], points[i, 1])
-        except SingularPointError:
-            continue
-        values[:, i] = rep.residual, rep.lhs, rep.rhs, rep.lam, rep.lam_p
+    chains = np.array([i for i, m in enumerate(maps) if isinstance(m, list)], dtype=int)
+    if len(chains):
+        rows = np.concatenate([points[chains, 0], points[chains, 1]])
+        images, _, lam, _, singular = evaluate_chains([maps[i] for i in chains] * 2, rows)
+        rep = IntervalLawReport.from_images(rows, images, lam)
+        values[:, chains] = rep.residual, rep.lhs, rep.rhs, rep.lam, rep.lam_p
+        values[:, chains[singular[:len(chains)] | singular[len(chains):]]] = np.nan
     return maps, points, values
 
 
@@ -377,7 +389,7 @@ def suite_interval_law(cfg: SuiteConfig) -> SuiteReport:
     """(xbar - xbar')^2 = lambda lambda' (x - x')^2 over random maps and pairs.
 
     Candidates are drawn in blocks, evaluated in one pass per block (the
-    forms as one stacked batch, each chain on its own pair) and kept in
+    forms as one stacked batch, the chains as one stack) and kept in
     stream order while fewer than n are kept: a rejected candidate (singular,
     or |lambda| >= 1e3) only moves on to the next, so the stream does not
     depend on what is kept."""
@@ -400,8 +412,8 @@ def suite_interval_law(cfg: SuiteConfig) -> SuiteReport:
             i = accepted[np.argmax(res[accepted])]   # the first maximum
             if worst is None or res[i] > worst[0]:
                 m = maps[i]
-                if isinstance(m, tuple):
-                    m = AcceleratedFrameForm(np.array(m[0]), m[1])
+                m = (AcceleratedFrameForm(np.array(m[0]), m[1]) if isinstance(m, tuple)
+                     else _chain(m))
                 worst = (float(res[i]), map_to_dict(m), points[i].tolist(),
                          float(lhs[i]), float(rhs[i]))
         check = CheckResult(

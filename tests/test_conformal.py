@@ -9,8 +9,8 @@ import confvac.numdiff as numdiff
 from confvac import suites
 from confvac import (ETA, AcceleratedFrameForm, ConformalMap,
                      ConstraintViolationError, Dilation, Inversion,
-                     LightRay, SingularPointError, Translation, apply_map,
-                     compose, image_singular_residual, interval,
+                     LightRay, LorentzTransform, SingularPointError, Translation,
+                     apply_map, compose, evaluate_chains, image_singular_residual, interval,
                      jacobian_tetrad, lorentz_boost, map_from_dict, map_to_dict,
                      minkowski_dot, ricci_conformal, spatial_rotation,
                      transform_light_ray, verify_interval_law)
@@ -262,6 +262,65 @@ def test_stacked_form_shapes_checked():
         AcceleratedFrameForm(np.zeros((3, 4)), np.ones(2))
     with pytest.raises(ConstraintViolationError, match="nonzero"):
         AcceleratedFrameForm(np.zeros((2, 4)), np.array([1.0, 0.0]))
+
+
+def chain_param(rng, kind):
+    """A (class, parameter) pair of kind 0-3: translation, Lorentz (boost or
+    rotation), dilation or inversion, scales of either sign."""
+    if kind == 0:
+        return Translation, rng.uniform(-0.5, 0.5, 4)
+    if kind == 1:
+        if rng.random() < 0.5:
+            return LorentzTransform, lorentz_boost(rng.uniform(-0.4, 0.4, 3)).matrix
+        return LorentzTransform, spatial_rotation(rng.uniform(-1, 1, 3), rng.uniform(0, 6)).matrix
+    return (Dilation if kind == 2 else Inversion), rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+
+
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=4), min_size=1, max_size=12),
+       st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_chain_stack_rows_equal_one_chain_at_a_time(seed, kinds, with_tangents):
+    # row i through chain i of the stack gets the bits of ConformalMap(chain i)
+    # alone; one extra chain has all four kinds and one row lies exactly on
+    # the light cone of an inversion: only that row is flagged
+    rng = np.random.default_rng(seed)
+    chains = [[chain_param(rng, k) for k in ks] for ks in [*kinds, [0, 1, 2, 3]]]
+    cone = int(rng.integers(0, len(chains) + 1))
+    chains.insert(cone, [(Dilation, 1.5), (Inversion, 0.8), chain_param(rng, 0)])
+    x = rng.uniform(-1.0, 1.0, (len(chains), 4))
+    x[cone] = [0.3, 0.0, -0.3, 0.0]
+    v = rng.uniform(-1.0, 1.0, (len(chains), 4)) if with_tangents else None
+    stacked_out = evaluate_chains(chains, x, v)
+    singular = stacked_out[4]
+    assert singular[cone] and stacked_out[3][cone] == 0.0
+    for i, chain in enumerate(chains):
+        one = ConformalMap([cls(p) for cls, p in chain]).evaluate(
+            x[i:i + 1], None if v is None else v[i:i + 1])
+        for a, b in zip(stacked_out, one):
+            assert a is None if b is None else same_bits(a[i], b[0])
+        assert singular[i] == (i == cone)
+
+
+def test_chain_stack_needs_one_row_per_chain():
+    with pytest.raises(ValueError, match="2 chains need 2 event rows"):
+        evaluate_chains([[(Dilation, 2.0)]] * 2, np.zeros((3, 4)))
+
+
+def test_stacked_lorentz_check_names_the_bad_matrix():
+    rng = np.random.default_rng(5)
+    stack = np.array([lorentz_boost(rng.uniform(-0.4, 0.4, 3)).matrix for _ in range(5)])
+    assert same_bits(LorentzTransform(stack).matrix, stack)
+    stack[2] = np.diag([1.0, 1.0, 1.0, 2.0])
+    with pytest.raises(ConstraintViolationError,
+                       match=r"^matrix 2 of the stack is not Lorentz: "
+                             r"max \|L\^T eta L - eta\| = 3\.000e\+00$"):
+        LorentzTransform(stack)
+    with pytest.raises(ConstraintViolationError,
+                       match=r"^matrix is not Lorentz: max \|L\^T eta L - eta\| = 3\.000e\+00$"):
+        LorentzTransform(stack[2])
+    with pytest.raises(ConstraintViolationError, match="must be 4x4"):
+        LorentzTransform(stack[None])
 
 
 def test_form_tetrad_equals_closed_form_jacobian():

@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confvac import AcceleratedFrameForm, interval, map_to_dict
+from confvac import (AcceleratedFrameForm, ConformalMap, Dilation, Inversion,
+                     SingularPointError, Translation, interval, lorentz_boost,
+                     map_to_dict, verify_interval_law)
 from confvac import suites
 
 
@@ -44,6 +46,25 @@ def ref_same_side_pair(rng, form, min_interval):
         if abs(interval(x, xp)) < min_interval:
             continue
         return x, xp
+
+
+def ref_chain(rng):
+    """The primitive chain of 2 to 4 primitives, each built as it is drawn."""
+    prims = []
+    for _ in range(rng.integers(2, 5)):
+        kind = rng.integers(0, 4)
+        if kind == 0:
+            prims.append(Translation(rng.uniform(-0.5, 0.5, 4)))
+        elif kind == 1:
+            u = rng.uniform(-0.4, 0.4, 3)
+            if u @ u >= 0.9:
+                u = u / np.linalg.norm(u) * 0.5
+            prims.append(lorentz_boost(u))
+        elif kind == 2:
+            prims.append(Dilation(rng.uniform(0.5, 2.0)))
+        else:
+            prims.append(Inversion(rng.uniform(0.5, 2.0)))
+    return ConformalMap(prims)
 
 
 def same_bits(a, b):
@@ -86,11 +107,46 @@ def test_stream_replays_mixed_form_and_chain_draws(seed):
             assert same_bits(pair, [suites.random_event_off_singular(stream, form)
                                     for _ in range(2)])
         else:
-            chain = suites.random_chain(ref)
-            assert map_to_dict(chain) == map_to_dict(suites.random_chain(stream.generator()))
+            # the suite draws chain parameters on the generator the stream hands back
+            chain = suites._chain(suites._chain_params(stream.generator()))
+            assert map_to_dict(ref_chain(ref)) == map_to_dict(chain)
             assert same_bits((ref_event(ref), ref_event(ref)),
                              (suites.random_event(stream), suites.random_event(stream)))
     assert ref.random() == stream.generator().random()
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_chain_params_draw_as_random_chain(seed):
+    # on a generator and through the stream hand-back, the parameter draw
+    # consumes what random_chain (and the reference) consumes, and the chain
+    # built from the parameters is the one random_chain returns
+    ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    stream = suites.DrawStream(np.random.default_rng(seed))
+    for _ in range(20):
+        assert ref.random() == rng.random() == stream.random()
+        expected = map_to_dict(ref_chain(ref))
+        assert map_to_dict(suites.random_chain(rng)) == expected
+        assert map_to_dict(suites._chain(suites._chain_params(stream.generator()))) == expected
+    assert ref.random() == rng.random() == stream.generator().random()
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_interval_law_block_equals_one_candidate_at_a_time(seed):
+    # each chain candidate's values are those of its own verify_interval_law
+    # call on the built chain, NaN where that call raises
+    maps, points, values = suites._interval_law_block(
+        suites.DrawStream(np.random.default_rng(seed)), 120)
+    chains = [i for i, m in enumerate(maps) if isinstance(m, list)]
+    assert chains
+    for i in chains:
+        try:
+            rep = verify_interval_law(suites._chain(maps[i]), points[i, 0], points[i, 1])
+        except SingularPointError:
+            assert np.isnan(values[:, i]).all()
+            continue
+        assert same_bits(values[:, i], [rep.residual, rep.lhs, rep.rhs, rep.lam, rep.lam_p])
 
 
 @pytest.mark.parametrize("min_interval", [0.0, 0.05])

@@ -247,3 +247,20 @@ def test_cli_config_file_with_flag_precedence(tmp_path):
                "--samples", "5", "--out", str(out2)])
     assert rc == 0
     assert json.loads(out2.read_text())["config"]["samples"] == 5
+
+
+def test_cli_config_file_format_applies_unless_flag_given(tmp_path):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"fmt": "csv"}))
+    base = tmp_path / "f"
+    rc = main(["suite", "fdr", "mirror-2d", "--config", str(cfgfile), "--out", str(base)])
+    assert rc == 0
+    for name in ("fdr", "mirror-2d"):
+        assert not (tmp_path / f"f.{name}.json").exists()
+        rows = list(csv.reader((tmp_path / f"f.{name}.csv").read_text().splitlines()))
+        assert rows[0] == ["suite", "check", "index", "residual"]
+    rc = main(["suite", "fdr", "mirror-2d", "--config", str(cfgfile), "--format", "json",
+               "--out", str(base)])
+    assert rc == 0
+    for name in ("fdr", "mirror-2d"):
+        assert json.loads((tmp_path / f"f.{name}.json").read_text())["suite"] == name
