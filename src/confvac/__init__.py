@@ -17,8 +17,8 @@ from .conformal import (AcceleratedFrameForm, ConformalMap, Dilation, Inversion,
                         evaluate_chains, image_singular_residual, jacobian_tetrad,
                         lorentz_boost, map_from_dict, map_to_dict, ricci_conformal,
                         spatial_rotation, transform_light_ray, verify_interval_law)
-from .correlations import (FieldTensorCorrelation, PotentialCorrelationMatrix,
-                           SpectralPoint, em_potential_correlation,
+from .correlations import (FieldTensorCorrelation, SpectralPoint,
+                           em_potential_correlation,
                            field_tensor_correlation,
                            minkowski_field_tensor_correlation,
                            momentum_space_oracle, scalar_commutator_spectrum,

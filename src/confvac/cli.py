@@ -133,7 +133,11 @@ def _read_events_csv(path):
 
 def cmd_transform(args) -> int:
     with open(args.map) as fh:
-        m = map_from_dict(json.load(fh))
+        spec = json.load(fh)
+    try:
+        m = map_from_dict(spec)
+    except ValueError as exc:
+        raise SystemExit(f"transform: {args.map}: {exc}")
     taus, events = _read_events_csv(args.input)
     images, _, lams, residuals, singular = m.evaluate(events)
     # a form reports its denominator on every row, a chain its residual on
@@ -193,8 +197,8 @@ def cmd_corr(args) -> int:
     payload = {
         "epsilon": eps,
         "scalar_kernel": [c.real, c.imag],
-        "em_potential": [[[v.real, v.imag] for v in row] for row in em.matrix],
-        "hbar": em.hbar,
+        "em_potential": [[[v.real, v.imag] for v in row] for row in em],
+        "hbar": 1.0,
     }
     _write_json(payload, args.out)
     return 0

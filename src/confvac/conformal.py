@@ -33,6 +33,7 @@ from .errors import ConstraintViolationError, SingularPointError
 from .minkowski import ETA, SIGNATURE, as_event, interval, lower_index, minkowski_dot
 
 SINGULAR_RTOL = 1e-12   # a row is singular where |den| < SINGULAR_RTOL (1 + |scale|)
+LORENTZ_TOL = 1e-9      # largest max |L^T eta L - eta| of a Lorentz matrix
 
 
 def _guard_rows(singular, residual, points):
@@ -67,12 +68,12 @@ def _checked(m, x, v=None):
 # that meet m event rows one by one: push broadcasts them row by row.
 
 def _scales(value, what):
-    """A nonzero scale as a float, or a stack of them as an array (m,)."""
+    """A finite nonzero scale as a float, or a stack of them as an array (m,)."""
     a = np.asarray(value, dtype=float)
     if a.ndim > 1:
         raise ValueError(f"{what} must be a scalar or a stack (m,), got shape {a.shape}")
-    if np.any(a == 0):
-        raise ConstraintViolationError(f"{what} must be nonzero")
+    if np.any((a == 0) | ~np.isfinite(a)):
+        raise ConstraintViolationError(f"{what} must be finite and nonzero")
     return float(a) if a.ndim == 0 else a
 
 
@@ -106,14 +107,13 @@ class Translation(_Primitive):
 @dataclass(frozen=True, eq=False)
 class LorentzTransform(_Primitive):
     matrix: np.ndarray      # (4, 4), or (m, 4, 4) stacked
-    tol: float = 1e-9
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim not in (2, 3) or m.shape[-2:] != (4, 4):
             raise ConstraintViolationError("Lorentz matrix must be 4x4")
         defect = np.max(np.abs(np.swapaxes(m, -1, -2) @ ETA @ m - ETA), axis=(-2, -1))
-        bad = np.flatnonzero(defect > self.tol)
+        bad = np.flatnonzero(~(defect <= LORENTZ_TOL))   # a NaN defect is bad too
         if bad.size:
             which = "matrix" if m.ndim == 2 else f"matrix {bad[0]} of the stack"
             raise ConstraintViolationError(
@@ -291,8 +291,8 @@ class AcceleratedFrameForm:
                                  f"got shapes {alpha.shape} and {beta.shape}")
             if not np.isfinite(alpha).all():
                 raise ValueError("alpha components must be finite")
-        if np.any(beta == 0):
-            raise ConstraintViolationError("beta must be nonzero")
+        if np.any((beta == 0) | ~np.isfinite(beta)):
+            raise ConstraintViolationError("beta must be finite and nonzero")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", float(beta) if beta.ndim == 0 else beta)
         object.__setattr__(self, "alpha_sq", minkowski_dot(alpha, alpha))
@@ -476,6 +476,7 @@ def verify_interval_law(m: Mappable, x, xp) -> IntervalLawReport:
 LIGHT_RAY_SAMPLES = 201       # lambda samples along the ray span
 CROSSING_GUARD = 1e-3         # residuals skip samples this close to dt = 0 or a crossing
 DEGENERATE_DIRECTION = 1e-12  # |(f v)^0| below this leaves no image direction
+NULL_TOL = 1e-9               # largest |v.v| of a null direction with v^0 = 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -485,7 +486,6 @@ class LightRay:
     origin: np.ndarray
     direction: np.ndarray
     span: tuple = (-1.0, 1.0)
-    tol: float = 1e-9
 
     def __post_init__(self):
         origin = as_event(self.origin)
@@ -494,7 +494,7 @@ class LightRay:
             raise ConstraintViolationError("light-ray direction needs v^0 != 0")
         v = v / v[0]
         v[0] = 1.0
-        if abs(minkowski_dot(v, v)) > self.tol:
+        if abs(minkowski_dot(v, v)) > NULL_TOL:
             raise ConstraintViolationError(
                 f"direction is not null: v.v = {minkowski_dot(v, v):.3e}")
         object.__setattr__(self, "origin", origin)

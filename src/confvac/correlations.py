@@ -7,7 +7,7 @@ The regulated scalar vacuum kernel is
 whose real part is the regulated principal value (anticommutator) and whose
 imaginary part is pi sgn(t - t') times a normalized Lorentzian standing in
 for delta((x - x')^2) (commutator).  In Feynman gauge the photon potential
-correlator is (hbar/pi) eta_{mu nu} c.
+correlator is (1/pi) eta_{mu nu} c, in units c = hbar = 1.
 
 Under an accelerated-frame map the scalar kernel obeys
 c_image(xbar, xbar') lambda(x) lambda(x') = c(x, x'); the transported
@@ -50,23 +50,26 @@ def _kernel_rows(x, xp, epsilon):
     is CPython's complex division (Smith's method) in real arithmetic, so a
     pair gets the bits of ``1.0 / complex``: numpy's complex divide multiplies
     by a reciprocal, a last-bit change the 1/(4h^2) of the field-tensor
-    stencil amplifies.  ``0.0 -`` and ``+ 0.0`` give zeros CPython's signs."""
+    stencil amplifies.  ``0.0 -`` and ``+ 0.0`` give zeros CPython's signs.
+    A value that is not finite is a pole: 0 / 0 at a zero denominator, or an
+    overflow where the interval underflows to a subnormal."""
     d = x - xp
     re = minkowski_dot(d, d)
     im = 0.0 - np.multiply.outer(epsilon, d[:, 0])
-    pole = (re == 0) & (im == 0)
+    by_re = np.abs(re) >= np.abs(im)
+    big = np.where(by_re, re, im)
+    small = np.where(by_re, im, re)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = small / big
+        denom = big + small * ratio
+        c = np.empty(ratio.shape, dtype=complex)
+        c.real = np.where(by_re, 1.0, ratio + 0.0) / denom
+        c.imag = np.where(by_re, 0.0 - ratio, -1.0) / denom
+    pole = ~np.isfinite(c)
     if pole.any():
         i = np.unravel_index(np.argmax(pole), pole.shape)[-1]
         raise PoleError(f"scalar kernel pole: (x - x')^2 - i eps (t - t') = 0 "
                         f"at x = {x[i].tolist()}, x' = {xp[i].tolist()}")
-    by_re = np.abs(re) >= np.abs(im)
-    big = np.where(by_re, re, im)
-    small = np.where(by_re, im, re)
-    ratio = small / big
-    denom = big + small * ratio
-    c = np.empty(ratio.shape, dtype=complex)
-    c.real = np.where(by_re, 1.0, ratio + 0.0) / denom
-    c.imag = np.where(by_re, 0.0 - ratio, -1.0) / denom
     return c
 
 
@@ -136,22 +139,13 @@ def verify_scalar_invariance(form: AcceleratedFrameForm, x, xp,
 # ---------------------------------------------------------------------------
 # electromagnetic potential correlations
 
-@dataclass(frozen=True, eq=False)
-class PotentialCorrelationMatrix:
-    matrix: np.ndarray       # (4, 4) complex
-    frame: str               # "minkowski" | "conformal"
-    hbar: float
-    epsilon: float
-
-
-def em_potential_correlation(x, xp, epsilon, hbar=1.0) -> PotentialCorrelationMatrix:
-    """Feynman-gauge photon correlator (hbar/pi) eta_{mu nu} c(x, x')."""
+def em_potential_correlation(x, xp, epsilon) -> np.ndarray:
+    """Feynman-gauge photon correlator (1/pi) eta_{mu nu} c(x, x'), (4, 4) complex."""
     c = scalar_vacuum_correlation(x, xp, epsilon)
-    return PotentialCorrelationMatrix(matrix=(hbar / math.pi) * ETA * c,
-                                      frame="minkowski", hbar=hbar, epsilon=epsilon)
+    return (1.0 / math.pi) * ETA * c
 
 
-def _formula_matrix(form, x, xp, epsilon, hbar, last_term):
+def _formula_matrix(form, x, xp, epsilon, last_term):
     """The four-term conformal-frame correlator on pair rows x, x' (n, 4):
     (n, 4, 4), or (k, n, 4, 4) for a ladder of k regulators."""
     c = _kernel_rows(x, xp, epsilon)[..., None, None]
@@ -170,32 +164,33 @@ def _formula_matrix(form, x, xp, epsilon, hbar, last_term):
         M = M - 0.5 * phph
     elif last_term != "omit":
         raise ValueError(f"last_term must be one of {LAST_TERM_MODES}")
-    return (hbar / math.pi) * M
+    return (1.0 / math.pi) * M
 
 
-def _transport_matrix(form, x, xp, epsilon, hbar):
-    """lambda lambda' f^T eta f' (hbar/pi) c_image at one pair; (k, 4, 4) for k regulators."""
+def _transport_matrix(form, x, xp, epsilon):
+    """lambda lambda' f^T eta f' (1/pi) c_image at one pair; (k, 4, 4) for k regulators."""
     images, (lam, lam_p), _, (f, fp) = _frames(form, np.array([x, xp]))
     cbar = _kernel_rows(images[:1], images[1:], epsilon)[..., None]
-    return (hbar / math.pi) * lam * lam_p * cbar * (f.T @ ETA @ fp)
+    return (1.0 / math.pi) * lam * lam_p * cbar * (f.T @ ETA @ fp)
 
 
-def _transport_residual(form, x, xp, epsilon, hbar, last_term):
+def _transport_residual(form, x, xp, epsilon, last_term):
     """Four-term formula vs tetrad transport at one pair, over eps * LADDER."""
     ladder = epsilon * LADDER
-    Mf = _extrapolate(_formula_matrix(form, x[None], xp[None], ladder, hbar, last_term)[:, 0])
-    Mt = _extrapolate(_transport_matrix(form, x, xp, ladder, hbar))
+    Mf = _extrapolate(_formula_matrix(form, x[None], xp[None], ladder, last_term)[:, 0])
+    Mt = _extrapolate(_transport_matrix(form, x, xp, ladder))
     return float(np.max(np.abs(Mf - Mt)) / max(np.max(np.abs(Mt)), 1e-300))
 
 
 def transformed_em_correlation(form: AcceleratedFrameForm, x, xp, epsilon,
-                               hbar=1.0, last_term="exact", check=True,
-                               check_tol=1e-6) -> PotentialCorrelationMatrix:
-    """Conformal-frame photon correlator: Minkowski form plus gauge terms.
+                               last_term="exact", check=True,
+                               check_tol=1e-6) -> np.ndarray:
+    """Conformal-frame photon correlator, (4, 4) complex: Minkowski form
+    plus gauge terms.
 
     Built from the explicit four-term formula
-        (hbar/pi) [eta + phi(x)(x - x') + phi(x')(x' - x)] c
-        - (hbar/2pi) phi(x) phi(x') * {(x'-x)^2 c | 1}
+        (1/pi) [eta + phi(x)(x - x') + phi(x')(x' - x)] c
+        - (1/2pi) phi(x) phi(x') * {(x'-x)^2 c | 1}
     where the last factor is (x'-x)^2 c for ``last_term="exact"`` (matching
     the tetrad transport identity at finite eps) or 1 for ``"limit"`` (the
     eps -> 0 distributional form); ``"omit"`` drops the term (ablation).
@@ -207,15 +202,14 @@ def transformed_em_correlation(form: AcceleratedFrameForm, x, xp, epsilon,
     """
     x = as_event(x)
     xp = as_event(xp)
-    M = _formula_matrix(form, x[None], xp[None], epsilon, hbar, last_term)[0]
+    M = _formula_matrix(form, x[None], xp[None], epsilon, last_term)[0]
     if check:
-        resid = _transport_residual(form, x, xp, epsilon, hbar, last_term)
+        resid = _transport_residual(form, x, xp, epsilon, last_term)
         if resid > check_tol:
             raise InternalConsistencyError(
                 f"four-term formula and tetrad transport disagree: "
                 f"relative residual {resid:.3e} > {check_tol:.1e}")
-    return PotentialCorrelationMatrix(matrix=M, frame="conformal",
-                                      hbar=hbar, epsilon=epsilon)
+    return M
 
 
 @dataclass(frozen=True)
@@ -320,7 +314,7 @@ def field_tensor_correlation(rule, x, xp, h, defect_tol=None) -> FieldTensorCorr
     return FieldTensorCorrelation(values=K, h=h, richardson_defect=defect)
 
 
-def minkowski_field_tensor_correlation(x, xp, epsilon, hbar=1.0) -> FieldTensorCorrelation:
+def minkowski_field_tensor_correlation(x, xp, epsilon) -> FieldTensorCorrelation:
     """Closed-form field-tensor correlator of the Feynman-gauge photon.
 
     With s = x - x', D = s^2 - i eps s^0 and g_mu = 2 s_mu - i eps delta^0_mu:
@@ -337,7 +331,7 @@ def minkowski_field_tensor_correlation(x, xp, epsilon, hbar=1.0) -> FieldTensorC
     g[0] -= 1j * epsilon
     Kmix = -2.0 * np.outer(g, g) / D**3 + 2.0 * ETA.astype(complex) / D**2
     # A[mu,nu,rho,sig] = eta_{nu sig} Kmix_{mu rho}
-    K = (hbar / math.pi) * _antisymmetrize(ETA[None, :, None, :] * Kmix[:, None, :, None])
+    K = (1.0 / math.pi) * _antisymmetrize(ETA[None, :, None, :] * Kmix[:, None, :, None])
     return FieldTensorCorrelation(values=K, h=None, richardson_defect=None)
 
 
@@ -351,7 +345,7 @@ class EmInvarianceReport:
 
 
 def verify_em_invariance(form: AcceleratedFrameForm, x, xp, epsilon=1e-2,
-                         h=1e-4, hbar=1.0, last_term="exact") -> EmInvarianceReport:
+                         h=1e-4, last_term="exact") -> EmInvarianceReport:
     """Field-tensor correlations in the conformal frame equal the Minkowski
     ones at the same events: the gauge corrections drop out.
 
@@ -371,14 +365,14 @@ def verify_em_invariance(form: AcceleratedFrameForm, x, xp, epsilon=1e-2,
     xp = as_event(xp)
     ladder = epsilon * LADDER
     K_trans = _extrapolate(_fd_field_tensor(
-        lambda a, b: _formula_matrix(form, a, b, ladder, hbar, last_term), x, xp, h))
-    K_mink = _extrapolate([minkowski_field_tensor_correlation(x, xp, eps, hbar).values
+        lambda a, b: _formula_matrix(form, a, b, ladder, last_term), x, xp, h))
+    K_mink = _extrapolate([minkowski_field_tensor_correlation(x, xp, eps).values
                            for eps in ladder.tolist()])
     field_residual = float(np.max(np.abs(K_trans - K_mink))
                            / max(np.max(np.abs(K_mink)), 1e-300))
     return EmInvarianceReport(field_residual=field_residual,
                               transport_residual=_transport_residual(
-                                  form, x, xp, epsilon, hbar, last_term),
+                                  form, x, xp, epsilon, last_term),
                               epsilon=epsilon, h=h, last_term=last_term)
 
 
@@ -389,7 +383,7 @@ def verify_em_invariance(form: AcceleratedFrameForm, x, xp, epsilon=1e-2,
 class SpectralPoint:
     """One frequency sample of the commutator/anticommutator spectra.
 
-    The stored values satisfy C = hbar (sigma + xi) by construction, the
+    The stored values satisfy C = sigma + xi (hbar = 1) by construction, the
     spectral form of the fluctuation-dissipation relation.
     """
 
@@ -398,50 +392,48 @@ class SpectralPoint:
     temperature: float
     C: float
     sigma: float
-    hbar: float = 1.0
 
     def __post_init__(self):
         lhs = self.C
-        rhs = self.hbar * (self.sigma + self.xi)
+        rhs = self.sigma + self.xi
         if abs(lhs - rhs) > 1e-9 * (1.0 + abs(lhs) + abs(rhs)):
             raise InternalConsistencyError(
-                f"spectral point violates C = hbar (sigma + xi): {lhs} vs {rhs}")
+                f"spectral point violates C = sigma + xi: {lhs} vs {rhs}")
 
 
-def thermal_spectra(xi, omega, temperature, hbar=1.0) -> SpectralPoint:
+def thermal_spectra(xi, omega, temperature) -> SpectralPoint:
     """Planck-form relation between spectral density and fluctuations:
 
-        C[k] = 2 hbar xi[k] / (1 - exp(-hbar omega / T))
-        sigma[k] = coth(hbar omega / 2T) xi[k]
+        C[k] = 2 xi[k] / (1 - exp(-omega / T))
+        sigma[k] = coth(omega / 2T) xi[k]
 
-    Temperature is measured as an energy.  T <= 0 is routed to the vacuum
-    limit; omega = 0 is a pole.
+    Temperature is measured as an energy (hbar = 1).  T <= 0 is routed to the
+    vacuum limit; omega = 0 is a pole.
     """
     if temperature <= 0:
-        return vacuum_spectra(xi, omega, hbar=hbar)
+        return vacuum_spectra(xi, omega)
     if omega == 0:
         raise PoleError("thermal spectra have a pole at omega = 0")
-    x = hbar * omega / temperature
+    x = omega / temperature
     with np.errstate(over="ignore"):
         denom = -np.expm1(-x)          # 1 - exp(-x), overflow-safe sign
-        C = float(2.0 * hbar * xi / denom) if not np.isinf(denom) else -0.0
+        C = float(2.0 * xi / denom) if not np.isinf(denom) else -0.0
         sigma = float(xi / math.tanh(x / 2.0))
     return SpectralPoint(omega=float(omega), xi=float(xi),
-                         temperature=float(temperature), C=C, sigma=sigma,
-                         hbar=hbar)
+                         temperature=float(temperature), C=C, sigma=sigma)
 
 
-def vacuum_spectra(xi, omega, hbar=1.0) -> SpectralPoint:
-    """Zero-temperature limit: C = 2 hbar theta(omega) xi, sigma = sgn(omega) xi.
+def vacuum_spectra(xi, omega) -> SpectralPoint:
+    """Zero-temperature limit: C = 2 theta(omega) xi, sigma = sgn(omega) xi.
 
     Only positive frequencies survive in C; omega = 0 is undefined.
     """
     if omega == 0:
         raise BoundaryError("vacuum spectra undefined at omega = 0 (step function)")
-    C = 2.0 * hbar * xi if omega > 0 else 0.0
+    C = 2.0 * xi if omega > 0 else 0.0
     sigma = xi if omega > 0 else -xi
     return SpectralPoint(omega=float(omega), xi=float(xi), temperature=0.0,
-                         C=float(C), sigma=float(sigma), hbar=hbar)
+                         C=float(C), sigma=float(sigma))
 
 
 def scalar_commutator_spectrum(k, width) -> float:
@@ -455,10 +447,10 @@ def scalar_commutator_spectrum(k, width) -> float:
 # ---------------------------------------------------------------------------
 # momentum-space oracle
 
-def momentum_space_oracle(x, xp, epsilon, cutoff=None, hbar=1.0) -> complex:
+def momentum_space_oracle(x, xp, epsilon, cutoff=None) -> complex:
     """Positive-frequency on-shell representation of the vacuum kernel.
 
-    Integrates (hbar / 2 pi^2) * int_0^cutoff dk sin(k R)/R e^{-i k dt - eps k}
+    Integrates (1 / 2 pi^2) * int_0^cutoff dk sin(k R)/R e^{-i k dt - eps k}
     (with sin(kR)/R -> k as R -> 0) by adaptive quadrature.  The result is
     proportional to the closed-form kernel c(x, x'); only the proportionality
     is meaningful, so callers fit and report the constant.  Raises
@@ -486,11 +478,11 @@ def momentum_space_oracle(x, xp, epsilon, cutoff=None, hbar=1.0) -> complex:
                       0.0, cutoff, limit=800)
     im, im_err = quad(lambda k: -radial(k) * math.exp(-epsilon * k) * math.sin(k * dt),
                       0.0, cutoff, limit=800)
-    value = (hbar / (2.0 * math.pi**2)) * complex(re, im)
+    value = (1.0 / (2.0 * math.pi**2)) * complex(re, im)
     # |sin(kR)/R| <= k, so the dropped tail is below int_K^inf k e^{-eps k}
     tail = math.exp(-epsilon * cutoff) * (cutoff / epsilon + 1.0 / epsilon**2)
-    tail *= hbar / (2.0 * math.pi**2)
-    quad_err = (hbar / (2.0 * math.pi**2)) * math.hypot(re_err, im_err)
+    tail *= 1.0 / (2.0 * math.pi**2)
+    quad_err = (1.0 / (2.0 * math.pi**2)) * math.hypot(re_err, im_err)
     if tail + quad_err > 1e-6 * max(abs(value), 1e-300):
         raise ConvergenceError(
             f"momentum integral not converged at cutoff {cutoff}: tail bound "

@@ -19,6 +19,8 @@ from .errors import SingularPointError
 from .minkowski import ETA, KinematicState, SampledWorldline, Worldline, minkowski_dot
 from .numdiff import OFFSETS, W_D1, W_D2, W_D3
 
+RIGIDITY_THRESHOLD = 1e-2   # a * delta below this treats a body as rigid
+
 
 @dataclass(frozen=True)
 class AbrahamVector:
@@ -165,12 +167,14 @@ class RigidityReport:
     threshold: float
 
 
-def rigidity_check(accel, size, threshold=1e-2) -> RigidityReport:
+def rigidity_check(accel, size) -> RigidityReport:
     """Approximate-rigidity condition a * delta << c^2 (= 1 here) for treating
-    a finite body as rigid in an accelerated conformal frame."""
+    a finite body as rigid in an accelerated conformal frame: a * delta below
+    RIGIDITY_THRESHOLD."""
     a = float(accel)
     delta = float(size)
     if a < 0 or delta < 0:
         raise ValueError("acceleration and size must be nonnegative")
     ratio = a * delta
-    return RigidityReport(ok=ratio < threshold, ratio=ratio, threshold=threshold)
+    return RigidityReport(ok=ratio < RIGIDITY_THRESHOLD, ratio=ratio,
+                          threshold=RIGIDITY_THRESHOLD)

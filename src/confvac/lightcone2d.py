@@ -23,6 +23,8 @@ from scipy.interpolate import make_interp_spline
 
 from .errors import ConstraintViolationError, PoleError
 
+VERDICT_THRESHOLD = 1e-6   # max |Schwarzian| below this is a homography
+
 
 class LightConeEvent(NamedTuple):
     u_plus: float
@@ -279,31 +281,30 @@ class MirrorVerdict:
         return self.verdict == "invariant"
 
 
-def vacuum_verdict(m: RayMap2D, grid=None, threshold=1e-6) -> MirrorVerdict:
-    """Vacuum is preserved iff both light-cone components are homographic.
+def vacuum_verdict(m: RayMap2D) -> MirrorVerdict:
+    """Vacuum is preserved iff both light-cone components are homographic
+    (max |Schwarzian| below VERDICT_THRESHOLD).
 
-    Evidence is the larger max |Schwarzian| of the two components; grids
-    default to [-1, 1] (clipped into sampled domains).
+    Evidence is the larger max |Schwarzian| of the two components, on 801
+    points of [-1, 1] (away from a homography's pole) or of a sampled rule's
+    domain less 5% at each end.
     """
     reports = []
     for comp in (m.f_plus, m.f_minus):
-        if grid is None:
-            if isinstance(comp, SampledRule):
-                lo, hi = comp.domain
-                pad = 0.05 * (hi - lo)
-                g = np.linspace(lo + pad, hi - pad, 801)
-            else:
-                g = np.linspace(-1.0, 1.0, 801)
-                pole = comp.pole()
-                if pole is not None:
-                    g = g[np.abs(g - pole) > 0.05]
+        if isinstance(comp, SampledRule):
+            lo, hi = comp.domain
+            pad = 0.05 * (hi - lo)
+            g = np.linspace(lo + pad, hi - pad, 801)
         else:
-            g = np.asarray(grid, dtype=float)
-        reports.append(is_homographic(comp, g, threshold=threshold))
+            g = np.linspace(-1.0, 1.0, 801)
+            pole = comp.pole()
+            if pole is not None:
+                g = g[np.abs(g - pole) > 0.05]
+        reports.append(is_homographic(comp, g, threshold=VERDICT_THRESHOLD))
     evidence = max(r.max_schwarzian for r in reports)
     verdict = "invariant" if all(r.homographic for r in reports) else "modified"
     return MirrorVerdict(verdict=verdict, evidence=evidence, ray_map=m,
-                         threshold=threshold)
+                         threshold=VERDICT_THRESHOLD)
 
 
 def cross_ratio(u1, u2, u3, u4) -> float:

@@ -17,6 +17,7 @@ from .numdiff import OFFSETS, W_D1, W_D2, W_D3
 
 SIGNATURE = np.array([1.0, -1.0, -1.0, -1.0])
 ETA = np.diag(SIGNATURE)
+INITIAL_DATA_TOL = 1e-9   # largest violation of a constraint on worldline initial data
 
 
 def as_event(x) -> np.ndarray:
@@ -78,7 +79,7 @@ class HyperbolicWorldline:
     acceleration).
     """
 
-    def __init__(self, v0, vdot0, accel, x0=None, tol=1e-9):
+    def __init__(self, v0, vdot0, accel, x0=None):
         v0 = as_event(v0)
         vdot0 = as_event(vdot0)
         x0 = np.zeros(4) if x0 is None else as_event(x0)
@@ -86,15 +87,15 @@ class HyperbolicWorldline:
         if a < 0:
             raise ConstraintViolationError(f"acceleration must be >= 0, got {a}")
         r1 = minkowski_dot(v0, v0) - 1.0
-        if abs(r1) > tol:
+        if abs(r1) > INITIAL_DATA_TOL:
             raise ConstraintViolationError(
                 f"v0.v0 = {1.0 + r1} violates the unit-norm constraint v0.v0 = 1")
         r2 = minkowski_dot(v0, vdot0)
-        if abs(r2) > tol:
+        if abs(r2) > INITIAL_DATA_TOL:
             raise ConstraintViolationError(
                 f"v0.vdot0 = {r2} violates the orthogonality constraint v0.vdot0 = 0")
         r3 = minkowski_dot(vdot0, vdot0) + a * a
-        if abs(r3) > tol:
+        if abs(r3) > INITIAL_DATA_TOL:
             raise ConstraintViolationError(
                 f"vdot0.vdot0 = {minkowski_dot(vdot0, vdot0)} violates "
                 f"vdot0.vdot0 = -a^2 = {-a * a}")

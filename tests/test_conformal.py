@@ -323,6 +323,22 @@ def test_stacked_lorentz_check_names_the_bad_matrix():
         LorentzTransform(stack[None])
 
 
+@pytest.mark.parametrize("make", [
+    lambda: LorentzTransform(np.full((4, 4), np.nan)),
+    lambda: LorentzTransform(np.array([np.eye(4), np.full((4, 4), np.nan)])),
+    lambda: Dilation(np.nan),
+    lambda: Dilation(np.array([2.0, np.inf])),
+    lambda: Inversion(np.nan),
+    lambda: Inversion(np.array([np.nan, 1.0])),
+    lambda: AcceleratedFrameForm(np.array([0.1, 0, 0, 0]), np.nan),
+    lambda: AcceleratedFrameForm(np.zeros((2, 4)), np.array([1.0, np.inf])),
+], ids=["lorentz", "lorentz-stack", "dilation", "dilation-stack", "inversion",
+        "inversion-stack", "form", "form-stack"])
+def test_non_finite_map_parameters_rejected(make):
+    with pytest.raises(ConstraintViolationError):
+        make()
+
+
 def test_form_tetrad_equals_closed_form_jacobian():
     # one pushforward of the identity gives the closed-form Jacobian
     # lambda (1 + xi phi^T - 2 alpha x_lower^T), xi = x - x^2 alpha, bit for bit,

@@ -62,6 +62,13 @@ def test_kernel_coincident_point_raises_pole_error():
         scalar_vacuum_correlation(x, x, 0.01)
 
 
+@pytest.mark.parametrize("xp", [[0.0, 0.0, 0.0, 6.1361942924314855e-155],  # 1/re overflows
+                                [1e-310, 0.0, 0.0, 0.0]])                  # 1/im overflows
+def test_kernel_overflow_raises_pole_error(xp):
+    with pytest.raises(PoleError, match=re.escape(f"x' = {xp}")):
+        scalar_vacuum_correlation([0.0, 0, 0, 0], xp, 1e-3)
+
+
 def bits(c):
     """The raw bits of complex values, so that equality is bit for bit."""
     return np.asarray(c, dtype=complex).view(np.uint64)
@@ -204,20 +211,18 @@ def test_em_potential_structure():
     x, xp = [0.5, 1.2, 0, 0], [0, 0, 0, 0]
     eps = 1e-3
     c = scalar_vacuum_correlation(x, xp, eps)
-    mat = em_potential_correlation(x, xp, eps).matrix
+    mat = em_potential_correlation(x, xp, eps)
     off = mat - np.diag(np.diag(mat))
     assert np.all(off == 0)
     assert mat[0, 0] == pytest.approx((1.0 / math.pi) * c)
     assert mat[1, 1] == pytest.approx(-(1.0 / math.pi) * c)
-    mat_pi = em_potential_correlation(x, xp, eps, hbar=math.pi).matrix
-    np.testing.assert_allclose(mat_pi, np.diag([1.0, -1, -1, -1]) * c, rtol=1e-12)
 
 
 def test_transformed_em_identity_map_reduces_to_minkowski():
     form = AcceleratedFrameForm(np.zeros(4), 1.0)
     x, xp = [0.4, 1.0, 0.2, 0], [0, 0, 0, 0]
-    got = transformed_em_correlation(form, x, xp, 1e-3).matrix
-    want = em_potential_correlation(x, xp, 1e-3).matrix
+    got = transformed_em_correlation(form, x, xp, 1e-3)
+    want = em_potential_correlation(x, xp, 1e-3)
     np.testing.assert_allclose(got, want, atol=1e-15)
 
 
@@ -226,9 +231,9 @@ def test_transformed_em_first_term_is_minkowski_form():
     form = random_form(rng)
     x, xp = same_side_pair(rng, form)
     eps = 1e-4
-    full = transformed_em_correlation(form, x, xp, eps, check=False).matrix
+    full = transformed_em_correlation(form, x, xp, eps, check=False)
     ablated = transformed_em_correlation(form, x, xp, eps, last_term="omit",
-                                         check=False).matrix
+                                         check=False)
     c = scalar_vacuum_correlation(x, xp, eps)
     phx, phy = form.phi(x), form.phi(xp)
     sig = np.array([1.0, -1, -1, -1])
@@ -335,7 +340,7 @@ def test_pair_rows_equal_pairs_bit_for_bit(seed, n):
 
 def _sympy_mixed_derivative_oracle():
     """Independent symbolic oracle for d_mu d'_rho of the Feynman-gauge
-    correlator entry (hbar/pi) eta_{nu sig} c(x, x'; eps)."""
+    correlator entry (1/pi) eta_{nu sig} c(x, x'; eps)."""
     import sympy as sp
 
     xs = sp.symbols("a0 a1 a2 a3")
@@ -397,11 +402,11 @@ def test_fd_field_tensor_batch_equals_per_pair_stencils(last_term):
         form = random_form(rng)
         x, xp = same_side_pair(rng, form, min_interval=0.4)
         batched = _fd_field_tensor(
-            lambda a, b: _formula_matrix(form, a, b, ladder, 1.0, last_term), x, xp, 1e-4)
+            lambda a, b: _formula_matrix(form, a, b, ladder, last_term), x, xp, 1e-4)
         assert batched.shape == (3, 4, 4, 4, 4)
         for k, eps in enumerate(ladder.tolist()):
             ref = _fd_per_pair(
-                lambda a, b: _formula_matrix(form, a[None], b[None], eps, 1.0, last_term)[0],
+                lambda a, b: _formula_matrix(form, a[None], b[None], eps, last_term)[0],
                 x, xp, 1e-4)
             np.testing.assert_array_equal(bits(batched[k]), bits(ref))
 
@@ -410,7 +415,7 @@ def test_field_tensor_antisymmetry_exact():
     rng = np.random.default_rng(38)
     x, xp = rng.uniform(-1, 1, (2, 4))
     eps = 1e-2
-    rule = lambda a, b: em_potential_correlation(a, b, eps).matrix
+    rule = lambda a, b: em_potential_correlation(a, b, eps)
     K = field_tensor_correlation(rule, x, xp, h=1e-4)
     assert K.antisymmetry_residual() == 0.0
 
@@ -425,7 +430,7 @@ def test_field_tensor_fd_matches_analytic_oracle():
         if abs(d[0] ** 2 - d[1] ** 2 - d[2] ** 2 - d[3] ** 2) < 0.3:
             continue
         eps = 1e-2
-        rule = lambda a, b: em_potential_correlation(a, b, eps).matrix
+        rule = lambda a, b: em_potential_correlation(a, b, eps)
         K = field_tensor_correlation(rule, x, xp, h=1e-4).values
         K0 = minkowski_field_tensor_correlation(x, xp, eps).values
         worst = max(worst, np.max(np.abs(K - K0)) / np.max(np.abs(K0)))
@@ -435,7 +440,7 @@ def test_field_tensor_fd_matches_analytic_oracle():
 def test_field_tensor_step_gate():
     x, xp = np.array([0.5, 1.0, 0, 0.0]), np.zeros(4)
     eps = 1e-2
-    rule = lambda a, b: em_potential_correlation(a, b, eps).matrix
+    rule = lambda a, b: em_potential_correlation(a, b, eps)
     # acceptable step passes the Richardson gate
     K = field_tensor_correlation(rule, x, xp, h=1e-4, defect_tol=1e-4)
     assert K.richardson_defect < 1e-4
@@ -453,8 +458,8 @@ def test_gauge_corrections_drop_from_field_tensor():
     x, xp = same_side_pair(rng, form, min_interval=0.4)
     eps, h = 1e-6, 1e-4
     full_rule = lambda a, b: transformed_em_correlation(
-        form, a, b, eps, check=False).matrix
-    lead_rule = lambda a, b: em_potential_correlation(a, b, eps).matrix
+        form, a, b, eps, check=False)
+    lead_rule = lambda a, b: em_potential_correlation(a, b, eps)
     Kf = field_tensor_correlation(full_rule, x, xp, h=h).values
     Kl = field_tensor_correlation(lead_rule, x, xp, h=h).values
     assert np.max(np.abs(Kf - Kl)) / np.max(np.abs(Kl)) < 1e-5
@@ -510,7 +515,7 @@ def test_verify_em_invariance_pinned_residuals(alpha, beta, x, xp, last_term, fi
 
 def test_thermal_consistency_identity():
     pt = thermal_spectra(0.7, 1.3, 0.5)
-    assert pt.C == pytest.approx(pt.hbar * (pt.sigma + pt.xi), rel=1e-12)
+    assert pt.C == pytest.approx(pt.sigma + pt.xi, rel=1e-12)
 
 
 def test_thermal_low_temperature_asymptote():
@@ -520,7 +525,7 @@ def test_thermal_low_temperature_asymptote():
 
 
 def test_thermal_classical_asymptote():
-    # hbar omega << T: sigma ~ (2T / hbar omega) xi
+    # omega << T: sigma ~ (2T / omega) xi
     pt = thermal_spectra(0.5, 1e-4, 1.0)
     assert pt.sigma == pytest.approx(2.0 * 1.0 / 1e-4 * 0.5, rel=1e-7)
 

@@ -4,7 +4,9 @@ The samplers decide their rejection predicates on plain floats, and the
 batched suites read their doubles through ``DrawStream``.  The references
 below are the numpy samplers they replace (``rng.uniform(lo, hi, 4)``,
 ``np.linalg.norm``, ``form.denominator``, ``interval``): every draw, and the
-generator's position after it, must match them.
+generator's position after it, must match them.  The plain-float predicates
+have no numpy fallback near their thresholds, so these replays are the
+evidence that they decide as the numpy ones do.
 """
 
 import numpy as np
@@ -160,11 +162,3 @@ def test_same_side_blocks_replay_per_sample_draws(min_interval, monkeypatch):
             one = ref_form(ref)
             assert same_bits(one.alpha, form.alpha[i]) and same_bits(one.beta, form.beta[i])
             assert same_bits(ref_same_side_pair(ref, one, min_interval), (x[i], xp[i]))
-
-
-def test_near_threshold_predicates_are_decided_by_numpy():
-    gap = suites.NEAR_THRESHOLD
-    assert suites._at_least(0.1 + gap / 2, 0.1, lambda: False) is False
-    assert suites._at_least(0.1 - gap / 2, 0.1, lambda: True) is True
-    assert suites._at_least(0.1 + 2 * gap, 0.1, lambda: False) is True
-    assert suites._at_least(0.1 - 2 * gap, 0.1, lambda: True) is False

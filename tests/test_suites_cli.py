@@ -148,6 +148,22 @@ def test_cli_transform_rejects_nonfinite_row(tmp_path):
     assert not outfile.exists()
 
 
+@pytest.mark.parametrize("spec", ['{"alpha": [0, 0, 0, 0], "beta": NaN}',
+                                  '{"chain": [{"kind": "dilation", "s": NaN}]}'],
+                         ids=["form", "chain"])
+def test_cli_transform_rejects_nonfinite_map(tmp_path, spec):
+    mapfile = tmp_path / "map.json"
+    mapfile.write_text(spec)
+    infile = tmp_path / "events.csv"
+    infile.write_text("t,x1,x2,x3\n1,0,0,0\n")
+    outfile = tmp_path / "out.csv"
+    with pytest.raises(SystemExit, match="finite") as info:
+        main(["transform", "--map", str(mapfile), "--input", str(infile),
+              "--out", str(outfile)])
+    assert info.value.code != 0
+    assert not outfile.exists()
+
+
 def test_cli_transform_identity_map(tmp_path):
     mapfile = tmp_path / "map.json"
     mapfile.write_text(json.dumps({"chain": [{"kind": "translation",
@@ -194,6 +210,8 @@ def test_cli_corr_outputs_kernel(capsys):
                "--epsilon", "0.01"])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
+    assert sorted(payload) == ["em_potential", "epsilon", "hbar", "scalar_kernel"]
+    assert payload["hbar"] == 1.0 and payload["epsilon"] == 0.01
     val = complex(*payload["scalar_kernel"])
     assert val == pytest.approx(1.0 / (4 - 0.02j))
     em00 = complex(*payload["em_potential"][0][0])
@@ -203,6 +221,14 @@ def test_cli_corr_outputs_kernel(capsys):
 def test_cli_corr_coincident_events_exit_with_pole_message(capsys):
     with pytest.raises(SystemExit, match="pole") as info:
         main(["corr", "--x", "0,0,0,0", "--xp", "0,0,0,0"])
+    assert info.value.code != 0
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_corr_overflowing_kernel_exits_with_pole_message(capsys):
+    with pytest.raises(SystemExit, match="pole") as info:
+        main(["corr", "--x", "0,0,0,0", "--xp", "0,0,0,6.1361942924314855e-155",
+              "--epsilon", "1e-3"])
     assert info.value.code != 0
     assert capsys.readouterr().out == ""
 
