@@ -80,13 +80,8 @@ def cmd_suite(args) -> int:
     failures = 0
     for name in names:
         cfg = SuiteConfig(
-            suite=name,
-            samples=merged.get("samples"),
-            seed=merged.get("seed", SuiteConfig.seed),
-            epsilon=merged.get("epsilon"),
-            h=merged.get("h"),
-            step=merged.get("step"),
-            tol=merged.get("tol"),
+            suite=name, seed=merged.get("seed", SuiteConfig.seed),
+            **{key: merged.get(key) for key in ("samples", "epsilon", "h", "step", "tol")},
             out=(merged.get("out") if len(names) == 1 else
                  (f"{merged['out']}.{name}.{merged.get('fmt', 'json')}"
                   if merged.get("out") else None)),
@@ -113,10 +108,9 @@ def _read_events_csv(path):
         rows = [row for row in reader if row and any(cell.strip() for cell in row)]
     cols = {name: i for i, name in enumerate(header)}
     required = ("t", "x1", "x2", "x3")
-    for r in required:
-        if r not in cols:
-            raise SystemExit(f"input CSV must have columns t,x1,x2,x3 "
-                             f"(optionally tau); got {header}")
+    if not set(required) <= cols.keys():
+        raise SystemExit(f"input CSV must have columns t,x1,x2,x3 "
+                         f"(optionally tau); got {header}")
     names = required + (("tau",) if "tau" in cols else ())
     table = []
     for ln, row in enumerate(rows, start=2):
@@ -144,8 +138,7 @@ def cmd_transform(args) -> int:
     # singular rows only
     lead = [] if taus is None else [taus]
     values = np.column_stack([*lead, events, images, lams, residuals])
-    cells = np.array(list(map(repr, values.ravel().tolist())), dtype=object)
-    cells = cells.reshape(values.shape)
+    cells = np.array(list(map(repr, values.ravel().tolist())), dtype=object).reshape(values.shape)
     cells[singular, len(lead) + 4:-1] = ""
     if not isinstance(m, AcceleratedFrameForm):
         cells[~singular, -1] = ""
@@ -154,9 +147,7 @@ def cmd_transform(args) -> int:
         ["t", "x1", "x2", "x3", "tbar", "x1bar", "x2bar", "x3bar",
          "lambda", "singular_residual", "status"]
     out = sys.stdout if args.out is None else open(args.out, "w", newline="")
-    writer = csv.writer(out)
-    writer.writerow(header)
-    writer.writerows(np.hstack([cells, status]).tolist())
+    csv.writer(out).writerows([header, *np.hstack([cells, status]).tolist()])
     if args.out is not None:
         out.close()
     return 0

@@ -15,8 +15,8 @@ what makes the light-ray sign law checkable.
 Evaluation is batch-first: each map has one non-raising ``evaluate`` over
 event rows (n, 4); ``apply``, ``factor`` and ``pushforward`` take one event
 (a batch of one) or rows and are built on it, as is ``jacobian_tetrad``.
-Primitives also take stacked parameters, one per event row, and
-``evaluate_chains`` pushes many chains at once, one row each.
+Primitives also take stacked parameters, one per event row, and a
+``ChainStack`` pushes many chains at once, one row each.
 Singular sets (where the denominator above vanishes) are excluded: these
 raise ``SingularPointError`` for the first singular row, carrying its
 residual.
@@ -187,32 +187,6 @@ def _walk(steps, x, v):
     return y, dy, lam, residual, singular
 
 
-def evaluate_chains(chains, x, v=None):
-    """(images, J v or None, signed factors, residuals, singular) of event rows
-    x (n, 4), row i through chain i of n, and tangent rows v; never raises.
-
-    A chain is a sequence of (primitive class, parameter) pairs.  At each step
-    the rows are grouped by class, and each group goes through one primitive
-    stacked from its rows' parameters (one validation per group), so row i
-    gets the bits of ``ConformalMap([cls(p) for cls, p in chains[i]]).evaluate``.
-    """
-    if len(x) != len(chains):
-        raise ValueError(f"{len(chains)} chains need {len(chains)} event rows, got {len(x)}")
-
-    def steps():
-        for s in range(max(map(len, chains), default=0)):
-            groups = {}
-            for i, chain in enumerate(chains):
-                if s < len(chain):
-                    rows, params = groups.setdefault(chain[s][0], ([], []))
-                    rows.append(i)
-                    params.append(chain[s][1])
-            yield [(cls(np.array(params)), np.array(rows))
-                   for cls, (rows, params) in groups.items()]
-
-    return _walk(steps(), x, v)
-
-
 class ConformalMap:
     """Ordered chain of primitives, applied first-to-last."""
 
@@ -260,6 +234,60 @@ class ConformalMap:
         return ConformalMap(inv)
 
 
+CHAIN_KINDS = (Translation, LorentzTransform, Dilation, Inversion)
+
+
+class ChainStack:
+    """m chains as arrays: slot s of chain i is a ``CHAIN_KINDS[c]``,
+    c = kinds[i, s] (-1 past the chain's end), with parameter
+    ``params[c][i, s]``.  Made from the slot kinds (m, slots) and each kind's
+    parameters in slot order, chain by chain.  Like stacked forms, the stack
+    meets event rows cyclically, row j chain j mod m."""
+
+    def __init__(self, kinds, drawn):
+        self.kinds = kinds
+        self.params = (np.zeros(kinds.shape + (4,)), np.zeros(kinds.shape + (4, 4)),
+                       np.zeros(kinds.shape), np.zeros(kinds.shape))
+        for c, p in enumerate(drawn):
+            self.params[c][kinds == c] = np.reshape(p, (-1,) + self.params[c].shape[2:])
+
+    def chain(self, i) -> ConformalMap:
+        return ConformalMap([CHAIN_KINDS[c](self.params[c][i, s])
+                             for s, c in enumerate(self.kinds[i]) if c >= 0])
+
+    def evaluate(self, x, v=None):
+        """(images, J v or None, signed factors, residuals, singular) of event
+        rows x (r m, 4) and tangent rows v; never raises.  At each slot the
+        rows go through one primitive per kind, stacked from their chains'
+        parameters, so row j gets the bits of ``chain(j mod m).evaluate``."""
+        m, slots = self.kinds.shape
+        blocks = np.arange(len(x)).reshape(-1 if len(x) else 0, m)   # rows of chain j: [:, j]
+        steps = []
+        for s in range(slots):
+            steps.append([])
+            for c, cls in enumerate(CHAIN_KINDS):
+                at = np.flatnonzero(self.kinds[:, s] == c)
+                if len(at):
+                    steps[-1].append((cls(np.concatenate([self.params[c][at, s]] * len(blocks))),
+                                      blocks[:, at].ravel()))
+        return _walk(steps, x, v)
+
+
+def evaluate_chains(chains, x, v=None):
+    """``ChainStack.evaluate`` of chains given as (primitive class, parameter)
+    pairs, one event row each: row i of x (n, 4) through chain i of n gets
+    the bits of ``ConformalMap([cls(p) for cls, p in chains[i]]).evaluate``."""
+    if len(x) != len(chains):
+        raise ValueError(f"{len(chains)} chains need {len(chains)} event rows, got {len(x)}")
+    kinds = np.full((len(chains), max(map(len, chains), default=0)), -1)
+    drawn = ([], [], [], [])
+    for i, chain in enumerate(chains):
+        for s, (kind, p) in enumerate(chain):
+            kinds[i, s] = CHAIN_KINDS.index(kind)
+            drawn[kinds[i, s]].append(p)
+    return ChainStack(kinds, drawn).evaluate(x, v)
+
+
 @dataclass(frozen=True, eq=False)
 class AcceleratedFrameForm:
     """Canonical inversion -> translation(alpha) -> inversion(beta) composite.
@@ -299,8 +327,9 @@ class AcceleratedFrameForm:
 
     def _blocks(self, x):
         """Events x (..., 4) as (N / n, n, 4) for n forms (one form is a stack
-        of one), so that they broadcast against alpha and beta."""
-        return x.reshape(-1, np.size(self.beta), 4)
+        of one), so that they broadcast against alpha and beta; no events
+        are (0, n, 4), also for n = 0."""
+        return x.reshape(-1 if x.size else 0, np.size(self.beta), 4)
 
     def _rows(self, x, *arrays):
         """Arrays computed on ``_blocks(x)`` back on the events of x; one
@@ -610,18 +639,20 @@ def ricci_conformal(phi, phi2) -> np.ndarray:
 # helpers for building Lorentz primitives
 
 def boost_matrix(velocity3) -> np.ndarray:
-    """Matrix of the pure boost with 3-velocity u (|u| < 1)."""
+    """Matrix (4, 4) of the pure boost with 3-velocity u (|u| < 1), or a
+    stack (m, 4, 4) of them for velocities (m, 3)."""
     u = np.asarray(velocity3, dtype=float)
-    u2 = float(u @ u)
-    if u2 >= 1.0:
+    u2 = np.vecdot(u, u)[..., None, None]     # rounds as u @ u does
+    if np.any(u2 >= 1.0):
         raise ConstraintViolationError("boost speed must be < 1")
-    if u2 == 0.0:
-        return np.eye(4)
     g = 1.0 / np.sqrt(1.0 - u2)
-    L = np.eye(4)
-    L[0, 0] = g
-    L[0, 1:] = L[1:, 0] = -g * u
-    L[1:, 1:] = np.eye(3) + (g - 1.0) * np.outer(u, u) / u2
+    L = np.empty(u.shape[:-1] + (4, 4))
+    L[..., :1, :1] = g
+    L[..., :1, 1:] = -g * u[..., None, :]
+    L[..., 1:, :1] = -g * u[..., :, None]
+    # at u = 0 the outer product 0 is divided by 1: the identity
+    outer = (g - 1.0) * (u[..., :, None] * u[..., None, :])
+    L[..., 1:, 1:] = np.eye(3) + outer / np.where(u2 == 0.0, 1.0, u2)
     return L
 
 
@@ -662,21 +693,30 @@ def map_to_dict(m: Mappable) -> dict:
     return {"chain": out}
 
 
+def _key(d: dict, key, where):
+    if key not in d:
+        raise ValueError(f"{where} lacks key {key!r}")
+    return d[key]
+
+
 def map_from_dict(d: dict) -> Mappable:
+    """The map of ``map_to_dict``; a missing key raises ``ValueError`` naming
+    it and its entry."""
     if "alpha" in d:
         return AcceleratedFrameForm(np.asarray(d["alpha"], dtype=float),
-                                    float(d["beta"]))
+                                    float(_key(d, "beta", "accelerated-frame map")))
     chain = []
-    for entry in d["chain"]:
-        kind = entry["kind"]
+    for i, entry in enumerate(_key(d, "chain", "map without 'alpha'")):
+        kind = _key(entry, "kind", f"chain entry {i}")
+        where = f"chain entry {i} ({kind})"
         if kind == "translation":
-            chain.append(Translation(np.asarray(entry["b"], dtype=float)))
+            chain.append(Translation(np.asarray(_key(entry, "b", where), dtype=float)))
         elif kind == "lorentz":
-            chain.append(LorentzTransform(np.asarray(entry["matrix"], dtype=float)))
+            chain.append(LorentzTransform(np.asarray(_key(entry, "matrix", where), dtype=float)))
         elif kind == "dilation":
-            chain.append(Dilation(float(entry["s"])))
+            chain.append(Dilation(float(_key(entry, "s", where))))
         elif kind == "inversion":
-            chain.append(Inversion(float(entry["beta"])))
+            chain.append(Inversion(float(_key(entry, "beta", where))))
         else:
             raise ValueError(f"unknown primitive kind {kind!r}")
     return ConformalMap(chain)

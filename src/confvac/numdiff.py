@@ -39,15 +39,3 @@ def gradient_hessian(f, x, step=1e-3):
     H[mu, nu] = H[nu, mu] = np.vecdot(inner, W_D1) / step
     return np.vecdot(centred, W_D1) / step, H
 
-
-def jacobian(f, x, step=1e-5):
-    """4th-order Jacobian of a map R^4 -> R^4 (rows: output index)."""
-    x = np.asarray(x, dtype=float)
-    J = np.zeros((4, 4))
-    for nu in range(4):
-        e = np.zeros(4)
-        e[nu] = step
-        vals = np.array([f(x + o * e) for o in OFFSETS])
-        J[:, nu] = W_D1 @ vals / step
-    return J
-

@@ -11,13 +11,15 @@ of order one.  The tolerances are meaningless without such conditioning
 since residuals blow up polynomially near the singular sets.
 
 interval-law, scalar-invariance and tetrad-identity draw, then evaluate
-once, then filter: a block of candidates is drawn in stream order (through
-``DrawStream``, which replays the generator's doubles bit for bit), the
-whole block is evaluated in one array pass (its forms as one stacked
-``AcceleratedFrameForm``, interval-law's chains as one ``evaluate_chains``
-stack), and the first n accepted are kept in order.  No
-draw depends on an evaluation, so the samples, and the reports, are those of
-drawing and evaluating one sample at a time.
+once, then filter: a block of candidates is drawn, the whole block is
+evaluated in one array pass (its forms as one stacked
+``AcceleratedFrameForm``, interval-law's chains as one stack) and the first n
+accepted are kept in order.  interval-law draws each block as arrays, every
+rejection loop redrawing only the rows that fail, so its samples are not
+those of a one-at-a-time draw.  scalar-invariance and tetrad-identity draw
+in stream order through ``DrawStream``, which replays the generator's
+doubles bit for bit; no draw depends on an evaluation, so their samples,
+and reports, are those of drawing and evaluating one sample at a time.
 """
 
 from __future__ import annotations
@@ -31,9 +33,8 @@ import numpy as np
 
 from . import correlations as corr
 from . import lightcone2d as lc2
-from .conformal import (AcceleratedFrameForm, ConformalMap, Dilation, IntervalLawReport,
-                        Inversion, LightRay, LorentzTransform, Translation, boost_matrix,
-                        evaluate_chains, map_to_dict, ricci_conformal,
+from .conformal import (AcceleratedFrameForm, ChainStack, ConformalMap, IntervalLawReport,
+                        LightRay, boost_matrix, map_to_dict, ricci_conformal,
                         transform_light_ray, verify_interval_law)
 from .errors import SingularPointError
 from .kinematics import (abraham_norms_on_grid, pushforward_worldline,
@@ -41,24 +42,9 @@ from .kinematics import (abraham_norms_on_grid, pushforward_worldline,
 from .minkowski import HyperbolicWorldline, interval, minkowski_dot, rest_worldline
 from .numdiff import gradient_hessian
 
-SUITE_NAMES = (
-    "interval-law",
-    "ricci-flat",
-    "abraham",
-    "light-rays",
-    "scalar-invariance",
-    "tetrad-identity",
-    "em-invariance",
-    "fdr",
-    "momentum-oracle",
-    "mirror-2d",
-)
-
 
 def _json_plain(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.floating, np.integer, np.ndarray)):
         return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
@@ -151,9 +137,11 @@ class SuiteReport:
 # through ``uniform(lo, hi[, size])`` and compute their rejection predicates
 # on plain floats.  These differ from the numpy predicates they replace
 # (``np.linalg.norm``, ``form.denominator``, ``interval``) only in the last
-# bits: of the suites' 259,618 decisions at seeds 20250 and 7, none lands
-# within 1e-9 of its threshold, so each decision, and with it the stream, is
-# the numpy one (tests/test_sampling.py replays the numpy samplers).
+# bits: of their decisions at seeds 20250 and 7, none lands within 1e-9 of
+# its threshold, so each decision, and with it the stream, is the numpy one
+# (tests/test_sampling.py replays the numpy samplers).  interval-law's array
+# samplers (``_ball_rows``, ``_rows_until``, ``_chain_stack``) decide
+# on numpy rows.
 
 CANDIDATE_BLOCK = 1024    # candidates drawn, then evaluated, per array pass
 
@@ -163,23 +151,17 @@ class DrawStream:
 
     ``uniform(lo, hi)`` is bitwise ``rng.uniform(lo, hi)``: numpy computes
     ``lo + (hi - lo) * random()``, as it does for each entry of
-    ``rng.uniform(lo, hi, k)``.  Integer draws use numpy's buffered 32-bit
-    half-words, so they are left to the generator: ``generator()`` hands it
-    back positioned after the last double read, as if every draw so far had
-    been made on it directly.
+    ``rng.uniform(lo, hi, k)``.
     """
 
     BLOCK = 256
 
     def __init__(self, rng):
         self.rng = rng
-        self._saved = None      # generator state before the current block
-        self._block = []
-        self._next = 0
+        self._block, self._next = [], 0
 
     def random(self):
         if self._next == len(self._block):
-            self._saved = self.rng.bit_generator.state
             self._block = self.rng.random(self.BLOCK).tolist()
             self._next = 0
         self._next += 1
@@ -193,13 +175,6 @@ class DrawStream:
             return [self.uniform(lo, hi) for _ in range(size)]
         self._next += size
         return [lo + (hi - lo) * d for d in self._block[self._next - size:self._next]]
-
-    def generator(self):
-        if self._saved is not None:
-            self.rng.bit_generator.state = self._saved
-            self.rng.random(self._next)
-            self._saved, self._block, self._next = None, [], 0
-        return self.rng
 
 
 def _mdot(a, b):
@@ -248,29 +223,24 @@ def random_form(rng, alpha_max=0.5) -> AcceleratedFrameForm:
     return AcceleratedFrameForm(np.array(alpha), beta)
 
 
-def _chain_params(rng):
-    """2 to 4 random primitives as (class, parameter) pairs, for
-    ``evaluate_chains``."""
-    params = []
-    for _ in range(rng.integers(2, 5)):
-        kind = rng.integers(0, 4)
-        if kind == 0:
-            params.append((Translation, rng.uniform(-0.5, 0.5, 4)))
-        elif kind == 1:
-            params.append((LorentzTransform, boost_matrix(rng.uniform(-0.4, 0.4, 3))))
-        elif kind == 2:
-            params.append((Dilation, rng.uniform(0.5, 2.0)))
-        else:
-            params.append((Inversion, rng.uniform(0.5, 2.0)))
-    return params
-
-
-def _chain(params) -> ConformalMap:
-    return ConformalMap([cls(p) for cls, p in params])
+def _chain_stack(rng, m) -> ChainStack:
+    """m random chains: the lengths, integers(2, 5); each slot's kind,
+    integers(0, 4); then each kind's parameters in slot order: translation
+    U(-0.5, 0.5)^4, boost with velocity U(-0.4, 0.4)^3, dilation and
+    inversion U(0.5, 2)."""
+    kinds = np.full((m, 4), -1)
+    used = np.arange(4) < rng.integers(2, 5, m)[:, None]
+    kinds[used] = rng.integers(0, 4, np.count_nonzero(used))
+    n = [np.count_nonzero(kinds == c) for c in range(4)]
+    drawn = (rng.uniform(-0.5, 0.5, (n[0], 4)),
+             boost_matrix(rng.uniform(-0.4, 0.4, (n[1], 3))),
+             rng.uniform(0.5, 2.0, n[2]),
+             rng.uniform(0.5, 2.0, n[3]))
+    return ChainStack(kinds, drawn)
 
 
 def random_chain(rng) -> ConformalMap:
-    return _chain(_chain_params(rng))
+    return _chain_stack(rng, 1).chain(0)
 
 
 def random_event(rng):
@@ -333,62 +303,77 @@ def _wrap(name, cfg, rng_consumer):
     return report
 
 
-def _interval_law_block(stream, k):
-    """k interval-law candidates, drawn in stream order, then evaluated:
-    (maps, points (k, 2, 4), values (5, k)).  A candidate is an
-    accelerated-frame form (probability 0.7), kept in maps as its (alpha,
-    beta), with two events off its singular set, or a primitive chain, kept
-    as its ``_chain_params`` list, with two events in the unit ball.  values
+def _rows_until(draw, rejected, m):
+    """draw(m) rows, then the rejected ones redrawn until none is."""
+    v = draw(m)
+    while len(out := np.flatnonzero(rejected(v))):
+        v[out] = draw(len(out))
+    return v
+
+
+def _ball_rows(rng, radius, m):
+    """m rows uniform in the ball |v| <= radius, by cube rejection."""
+    return _rows_until(lambda k: rng.uniform(-radius, radius, (k, 4)),
+                       lambda v: np.sum(v * v, axis=1) > radius * radius, m)
+
+
+def _interval_law_block(rng, k):
+    """k interval-law candidates, drawn as arrays, then evaluated:
+    (map_of, points (k, 2, 4), values (5, k)).  Candidate i is an
+    accelerated-frame form (probability 0.7) with two events in the unit
+    ball off its singular set (|denominator| >= 0.1), or a primitive chain
+    with two events in the unit ball; ``map_of(i)`` builds its map.  values
     holds each candidate's residual, lhs, rhs, lambda and lambda', NaN for a
     singular chain; the forms are evaluated as one stacked batch, the chains
-    as one ``evaluate_chains`` stack."""
-    maps, pairs = [], []
-    for _ in range(k):
-        if stream.random() < 0.7:
-            alpha, beta = _form_params(stream)
-            maps.append((alpha, beta))
-            pairs.append((_off_singular(stream, alpha, 0.1)[0],
-                          _off_singular(stream, alpha, 0.1)[0]))
-        else:
-            maps.append(_chain_params(stream.generator()))
-            pairs.append((_ball(stream, 1.0), _ball(stream, 1.0)))
-    points = np.array(pairs)
-    values = np.full((5, k), np.nan)
-    forms = [i for i, m in enumerate(maps) if isinstance(m, tuple)]
-    if forms:
-        alpha, beta = (np.array(col) for col in zip(*(maps[i] for i in forms)))
-        rep = verify_interval_law(AcceleratedFrameForm(alpha, beta),
-                                  points[forms, 0], points[forms, 1])
-        values[:, forms] = rep.residual, rep.lhs, rep.rhs, rep.lam, rep.lam_p
-    chains = np.array([i for i, m in enumerate(maps) if isinstance(m, list)], dtype=int)
-    if len(chains):
-        rows = np.concatenate([points[chains, 0], points[chains, 1]])
-        images, _, lam, _, singular = evaluate_chains([maps[i] for i in chains] * 2, rows)
-        rep = IntervalLawReport.from_images(rows, images, lam)
-        values[:, chains] = rep.residual, rep.lhs, rep.rhs, rep.lam, rep.lam_p
-        values[:, chains[singular[:len(chains)] | singular[len(chains):]]] = np.nan
-    return maps, points, values
+    as one stack.  Draw order: the kinds; the forms' alpha, beta, x and x';
+    the chains, their x and x'."""
+    is_form = rng.random(k) < 0.7
+    at_form, at_chain = np.flatnonzero(is_form), np.flatnonzero(~is_form)
+    forms = AcceleratedFrameForm(_ball_rows(rng, 0.5, len(at_form)),
+                                 rng.uniform(0.5, 2.0, len(at_form)))
+    points = np.empty((k, 2, 4))
+    for j in range(2):
+        points[at_form, j] = _rows_until(lambda m: _ball_rows(rng, 1.0, m),
+                                         lambda x: np.abs(forms.denominator(x)) < 0.1,
+                                         len(at_form))
+    chains = _chain_stack(rng, len(at_chain))
+    for j in range(2):
+        points[at_chain, j] = _ball_rows(rng, 1.0, len(at_chain))
+
+    rows = np.concatenate([points[at_chain, 0], points[at_chain, 1]])
+    images, _, lam, _, singular = chains.evaluate(rows)
+    values = np.empty((5, k))
+    for at, rep in ((at_form, verify_interval_law(forms, points[at_form, 0], points[at_form, 1])),
+                    (at_chain, IntervalLawReport.from_images(rows, images, lam))):
+        values[:, at] = rep.residual, rep.lhs, rep.rhs, rep.lam, rep.lam_p
+    values[:, at_chain[singular[:len(at_chain)] | singular[len(at_chain):]]] = np.nan
+
+    def map_of(i):
+        j = np.count_nonzero(is_form[:i])
+        return (AcceleratedFrameForm(forms.alpha[j], forms.beta[j]) if is_form[i]
+                else chains.chain(i - j))
+
+    return map_of, points, values
 
 
 def suite_interval_law(cfg: SuiteConfig) -> SuiteReport:
     """(xbar - xbar')^2 = lambda lambda' (x - x')^2 over random maps and pairs.
 
-    Candidates are drawn in blocks, evaluated in one pass per block (the
-    forms as one stacked batch, the chains as one stack) and kept in
-    stream order while fewer than n are kept: a rejected candidate (singular,
-    or |lambda| >= 1e3) only moves on to the next, so the stream does not
-    depend on what is kept."""
+    Candidates are drawn in blocks as arrays, evaluated in one pass per
+    block (the forms as one stacked batch, the chains as one stack) and kept
+    in order while fewer than n are kept: a rejected candidate (singular, or
+    |lambda| >= 1e3) only moves on to the next, so the draws do not depend
+    on what is kept."""
     n = cfg.samples or 10_000
     tol = cfg.tol or 1e-9
 
     def run(rng):
-        stream = DrawStream(rng)
         residuals = np.empty(n)
         worst = None
         kept = 0
         while kept < n:
-            maps, points, (res, lhs, rhs, lam, lam_p) = _interval_law_block(
-                stream, min(CANDIDATE_BLOCK, n - kept))
+            map_of, points, (res, lhs, rhs, lam, lam_p) = _interval_law_block(
+                rng, min(CANDIDATE_BLOCK, n - kept))
             accepted = np.flatnonzero((np.abs(lam) < 1e3) & (np.abs(lam_p) < 1e3))
             residuals[kept:kept + len(accepted)] = res[accepted]
             kept += len(accepted)
@@ -396,10 +381,7 @@ def suite_interval_law(cfg: SuiteConfig) -> SuiteReport:
                 continue
             i = accepted[np.argmax(res[accepted])]   # the first maximum
             if worst is None or res[i] > worst[0]:
-                m = maps[i]
-                m = (AcceleratedFrameForm(np.array(m[0]), m[1]) if isinstance(m, tuple)
-                     else _chain(m))
-                worst = (float(res[i]), map_to_dict(m), points[i].tolist(),
+                worst = (float(res[i]), map_to_dict(map_of(i)), points[i].tolist(),
                          float(lhs[i]), float(rhs[i]))
         check = CheckResult(
             name="interval-law-residual", statistic=float(residuals.max()),
@@ -809,6 +791,7 @@ SUITES = {
     "momentum-oracle": suite_momentum_oracle,
     "mirror-2d": suite_mirror_2d,
 }
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(config: SuiteConfig) -> SuiteReport:
@@ -818,12 +801,9 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
                          f"known: {', '.join(SUITE_NAMES)}")
     report = SUITES[config.suite](config)
     if config.out:
-        if config.fmt == "json":
-            with open(config.out, "w") as fh:
-                fh.write(report.to_json())
-                fh.write("\n")
-        else:
-            with open(config.out, "w") as fh:
-                for row in report.residual_rows():
-                    fh.write(",".join(str(v) for v in row) + "\n")
+        with open(config.out, "w") as fh:
+            if config.fmt == "json":
+                fh.write(report.to_json() + "\n")
+            else:
+                fh.writelines(",".join(map(str, row)) + "\n" for row in report.residual_rows())
     return report

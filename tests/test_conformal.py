@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import confvac.numdiff as numdiff
 from confvac import suites
+from confvac.conformal import boost_matrix
 from confvac import (ETA, AcceleratedFrameForm, ConformalMap,
                      ConstraintViolationError, Dilation, Inversion,
                      LightRay, LorentzTransform, SingularPointError, Translation,
@@ -16,6 +17,19 @@ from confvac import (ETA, AcceleratedFrameForm, ConformalMap,
                      transform_light_ray, verify_interval_law)
 
 WORKED_FORM = AcceleratedFrameForm(np.array([0.5, 0.0, 0.0, 0.0]), 1.0)
+
+
+def fd_jacobian(f, x, step=1e-5):
+    """4th-order finite-difference Jacobian of a map R^4 -> R^4 (rows: output
+    index), the oracle for J."""
+    x = np.asarray(x, dtype=float)
+    J = np.zeros((4, 4))
+    for nu in range(4):
+        e = np.zeros(4)
+        e[nu] = step
+        vals = np.array([f(x + o * e) for o in numdiff.OFFSETS])
+        J[:, nu] = numdiff.W_D1 @ vals / step
+    return J
 
 
 def random_form(rng, alpha_max=0.5):
@@ -146,7 +160,7 @@ def test_jacobian_matches_finite_differences():
         form = random_form(rng)
         x = safe_event(rng, form)
         J, lam, f = jacobian_tetrad(form, x)
-        J_fd = numdiff.jacobian(lambda y: form.apply(y), x, step=1e-5)
+        J_fd = fd_jacobian(lambda y: form.apply(y), x, step=1e-5)
         np.testing.assert_allclose(J, J_fd, atol=1e-7)
         # tetrad is Lorentz
         np.testing.assert_allclose(f.T @ ETA @ f, ETA, atol=1e-9)
@@ -162,7 +176,7 @@ def test_chain_jacobian_via_chain_rule():
                              x + np.array([0.1, 0.0, -0.2, 0.3]))) < 0.3:
             continue
         J, lam, f = jacobian_tetrad(m, x)
-        J_fd = numdiff.jacobian(lambda y: m.apply(y), x, step=1e-5)
+        J_fd = fd_jacobian(lambda y: m.apply(y), x, step=1e-5)
         np.testing.assert_allclose(J, J_fd, atol=1e-6)
         np.testing.assert_allclose(J.T @ ETA @ J, lam**2 * ETA, atol=1e-9)
 
@@ -302,9 +316,36 @@ def test_chain_stack_rows_equal_one_chain_at_a_time(seed, kinds, with_tangents):
         assert singular[i] == (i == cone)
 
 
+def test_empty_form_stack_gives_empty_outputs():
+    forms = AcceleratedFrameForm(np.zeros((0, 4)), np.zeros(0))
+    none = np.zeros((0, 4))
+    images, jv, lam, den, singular = forms.evaluate(none, none)
+    assert images.shape == jv.shape == (0, 4)
+    assert lam.shape == den.shape == singular.shape == (0,)
+    assert forms.denominator(none).shape == (0,)
+    assert forms.phi(none).shape == (0, 4) and forms.phi2(none).shape == (0, 4, 4)
+    rep = verify_interval_law(forms, none, none)
+    assert rep.residual.shape == rep.lam.shape == (0,)
+    # one form meets no rows too
+    assert WORKED_FORM.apply(none).shape == (0, 4)
+
+
 def test_chain_stack_needs_one_row_per_chain():
     with pytest.raises(ValueError, match="2 chains need 2 event rows"):
         evaluate_chains([[(Dilation, 2.0)]] * 2, np.zeros((3, 4)))
+
+
+def test_stacked_boost_matrices_equal_one_at_a_time():
+    u = np.random.default_rng(6).uniform(-0.4, 0.4, (200, 3))
+    u[0] = 0.0
+    stack = boost_matrix(u)
+    assert stack.shape == (200, 4, 4)
+    for ui, L in zip(u, stack):
+        assert np.max(np.abs(L - boost_matrix(ui))) <= 1e-15
+    np.testing.assert_array_equal(stack[0], np.eye(4))
+    assert boost_matrix(np.zeros((0, 3))).shape == (0, 4, 4)
+    with pytest.raises(ConstraintViolationError, match="boost speed"):
+        boost_matrix([[0.1, 0.0, 0.0], [0.8, 0.8, 0.0]])
 
 
 def test_stacked_lorentz_check_names_the_bad_matrix():
@@ -388,7 +429,7 @@ def test_chain_pushforward_rows_match_finite_differences_and_are_conformal():
     _, jv = m.pushforward(x, v)
     lam = m.factor(x)
     for k in range(len(x)):
-        J_fd = numdiff.jacobian(m.apply, x[k], step=1e-5)
+        J_fd = fd_jacobian(m.apply, x[k], step=1e-5)
         np.testing.assert_allclose(jv[k], J_fd @ v[k], rtol=1e-6, atol=1e-6 * abs(lam[k]))
     # the pushed basis vectors of each row are the columns of its J
     n = len(x)

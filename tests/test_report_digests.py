@@ -15,7 +15,7 @@ from confvac.suites import CANDIDATE_BLOCK, SUITE_NAMES, SuiteConfig, run_suite
 
 # suite -> (samples, sha256 of the report at seed 7)
 DIGESTS = {
-    "interval-law": (500, "361278a87ceb2844e75159586fd84ac31cb92b3da00c95bc3e7d1fb8cb74edd2"),
+    "interval-law": (500, "fc3c9b344ff0bb6765fd5643b0b1a0d6f6ec7612159ebd8c61b250b33d2fdd4f"),
     "ricci-flat": (10, "d2f17b45a1a449fbb755420479c2d7e6983498879c7db091b362c2b81c414086"),
     "abraham": (2, "af6d7ddfab3a09b99b403901163d7fb6b085b800f3e529957919572b5ce2dddf"),
     "light-rays": (10, "16ec6df9b536f6635a826db717f28e85fdce175580be1760808c000227ec508d"),
@@ -40,9 +40,8 @@ def test_report_bytes_pinned(name):
     assert hashlib.sha256(text.encode()).hexdigest() == digest, text
 
 
-# interval-law past two candidate blocks and many stream refills, recorded
-# with the per-sample driver (one map drawn, then evaluated, per iteration)
-LONG_INTERVAL_LAW = (2500, "811c8c1b8f7e84790442f6c494cac0a0d6e232f396d705cdabd5643c2b78020a")
+# interval-law past two candidate blocks, each drawn as arrays
+LONG_INTERVAL_LAW = (2500, "b4202078660ce38bb945d64bb0c2171bd2b39688a6393e1a74f227f2e3d2ca4b")
 
 
 def test_interval_law_bytes_pinned_across_candidate_blocks():
@@ -52,8 +51,8 @@ def test_interval_law_bytes_pinned_across_candidate_blocks():
     text = report.to_json(include_wall_time=False)
     assert hashlib.sha256(text.encode()).hexdigest() == digest, text
     # the worst sample is a maximum of the per-sample residuals (the first,
-    # under the per-sample driver's strict >), and its map and points
-    # reproduce its residual
+    # under the driver's strict >), and its map and points reproduce its
+    # residual
     worst = report.checks[0].extra["worst"]
     assert worst["residual"] == max(report.sample_residuals["interval-law-residual"])
     rep = verify_interval_law(map_from_dict(worst["map"]), *worst["points"])

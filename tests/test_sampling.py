@@ -1,12 +1,16 @@
-"""The suites' samplers replay numpy's draws bit for bit.
+"""The suites' samplers: the per-sample ones replay numpy's draws bit for
+bit, and interval-law's array sampler keeps its candidates' rules.
 
-The samplers decide their rejection predicates on plain floats, and the
-batched suites read their doubles through ``DrawStream``.  The references
-below are the numpy samplers they replace (``rng.uniform(lo, hi, 4)``,
-``np.linalg.norm``, ``form.denominator``, ``interval``): every draw, and the
-generator's position after it, must match them.  The plain-float predicates
-have no numpy fallback near their thresholds, so these replays are the
-evidence that they decide as the numpy ones do.
+The per-sample samplers decide their rejection predicates on plain floats,
+and scalar-invariance and tetrad-identity read their doubles through
+``DrawStream``.  The references below are the numpy samplers they replace
+(``rng.uniform(lo, hi, 4)``, ``np.linalg.norm``, ``form.denominator``,
+``interval``): every draw, and the generator's position after it, must match
+them.  The plain-float predicates have no numpy fallback near their
+thresholds, so these replays are the evidence that they decide as the numpy
+ones do.  interval-law draws each block of candidates as arrays
+(``suites._interval_law_block``); its tests check every candidate against
+its rule and its values against its own map alone.
 """
 
 import numpy as np
@@ -14,9 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confvac import (AcceleratedFrameForm, ConformalMap, Dilation, Inversion,
-                     SingularPointError, Translation, interval, lorentz_boost,
-                     map_to_dict, verify_interval_law)
+from confvac import (AcceleratedFrameForm, ConformalMap, Dilation, LorentzTransform,
+                     SingularPointError, Translation, interval, map_to_dict,
+                     verify_interval_law)
 from confvac import suites
 
 
@@ -50,25 +54,6 @@ def ref_same_side_pair(rng, form, min_interval):
         return x, xp
 
 
-def ref_chain(rng):
-    """The primitive chain of 2 to 4 primitives, each built as it is drawn."""
-    prims = []
-    for _ in range(rng.integers(2, 5)):
-        kind = rng.integers(0, 4)
-        if kind == 0:
-            prims.append(Translation(rng.uniform(-0.5, 0.5, 4)))
-        elif kind == 1:
-            u = rng.uniform(-0.4, 0.4, 3)
-            if u @ u >= 0.9:
-                u = u / np.linalg.norm(u) * 0.5
-            prims.append(lorentz_boost(u))
-        elif kind == 2:
-            prims.append(Dilation(rng.uniform(0.5, 2.0)))
-        else:
-            prims.append(Inversion(rng.uniform(0.5, 2.0)))
-    return ConformalMap(prims)
-
-
 def same_bits(a, b):
     return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
 
@@ -92,63 +77,103 @@ def test_samplers_on_a_generator_replay_numpy_samplers(seed):
     assert ref.random() == rng.random()
 
 
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=30, deadline=None)
-def test_stream_replays_mixed_form_and_chain_draws(seed):
-    # the interval-law candidate stream, long enough to cross many block refills;
-    # each chain is drawn on the generator the stream hands back
-    ref = np.random.default_rng(seed)
-    stream = suites.DrawStream(np.random.default_rng(seed))
-    for _ in range(60):
-        u = ref.uniform()
-        assert u == stream.random()
-        if u < 0.7:
-            form = ref_form(ref)
-            assert_same_form(form, suites.random_form(stream))
-            pair = ref_off_singular(ref, form), ref_off_singular(ref, form)
-            assert same_bits(pair, [suites.random_event_off_singular(stream, form)
-                                    for _ in range(2)])
-        else:
-            # the suite draws chain parameters on the generator the stream hands back
-            chain = suites._chain(suites._chain_params(stream.generator()))
-            assert map_to_dict(ref_chain(ref)) == map_to_dict(chain)
-            assert same_bits((ref_event(ref), ref_event(ref)),
-                             (suites.random_event(stream), suites.random_event(stream)))
-    assert ref.random() == stream.generator().random()
+class KindsForced:
+    """A generator whose ``random(k)``, the block's form-or-chain draw, is k
+    copies of u: 0 makes every candidate a form, 1 every one a chain."""
+
+    def __init__(self, rng, u):
+        self.rng, self.u = rng, u
+
+    def random(self, k):
+        return np.full(k, self.u)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
 
 
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=30, deadline=None)
-def test_chain_params_draw_as_random_chain(seed):
-    # on a generator and through the stream hand-back, the parameter draw
-    # consumes what random_chain (and the reference) consumes, and the chain
-    # built from the parameters is the one random_chain returns
-    ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    stream = suites.DrawStream(np.random.default_rng(seed))
-    for _ in range(20):
-        assert ref.random() == rng.random() == stream.random()
-        expected = map_to_dict(ref_chain(ref))
-        assert map_to_dict(suites.random_chain(rng)) == expected
-        assert map_to_dict(suites._chain(suites._chain_params(stream.generator()))) == expected
-    assert ref.random() == rng.random() == stream.generator().random()
+def check_values(m, pair, values):
+    """values are those of m's own verify_interval_law call on the pair,
+    NaN where that call raises."""
+    try:
+        rep = verify_interval_law(m, *pair)
+    except SingularPointError:
+        assert isinstance(m, ConformalMap) and np.isnan(values).all()
+        return
+    assert same_bits(values, [rep.residual, rep.lhs, rep.rhs, rep.lam, rep.lam_p])
 
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=10, deadline=None)
 def test_interval_law_block_equals_one_candidate_at_a_time(seed):
-    # each chain candidate's values are those of its own verify_interval_law
-    # call on the built chain, NaN where that call raises
-    maps, points, values = suites._interval_law_block(
-        suites.DrawStream(np.random.default_rng(seed)), 120)
-    chains = [i for i, m in enumerate(maps) if isinstance(m, list)]
-    assert chains
-    for i in chains:
-        try:
-            rep = verify_interval_law(suites._chain(maps[i]), points[i, 0], points[i, 1])
-        except SingularPointError:
-            assert np.isnan(values[:, i]).all()
+    # each candidate, form or chain, gets the bits of its own map alone
+    map_of, points, values = suites._interval_law_block(np.random.default_rng(seed), 120)
+    maps = [map_of(i) for i in range(120)]
+    assert {type(m) for m in maps} == {AcceleratedFrameForm, ConformalMap}
+    for i, m in enumerate(maps):
+        check_values(m, points[i], values[:, i])
+
+
+def test_rows_until_redraws_only_the_rejected_rows():
+    rng = np.random.default_rng(4)
+    draws = []
+
+    def draw(k):
+        draws.append(rng.uniform(-1.0, 1.0, (k, 4)))
+        return draws[-1].copy()
+
+    v = suites._rows_until(draw, lambda v: v[:, 0] > 0.0, 50)
+    assert len(draws) > 1 and (v[:, 0] <= 0.0).all()
+    kept = draws[0][:, 0] <= 0.0
+    assert same_bits(v[kept], draws[0][kept])
+    assert [len(d) for d in draws[1:]] == [np.count_nonzero(d[:, 0] > 0.0)
+                                          for d in draws[:-1]]
+
+
+def boost_velocity(L):
+    return -L[0, 1:] / L[0, 0]
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 60))
+@settings(max_examples=40, deadline=None)
+def test_interval_law_block_candidates_meet_their_rules(seed, k):
+    map_of, points, values = suites._interval_law_block(np.random.default_rng(seed), k)
+    assert points.shape == (k, 2, 4) and values.shape == (5, k)
+    assert (np.sum(points * points, axis=2) <= 1.0).all()
+    for i in range(k):
+        m = map_of(i)
+        if isinstance(m, AcceleratedFrameForm):
+            assert m.alpha @ m.alpha <= 0.25 and 0.5 <= m.beta <= 2.0
+            assert (np.abs(m.denominator(points[i])) >= 0.1).all()
             continue
-        assert same_bits(values[:, i], [rep.residual, rep.lhs, rep.rhs, rep.lam, rep.lam_p])
+        assert 2 <= len(m.chain) <= 4
+        for p in m.chain:
+            if isinstance(p, Translation):
+                assert (np.abs(p.offset) <= 0.5).all()
+            elif isinstance(p, LorentzTransform):
+                u = boost_velocity(p.matrix)
+                assert (np.abs(u) <= 0.4 + 1e-15).all() and u @ u < 1.0
+            else:
+                assert 0.5 <= (p.scale if isinstance(p, Dilation) else p.beta) <= 2.0
+
+
+@pytest.mark.parametrize("k", [1, 2, 40])
+@pytest.mark.parametrize("u, kind", [(0.0, AcceleratedFrameForm), (1.0, ConformalMap)],
+                         ids=["forms", "chains"])
+def test_interval_law_block_of_one_kind(k, u, kind):
+    map_of, points, values = suites._interval_law_block(
+        KindsForced(np.random.default_rng(k), u), k)
+    assert values.shape == (5, k)
+    for i in range(k):
+        assert isinstance(map_of(i), kind)
+        check_values(map_of(i), points[i], values[:, i])
+
+
+def test_interval_law_block_same_seed_same_bytes():
+    a, b = (suites._interval_law_block(np.random.default_rng(5), 300) for _ in range(2))
+    assert same_bits(a[1], b[1]) and same_bits(a[2], b[2])
+    assert [map_to_dict(a[0](i)) for i in range(300)] == [map_to_dict(b[0](i))
+                                                          for i in range(300)]
+
 
 
 @pytest.mark.parametrize("min_interval", [0.0, 0.05])

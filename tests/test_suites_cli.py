@@ -164,6 +164,23 @@ def test_cli_transform_rejects_nonfinite_map(tmp_path, spec):
     assert not outfile.exists()
 
 
+@pytest.mark.parametrize("spec, message", [
+    ('{"chain": [{"kind": "dilation"}]}', "chain entry 0 (dilation) lacks key 's'"),
+    ('{"alpha": [0, 0, 0, 0]}', "accelerated-frame map lacks key 'beta'")],
+    ids=["chain", "form"])
+def test_cli_transform_names_a_missing_map_key(tmp_path, spec, message):
+    mapfile = tmp_path / "map.json"
+    mapfile.write_text(spec)
+    infile = tmp_path / "events.csv"
+    infile.write_text("t,x1,x2,x3\n1,0,0,0\n")
+    outfile = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as info:
+        main(["transform", "--map", str(mapfile), "--input", str(infile),
+              "--out", str(outfile)])
+    assert info.value.code == f"transform: {mapfile}: {message}"
+    assert not outfile.exists()
+
+
 def test_cli_transform_identity_map(tmp_path):
     mapfile = tmp_path / "map.json"
     mapfile.write_text(json.dumps({"chain": [{"kind": "translation",
