@@ -14,9 +14,9 @@ cli           batch front end (``confvac`` console script)
 
 from .conformal import (AcceleratedFrameForm, ConformalMap, Dilation, Inversion,
                         LightRay, LorentzTransform, Translation, apply_map, compose,
-                        evaluate_chains, image_singular_residual, jacobian_tetrad,
-                        lorentz_boost, map_from_dict, map_to_dict, ricci_conformal,
-                        spatial_rotation, transform_light_ray, verify_interval_law)
+                        jacobian_tetrad, lorentz_boost, map_from_dict, map_to_dict,
+                        ricci_conformal, spatial_rotation, transform_light_ray,
+                        verify_interval_law)
 from .correlations import (FieldTensorCorrelation, SpectralPoint,
                            em_potential_correlation,
                            field_tensor_correlation,

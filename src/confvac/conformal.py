@@ -15,8 +15,11 @@ what makes the light-ray sign law checkable.
 Evaluation is batch-first: each map has one non-raising ``evaluate`` over
 event rows (n, 4); ``apply``, ``factor`` and ``pushforward`` take one event
 (a batch of one) or rows and are built on it, as is ``jacobian_tetrad``.
-Primitives also take stacked parameters, one per event row, and a
-``ChainStack`` pushes many chains at once, one row each.
+A ``ConformalMap`` is a stack of m chains held as arrays (slot kinds and
+each kind's parameters, per the ``KINDS`` table); a map built from a list of
+primitives is a stack of one.  Event rows meet the chains cyclically, and at
+each slot the rows of each kind go through one primitive with stacked
+parameters, so every row gets the bits of its own chain alone.
 Singular sets (where the denominator above vanishes) are excluded: these
 raise ``SingularPointError`` for the first singular row, carrying its
 residual.
@@ -24,6 +27,7 @@ residual.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,7 +69,10 @@ def _checked(m, x, v=None):
 # primitives
 #
 # A primitive holds one parameter, or a stack of m parameters (a leading axis)
-# that meet m event rows one by one: push broadcasts them row by row.
+# that meet m event rows one by one: ``push(y, dy)`` maps event rows y (n, 4)
+# and tangent rows dy (None, or rows like y) to (images, pushed tangents,
+# signed step factor or None for 1, denominator or None if it divides by
+# nothing), broadcasting the parameters row by row.
 
 def _scales(value, what):
     """A finite nonzero scale as a float, or a stack of them as an array (m,)."""
@@ -77,19 +84,15 @@ def _scales(value, what):
     return float(a) if a.ndim == 0 else a
 
 
-class _Primitive:
-    """``push(y, dy)`` maps event rows y (n, 4) and tangent rows dy (None, or
-    rows like y) to (images, pushed tangents, signed step factor or None for
-    1, denominator or None if it divides by nothing)."""
-
-    def apply(self, x):
-        """Image of one event or of rows: a chain of this primitive alone."""
-        return ConformalMap([self]).apply(x)
+def _alone(p, x):
+    """Image of one event or of rows under the chain of primitive p alone."""
+    return ConformalMap([p]).apply(x)
 
 
 @dataclass(frozen=True, eq=False)
-class Translation(_Primitive):
+class Translation:
     offset: np.ndarray      # (4,), or (m, 4) stacked
+    apply = _alone
 
     def __post_init__(self):
         offset = np.asarray(self.offset, dtype=float)
@@ -105,8 +108,9 @@ class Translation(_Primitive):
 
 
 @dataclass(frozen=True, eq=False)
-class LorentzTransform(_Primitive):
+class LorentzTransform:
     matrix: np.ndarray      # (4, 4), or (m, 4, 4) stacked
+    apply = _alone
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -128,8 +132,9 @@ class LorentzTransform(_Primitive):
 
 
 @dataclass(frozen=True, eq=False)
-class Dilation(_Primitive):
+class Dilation:
     scale: float | np.ndarray   # or (m,) stacked
+    apply = _alone
 
     def __post_init__(self):
         object.__setattr__(self, "scale", _scales(self.scale, "dilation scale"))
@@ -140,13 +145,14 @@ class Dilation(_Primitive):
 
 
 @dataclass(frozen=True, eq=False)
-class Inversion(_Primitive):
+class Inversion:
     """xbar = -beta x / x^2, an involution, singular on the light cone x^2 = 0.
 
     Its signed factor is beta / x^2, so the interval law holds with the
     plain product lambda(x) lambda(x')."""
 
     beta: float | np.ndarray    # or (m,) stacked
+    apply = _alone
 
     def __post_init__(self):
         object.__setattr__(self, "beta", _scales(self.beta, "inversion scale beta"))
@@ -160,54 +166,113 @@ class Inversion(_Primitive):
         return -beta * y / y2[..., None], dy, self.beta / y2, y2
 
 
-def _walk(steps, x, v):
-    """(images, J v or None, signed factors, residuals, singular) of event rows
-    x (n, 4) and tangent rows v pushed through ``steps``, each a list of
-    (primitive, the rows it pushes); never raises.  A row is singular where a
-    primitive's denominator d has |d| < SINGULAR_RTOL (1 + |d|); its residual
-    is the first such d (0 on regular rows), and its other values are
-    meaningless."""
-    y = np.array(x, dtype=float)
-    dy = None if v is None else np.array(np.broadcast_to(v, y.shape), dtype=float)
-    lam = np.ones(len(y))
-    residual = np.zeros(len(y))
-    singular = np.zeros(len(y), dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for groups in steps:
-            for p, rows in groups:
-                y[rows], jv, step, den = p.push(y[rows], None if dy is None else dy[rows])
-                if dy is not None:
-                    dy[rows] = jv
-                if step is not None:
-                    lam[rows] = lam[rows] * step
-                if den is not None:
-                    hit = np.abs(den) < SINGULAR_RTOL * (1.0 + np.abs(den))
-                    residual[rows] = np.where(hit & ~singular[rows], den, residual[rows])
-                    singular[rows] |= hit
-    return y, dy, lam, residual, singular
+# kind c of a chain slot: its primitive, its name and parameter key in the map
+# JSON, the shape of one parameter, and the inverse's parameters from a stack
+Kind = namedtuple("Kind", "primitive name key shape inverse")
+KINDS = (Kind(Translation, "translation", "b", (4,), np.negative),
+         Kind(LorentzTransform, "lorentz", "matrix", (4, 4), np.linalg.inv),
+         Kind(Dilation, "dilation", "s", (), np.reciprocal),
+         Kind(Inversion, "inversion", "beta", (), np.asarray))   # an involution
+KIND_OF = {k.primitive: c for c, k in enumerate(KINDS)}
 
 
 class ConformalMap:
-    """Ordered chain of primitives, applied first-to-last."""
+    """m chains of primitives, each applied first to last, held as arrays:
+    slot s of chain i is of kind c = kinds[i, s] (-1 past the chain's end)
+    with parameter params[c][i, s].  Like stacked forms, the chains meet
+    event rows cyclically, row j chain j mod m.  A map built from a list of
+    primitives is a stack of one."""
 
     def __init__(self, chain):
-        chain = list(chain)
-        if not chain:
-            chain = [Translation(np.zeros(4))]
+        """A stack of one: the primitives of ``chain``, first to last (the
+        identity translation if there are none), one per slot."""
+        chain = list(chain) or [Translation(np.zeros(4))]
         for p in chain:
-            if not isinstance(p, _Primitive):
+            if type(p) not in KIND_OF:
                 raise ConstraintViolationError(f"unknown primitive {p!r}")
-        self.chain = chain
+        # each primitive holds one parameter, its only field
+        self._fill(np.array([[KIND_OF[type(p)] for p in chain]]),
+                   [[value for p in chain if type(p) is k.primitive for value in vars(p).values()]
+                    for k in KINDS])
+        self._steps = [[(p, slice(None))] for p in chain]
+
+    @classmethod
+    def stack(cls, kinds, drawn) -> "ConformalMap":
+        """m chains from their slot kinds (m, slots) and ``drawn``, each
+        kind's parameters in slot order, chain by chain.  At each slot, one
+        primitive per kind is stacked from the parameters of its chains,
+        sliced where it serves all of them."""
+        self = object.__new__(cls)
+        self._fill(kinds, drawn)
+        self._steps = []
+        for s, column in enumerate(kinds.T):
+            self._steps.append([])
+            for c, k in enumerate(KINDS):
+                at = np.flatnonzero(column == c)
+                if len(at):
+                    at = slice(None) if len(at) == len(kinds) else at
+                    self._steps[-1].append((k.primitive(self.params[c][at, s]), at))
+        return self
+
+    def _fill(self, kinds, drawn):
+        self.kinds = kinds
+        self.params = tuple(np.zeros(kinds.shape + k.shape) for k in KINDS)
+        for c, (k, p) in enumerate(zip(KINDS, drawn)):
+            self.params[c][kinds == c] = np.reshape(p, (-1,) + k.shape)
 
     @classmethod
     def identity(cls):
-        return cls([Translation(np.zeros(4))])
+        return cls([])
+
+    def _primitives(self, i):
+        return [KINDS[c].primitive(self.params[c][i, s])
+                for s, c in enumerate(self.kinds[i]) if c >= 0]
+
+    def take(self, i) -> "ConformalMap":
+        """Chain i as a stack of one."""
+        return ConformalMap(self._primitives(i))
+
+    @property
+    def chain(self):
+        """The primitives of a stack of one, first to last."""
+        if len(self.kinds) != 1:
+            raise ValueError(f"a stack of {len(self.kinds)} chains is not one chain; "
+                             f"take(i) gives chain i")
+        return self._primitives(0)
+
+    def as_chain(self) -> "ConformalMap":
+        return self
 
     def evaluate(self, x, v=None):
         """(images, J v or None, signed factors, residuals, singular) of event
-        rows x (n, 4) and tangent rows v, carried through the chain; never
-        raises (see ``_walk``)."""
-        return _walk([[(p, slice(None))] for p in self.chain], x, v)
+        rows x (n, 4) and tangent rows v, row j through chain j mod m; never
+        raises for a singular row, where a primitive's denominator d has
+        |d| < SINGULAR_RTOL (1 + |d|): its residual is the first such d (0 on
+        regular rows), and its other values are meaningless."""
+        n, m = len(x), len(self.kinds)
+        blocks = n // max(m, 1)
+        if n != blocks * m:
+            raise ValueError(f"{n} event rows are not whole blocks of the stack's {m} chains")
+        rows = (blocks, m, 4)    # the rows of chain i are [:, i]
+        y = np.array(x, dtype=float).reshape(rows)
+        dy = None if v is None else np.array(np.broadcast_to(v, (n, 4)), dtype=float).reshape(rows)
+        lam = np.ones(y.shape[:2])
+        residual = np.zeros(y.shape[:2])
+        singular = np.zeros(y.shape[:2], dtype=bool)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for step in self._steps:
+                for p, at in step:
+                    y[:, at], jv, factor, den = p.push(y[:, at], None if dy is None else dy[:, at])
+                    if dy is not None:
+                        dy[:, at] = jv
+                    if factor is not None:
+                        lam[:, at] = lam[:, at] * factor
+                    if den is not None:
+                        hit = np.abs(den) < SINGULAR_RTOL * (1.0 + np.abs(den))
+                        residual[:, at] = np.where(hit & ~singular[:, at], den, residual[:, at])
+                        singular[:, at] |= hit
+        return (y.reshape(n, 4), None if dy is None else dy.reshape(n, 4),
+                lam.ravel(), residual.ravel(), singular.ravel())
 
     def apply(self, x):
         return _checked(self, x)[0]
@@ -220,72 +285,11 @@ class ConformalMap:
         images, jv, _ = _checked(self, x, np.asarray(v, dtype=float))
         return images, jv
 
-    def inverse(self):
-        inv = []
-        for p in reversed(self.chain):
-            if isinstance(p, Translation):
-                inv.append(Translation(-p.offset))
-            elif isinstance(p, LorentzTransform):
-                inv.append(LorentzTransform(np.linalg.inv(p.matrix)))
-            elif isinstance(p, Dilation):
-                inv.append(Dilation(1.0 / p.scale))
-            else:
-                inv.append(p)  # inversions are involutions
-        return ConformalMap(inv)
-
-
-CHAIN_KINDS = (Translation, LorentzTransform, Dilation, Inversion)
-
-
-class ChainStack:
-    """m chains as arrays: slot s of chain i is a ``CHAIN_KINDS[c]``,
-    c = kinds[i, s] (-1 past the chain's end), with parameter
-    ``params[c][i, s]``.  Made from the slot kinds (m, slots) and each kind's
-    parameters in slot order, chain by chain.  Like stacked forms, the stack
-    meets event rows cyclically, row j chain j mod m."""
-
-    def __init__(self, kinds, drawn):
-        self.kinds = kinds
-        self.params = (np.zeros(kinds.shape + (4,)), np.zeros(kinds.shape + (4, 4)),
-                       np.zeros(kinds.shape), np.zeros(kinds.shape))
-        for c, p in enumerate(drawn):
-            self.params[c][kinds == c] = np.reshape(p, (-1,) + self.params[c].shape[2:])
-
-    def chain(self, i) -> ConformalMap:
-        return ConformalMap([CHAIN_KINDS[c](self.params[c][i, s])
-                             for s, c in enumerate(self.kinds[i]) if c >= 0])
-
-    def evaluate(self, x, v=None):
-        """(images, J v or None, signed factors, residuals, singular) of event
-        rows x (r m, 4) and tangent rows v; never raises.  At each slot the
-        rows go through one primitive per kind, stacked from their chains'
-        parameters, so row j gets the bits of ``chain(j mod m).evaluate``."""
-        m, slots = self.kinds.shape
-        blocks = np.arange(len(x)).reshape(-1 if len(x) else 0, m)   # rows of chain j: [:, j]
-        steps = []
-        for s in range(slots):
-            steps.append([])
-            for c, cls in enumerate(CHAIN_KINDS):
-                at = np.flatnonzero(self.kinds[:, s] == c)
-                if len(at):
-                    steps[-1].append((cls(np.concatenate([self.params[c][at, s]] * len(blocks))),
-                                      blocks[:, at].ravel()))
-        return _walk(steps, x, v)
-
-
-def evaluate_chains(chains, x, v=None):
-    """``ChainStack.evaluate`` of chains given as (primitive class, parameter)
-    pairs, one event row each: row i of x (n, 4) through chain i of n gets
-    the bits of ``ConformalMap([cls(p) for cls, p in chains[i]]).evaluate``."""
-    if len(x) != len(chains):
-        raise ValueError(f"{len(chains)} chains need {len(chains)} event rows, got {len(x)}")
-    kinds = np.full((len(chains), max(map(len, chains), default=0)), -1)
-    drawn = ([], [], [], [])
-    for i, chain in enumerate(chains):
-        for s, (kind, p) in enumerate(chain):
-            kinds[i, s] = CHAIN_KINDS.index(kind)
-            drawn[kinds[i, s]].append(p)
-    return ChainStack(kinds, drawn).evaluate(x, v)
+    def inverse(self) -> "ConformalMap":
+        """Each chain backwards, each primitive inverted."""
+        kinds = self.kinds[:, ::-1]
+        return ConformalMap.stack(kinds, [k.inverse(p[:, ::-1][kinds == c])
+                                          for c, (k, p) in enumerate(zip(KINDS, self.params))])
 
 
 @dataclass(frozen=True, eq=False)
@@ -444,18 +448,9 @@ def jacobian_tetrad(m: Mappable, x):
     return J[0], float(lam[0]), f[0]
 
 
-def image_singular_residual(form: AcceleratedFrameForm, xbar) -> float:
-    """Image-side singular-set equation value 1 + 2 alpha.xbar + alpha^2 xbar^2."""
-    xbar = as_event(xbar)
-    return float(1.0 + 2.0 * minkowski_dot(form.alpha, xbar)
-                 + form.alpha_sq * minkowski_dot(xbar, xbar))
-
-
 def compose(m1: Mappable, m2: Mappable) -> ConformalMap:
     """Map acting as m1 after m2: apply(compose(m1, m2), x) = m1(m2(x))."""
-    c1 = m1.as_chain() if isinstance(m1, AcceleratedFrameForm) else m1
-    c2 = m2.as_chain() if isinstance(m2, AcceleratedFrameForm) else m2
-    return ConformalMap(list(c2.chain) + list(c1.chain))
+    return ConformalMap(m2.as_chain().chain + m1.as_chain().chain)
 
 
 def _pair_rows(x, xp):
@@ -677,46 +672,57 @@ def spatial_rotation(axis, angle) -> LorentzTransform:
 # JSON serialization
 
 def map_to_dict(m: Mappable) -> dict:
+    """The JSON form of a form or of a stack of one."""
     if isinstance(m, AcceleratedFrameForm):
         return {"alpha": [float(a) for a in m.alpha], "beta": m.beta}
-    out = []
-    for p in m.chain:
-        if isinstance(p, Translation):
-            out.append({"kind": "translation", "b": [float(v) for v in p.offset]})
-        elif isinstance(p, LorentzTransform):
-            out.append({"kind": "lorentz", "matrix": [[float(v) for v in row]
-                                                      for row in p.matrix]})
-        elif isinstance(p, Dilation):
-            out.append({"kind": "dilation", "s": p.scale})
-        else:
-            out.append({"kind": "inversion", "beta": p.beta})
-    return {"chain": out}
+    if len(m.kinds) != 1:
+        raise ValueError(f"a stack of {len(m.kinds)} chains is not one map; take(i) gives chain i")
+    return {"chain": [{"kind": KINDS[c].name, KINDS[c].key: m.params[c][0, s].tolist()}
+                      for s, c in enumerate(m.kinds[0]) if c >= 0]}
 
 
-def _key(d: dict, key, where):
-    if key not in d:
+def _entry(d, where):
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} is not a JSON object: {d!r}")
+    return d
+
+
+def _key(d, key, where):
+    if key not in _entry(d, where):
         raise ValueError(f"{where} lacks key {key!r}")
     return d[key]
 
 
-def map_from_dict(d: dict) -> Mappable:
-    """The map of ``map_to_dict``; a missing key raises ``ValueError`` naming
-    it and its entry."""
-    if "alpha" in d:
-        return AcceleratedFrameForm(np.asarray(d["alpha"], dtype=float),
-                                    float(_key(d, "beta", "accelerated-frame map")))
-    chain = []
-    for i, entry in enumerate(_key(d, "chain", "map without 'alpha'")):
+SHAPE_WORDS = {(): "a number", (4,): "a list of 4 numbers", (4, 4): "a 4x4 list of numbers"}
+
+
+def _param(d, key, shape, where):
+    """d[key] as a float array of ``shape``."""
+    value = _key(d, key, where)
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        a = None
+    if a is None or a.shape != shape:
+        raise ValueError(f"{where} key {key!r} must be {SHAPE_WORDS[shape]}, got {value!r}")
+    return a
+
+
+def map_from_dict(d) -> Mappable:
+    """The map of ``map_to_dict``; an entry that is not a JSON object, a
+    missing key or a parameter of the wrong shape raises ``ValueError``
+    naming the entry and the key."""
+    if "alpha" in _entry(d, "map"):
+        where = "accelerated-frame map"
+        return AcceleratedFrameForm(_param(d, "alpha", (4,), where), _param(d, "beta", (), where))
+    chain = _key(d, "chain", "map without 'alpha'")
+    if not isinstance(chain, list):
+        raise ValueError(f"map key 'chain' is not a list: {chain!r}")
+    primitives = []
+    for i, entry in enumerate(chain):
         kind = _key(entry, "kind", f"chain entry {i}")
-        where = f"chain entry {i} ({kind})"
-        if kind == "translation":
-            chain.append(Translation(np.asarray(_key(entry, "b", where), dtype=float)))
-        elif kind == "lorentz":
-            chain.append(LorentzTransform(np.asarray(_key(entry, "matrix", where), dtype=float)))
-        elif kind == "dilation":
-            chain.append(Dilation(float(_key(entry, "s", where))))
-        elif kind == "inversion":
-            chain.append(Inversion(float(_key(entry, "beta", where))))
-        else:
-            raise ValueError(f"unknown primitive kind {kind!r}")
-    return ConformalMap(chain)
+        k = next((k for k in KINDS if k.name == kind), None)
+        if k is None:
+            raise ValueError(f"chain entry {i}: unknown primitive kind {kind!r}")
+        primitives.append(k.primitive(_param(entry, k.key, k.shape, f"chain entry {i} ({kind})")))
+    return ConformalMap(primitives)

@@ -13,13 +13,15 @@ since residuals blow up polynomially near the singular sets.
 interval-law, scalar-invariance and tetrad-identity draw, then evaluate
 once, then filter: a block of candidates is drawn, the whole block is
 evaluated in one array pass (its forms as one stacked
-``AcceleratedFrameForm``, interval-law's chains as one stack) and the first n
-accepted are kept in order.  interval-law draws each block as arrays, every
-rejection loop redrawing only the rows that fail, so its samples are not
-those of a one-at-a-time draw.  scalar-invariance and tetrad-identity draw
-in stream order through ``DrawStream``, which replays the generator's
-doubles bit for bit; no draw depends on an evaluation, so their samples,
-and reports, are those of drawing and evaluating one sample at a time.
+``AcceleratedFrameForm``, interval-law's chains as one ``ConformalMap`` of m
+chains) and the first n accepted are kept in order.  interval-law draws each
+block as arrays, every rejection loop redrawing only the rows that fail, so
+its samples are not those of a one-at-a-time draw; only the worst sample's
+chain is taken out of the stack, for the report.  scalar-invariance and
+tetrad-identity draw in stream order through ``DrawStream``, which replays
+the generator's doubles bit for bit; no draw depends on an evaluation, so
+their samples, and reports, are those of drawing and evaluating one sample
+at a time.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 
 from . import correlations as corr
 from . import lightcone2d as lc2
-from .conformal import (AcceleratedFrameForm, ChainStack, ConformalMap, IntervalLawReport,
+from .conformal import (AcceleratedFrameForm, ConformalMap, IntervalLawReport,
                         LightRay, boost_matrix, map_to_dict, ricci_conformal,
                         transform_light_ray, verify_interval_law)
 from .errors import SingularPointError
@@ -223,7 +225,7 @@ def random_form(rng, alpha_max=0.5) -> AcceleratedFrameForm:
     return AcceleratedFrameForm(np.array(alpha), beta)
 
 
-def _chain_stack(rng, m) -> ChainStack:
+def _chain_stack(rng, m) -> ConformalMap:
     """m random chains: the lengths, integers(2, 5); each slot's kind,
     integers(0, 4); then each kind's parameters in slot order: translation
     U(-0.5, 0.5)^4, boost with velocity U(-0.4, 0.4)^3, dilation and
@@ -236,11 +238,11 @@ def _chain_stack(rng, m) -> ChainStack:
              boost_matrix(rng.uniform(-0.4, 0.4, (n[1], 3))),
              rng.uniform(0.5, 2.0, n[2]),
              rng.uniform(0.5, 2.0, n[3]))
-    return ChainStack(kinds, drawn)
+    return ConformalMap.stack(kinds, drawn)
 
 
 def random_chain(rng) -> ConformalMap:
-    return _chain_stack(rng, 1).chain(0)
+    return _chain_stack(rng, 1).take(0)
 
 
 def random_event(rng):
@@ -351,7 +353,7 @@ def _interval_law_block(rng, k):
     def map_of(i):
         j = np.count_nonzero(is_form[:i])
         return (AcceleratedFrameForm(forms.alpha[j], forms.beta[j]) if is_form[i]
-                else chains.chain(i - j))
+                else chains.take(i - j))
 
     return map_of, points, values
 

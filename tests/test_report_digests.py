@@ -3,14 +3,20 @@
 Each suite runs at seed 7 and a small sample count; the sha256 of its report
 (``to_json(include_wall_time=False)``) must match the digest recorded when
 this test was written.  Any change to a sample stream, a rejection rule or
-the rounding of a statistic shows up here as a changed digest.
+the rounding of a statistic shows up here as a changed digest.  The output
+bytes of ``confvac transform`` on a chain map and on a form map are pinned
+the same way.
 """
 
 import hashlib
+import json
 
+import numpy as np
 import pytest
 
 from confvac import map_from_dict, verify_interval_law
+from confvac.cli import main
+from confvac.conformal import boost_matrix
 from confvac.suites import CANDIDATE_BLOCK, SUITE_NAMES, SuiteConfig, run_suite
 
 # suite -> (samples, sha256 of the report at seed 7)
@@ -57,3 +63,36 @@ def test_interval_law_bytes_pinned_across_candidate_blocks():
     assert worst["residual"] == max(report.sample_residuals["interval-law-residual"])
     rep = verify_interval_law(map_from_dict(worst["map"]), *worst["points"])
     assert (rep.residual, rep.lhs, rep.rhs) == (worst["residual"], worst["lhs"], worst["rhs"])
+
+
+# confvac transform: map -> (events, sha256 of the output CSV).  The chain has
+# all four kinds, and its last event lands on the light cone of its inversion
+# (translated to (1, 1, 0, 0)); the form map's events carry a tau column.
+EVENTS = np.random.default_rng(2024).uniform(-1.0, 1.0, (30, 4))
+TRANSFORMS = {
+    "chain": ({"chain": [
+        {"kind": "translation", "b": [0.5, -0.25, 0.125, 0.0]},
+        {"kind": "inversion", "beta": 0.8},
+        {"kind": "dilation", "s": 1.5},
+        {"kind": "lorentz", "matrix": boost_matrix([0.2, -0.1, 0.05]).tolist()},
+        {"kind": "translation", "b": [-0.1, 0.3, 0.0, 0.2]}]},
+        np.vstack([EVENTS, [0.5, 1.25, -0.125, 0.0]]), False,
+        "cd633075d1291030a7dea1f1cc62633987db02176fc90b8948652a851e1952e7"),
+    "form": ({"alpha": [0.3, 0.1, -0.2, 0.05], "beta": 1.3}, EVENTS, True,
+             "31c84a853c8d30b777bcd495e9617db9b32830c3f95d9a65fd5f2dc4520d1d79"),
+}
+
+
+@pytest.mark.parametrize("kind", TRANSFORMS)
+def test_transform_output_bytes_pinned(kind, tmp_path):
+    spec, events, with_tau, digest = TRANSFORMS[kind]
+    mapfile, infile, outfile = tmp_path / "map.json", tmp_path / "in.csv", tmp_path / "out.csv"
+    mapfile.write_text(json.dumps(spec))
+    header = ["tau"] * with_tau + ["t", "x1", "x2", "x3"]
+    infile.write_text("\n".join([",".join(header)] + [
+        ",".join([repr(0.1 * i)] * with_tau + [repr(float(v)) for v in row])
+        for i, row in enumerate(events)]) + "\n")
+    assert main(["transform", "--map", str(mapfile), "--input", str(infile),
+                 "--out", str(outfile)]) == 0
+    text = outfile.read_bytes()
+    assert hashlib.sha256(text).hexdigest() == digest, text.decode()

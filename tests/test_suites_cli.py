@@ -181,6 +181,39 @@ def test_cli_transform_names_a_missing_map_key(tmp_path, spec, message):
     assert not outfile.exists()
 
 
+@pytest.mark.parametrize("spec, message", [
+    ('{"chain": [{"kind": "dilation", "s": [1, 2]}]}',
+     "chain entry 0 (dilation) key 's' must be a number, got [1, 2]"),
+    ('{"chain": [{"kind": "inversion", "beta": [1, 2]}]}',
+     "chain entry 0 (inversion) key 'beta' must be a number, got [1, 2]"),
+    ('{"alpha": [0.1, 0, 0, 0], "beta": [1, 2]}',
+     "accelerated-frame map key 'beta' must be a number, got [1, 2]"),
+    ('{"chain": [5]}', "chain entry 0 is not a JSON object: 5"),
+    ('{"chain": 3}', "map key 'chain' is not a list: 3"),
+    ('7', "map is not a JSON object: 7"),
+    ('{"chain": [{"kind": "translation", "b": [0, 0, 0]}]}',
+     "chain entry 0 (translation) key 'b' must be a list of 4 numbers, got [0, 0, 0]"),
+    ('{"chain": [{"kind": "lorentz", "matrix": [[1, 0], [0, 1]]}]}',
+     "chain entry 0 (lorentz) key 'matrix' must be a 4x4 list of numbers, "
+     "got [[1, 0], [0, 1]]"),
+    ('{"chain": [{"kind": "dilation", "s": "two"}]}',
+     "chain entry 0 (dilation) key 's' must be a number, got 'two'")],
+    ids=["dilation-list", "inversion-list", "form-beta-list", "entry-not-object",
+         "chain-not-list", "map-not-object", "short-translation", "small-matrix",
+         "scale-string"])
+def test_cli_transform_names_a_malformed_map_entry(tmp_path, spec, message):
+    mapfile = tmp_path / "map.json"
+    mapfile.write_text(spec)
+    infile = tmp_path / "events.csv"
+    infile.write_text("t,x1,x2,x3\n1,0,0,0\n")
+    outfile = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as info:
+        main(["transform", "--map", str(mapfile), "--input", str(infile),
+              "--out", str(outfile)])
+    assert info.value.code == f"transform: {mapfile}: {message}"
+    assert not outfile.exists()
+
+
 def test_cli_transform_identity_map(tmp_path):
     mapfile = tmp_path / "map.json"
     mapfile.write_text(json.dumps({"chain": [{"kind": "translation",
