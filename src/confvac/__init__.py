@@ -21,7 +21,7 @@ from .correlations import (FieldTensorCorrelation, SpectralPoint,
                            em_potential_correlation,
                            field_tensor_correlation,
                            minkowski_field_tensor_correlation,
-                           momentum_space_oracle, scalar_commutator_spectrum,
+                           momentum_space_oracle,
                            scalar_vacuum_correlation, tetrad_contraction,
                            thermal_spectra, transformed_em_correlation,
                            vacuum_spectra, verify_em_invariance,
@@ -30,7 +30,7 @@ from .errors import (BoundaryError, ConstraintViolationError, ConvergenceError,
                      InternalConsistencyError, PoleError, SingularPointError)
 from .kinematics import (AbrahamVector, MotionClass, abraham_norms_on_grid,
                          abraham_vector, classify_motion, pushforward_worldline,
-                         rigidity_check, transform_abraham)
+                         transform_abraham)
 from .lightcone2d import (Homography2D, MirrorVerdict, RayMap2D, SampledRule,
                           accelerated_frame_maps_2d, cross_ratio, from_lightcone,
                           homography_compose, homography_invert, is_homographic,

@@ -136,11 +136,13 @@ def cmd_transform(args) -> int:
     images, _, lams, residuals, singular = m.evaluate(events)
     # a form reports its denominator on every row, a chain its residual on
     # singular rows only
+    form = isinstance(m, AcceleratedFrameForm)
     lead = [] if taus is None else [taus]
-    values = np.column_stack([*lead, events, images, lams, residuals])
+    values = np.column_stack([*lead, events, images, lams,
+                              m.denominator(events) if form else residuals])
     cells = np.array(list(map(repr, values.ravel().tolist())), dtype=object).reshape(values.shape)
     cells[singular, len(lead) + 4:-1] = ""
-    if not isinstance(m, AcceleratedFrameForm):
+    if not form:
         cells[~singular, -1] = ""
     status = np.where(singular, "singular", "ok").astype(object)[:, None]
     header = (["tau"] if lead else []) + \

@@ -1,34 +1,35 @@
 """The conformal group of 4D Minkowski spacetime.
 
-Primitives (translations, Lorentz transformations, dilations, inversions)
-compose into chains; the accelerated-frame map is the special composite
+A map is a ``ConformalMap``: m chains of slots, each slot of one of the
+five kinds in the table ``KINDS``.  Four are the primitives (translations,
+Lorentz transformations, dilations, inversions); the fifth is the
+accelerated-frame form ``AcceleratedFrameForm``, the composite
 inversion -> translation -> inversion with closed forms for the image, the
 conformal scale factor
 
     lambda(x) = beta / (1 - 2 alpha.x + alpha^2 x^2),
 
-the Jacobian and the tetrad f = J / lambda.  The scale factor is kept
-*signed* (continuous from the identity on each side of the singular set);
-only lambda^2 is fixed by the metric pullback, and the sign bookkeeping is
-what makes the light-ray sign law checkable.
+its Jacobian and the log-derivatives phi, phi2.  A form is itself a map, m
+chains of one frame slot, and the primitive that pushes that slot.  The
+scale factor is kept *signed* (continuous from the identity on each side of
+the singular set); only lambda^2 is fixed by the metric pullback, and the
+sign bookkeeping is what makes the light-ray sign law checkable.
 
-Evaluation is batch-first: each map has one non-raising ``evaluate`` over
-event rows (n, 4); ``apply``, ``factor`` and ``pushforward`` take one event
-(a batch of one) or rows and are built on it, as is ``jacobian_tetrad``.
-A ``ConformalMap`` is a stack of m chains held as arrays (slot kinds and
-each kind's parameters, per the ``KINDS`` table); a map built from a list of
-primitives is a stack of one.  Event rows meet the chains cyclically, and at
-each slot the rows of each kind go through one primitive with stacked
+Evaluation is batch-first: ``ConformalMap.evaluate`` is the one
+non-raising evaluation, over event rows (n, 4); ``apply``, ``factor`` and
+``pushforward`` take one event (a batch of one) or rows and are built on
+it, as is ``jacobian_tetrad``.  Event rows meet the chains cyclically, and
+at each slot the rows of each kind go through one primitive with stacked
 parameters, so every row gets the bits of its own chain alone.
-Singular sets (where the denominator above vanishes) are excluded: these
-raise ``SingularPointError`` for the first singular row, carrying its
-residual.
+Singular sets (where a denominator vanishes) are excluded: these raise
+``SingularPointError`` for the first singular row, carrying its residual.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq
@@ -38,6 +39,11 @@ from .minkowski import ETA, SIGNATURE, as_event, interval, lower_index, minkowsk
 
 SINGULAR_RTOL = 1e-12   # a row is singular where |den| < SINGULAR_RTOL (1 + |scale|)
 LORENTZ_TOL = 1e-9      # largest max |L^T eta L - eta| of a Lorentz matrix
+
+
+def _near_zero(den, scale):
+    """Where a denominator counts as vanishing: |den| < SINGULAR_RTOL (1 + |scale|)."""
+    return np.abs(den) < SINGULAR_RTOL * (1.0 + np.abs(scale))
 
 
 def _guard_rows(singular, residual, points):
@@ -68,11 +74,12 @@ def _checked(m, x, v=None):
 # ---------------------------------------------------------------------------
 # primitives
 #
-# A primitive holds one parameter, or a stack of m parameters (a leading axis)
-# that meet m event rows one by one: ``push(y, dy)`` maps event rows y (n, 4)
-# and tangent rows dy (None, or rows like y) to (images, pushed tangents,
-# signed step factor or None for 1, denominator or None if it divides by
-# nothing), broadcasting the parameters row by row.
+# A primitive holds its parameters, one or a stack of m (a leading axis) that
+# meet m event rows one by one: ``push(y, dy)`` maps event rows y (n, 4) and
+# tangent rows dy (None, or rows like y) to (images, pushed tangents, signed
+# step factor or None for 1, denominator or None if it divides by nothing,
+# where that denominator counts as vanishing), broadcasting the parameters
+# row by row.
 
 def _scales(value, what):
     """A finite nonzero scale as a float, or a stack of them as an array (m,)."""
@@ -104,7 +111,7 @@ class Translation:
         object.__setattr__(self, "offset", offset)
 
     def push(self, y, dy):
-        return y + self.offset, dy, None, None
+        return y + self.offset, dy, None, None, None
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,7 +135,8 @@ class LorentzTransform:
         # einsum rounds each row as L @ y does; y @ L.T differs in the last bits
         L = self.matrix
         return (np.einsum("...ij,...j->...i", L, y),
-                None if dy is None else np.einsum("...ij,...j->...i", L, dy), None, None)
+                None if dy is None else np.einsum("...ij,...j->...i", L, dy),
+                None, None, None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,7 +149,7 @@ class Dilation:
 
     def push(self, y, dy):
         s = np.asarray(self.scale)[..., None]
-        return s * y, None if dy is None else s * dy, self.scale, None
+        return s * y, None if dy is None else s * dy, self.scale, None, None
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,25 +171,15 @@ class Inversion:
         if dy is not None:
             reflect = dy - 2.0 * y * (minkowski_dot(y, dy) / y2)[..., None]
             dy = (-beta / y2[..., None]) * reflect
-        return -beta * y / y2[..., None], dy, self.beta / y2, y2
-
-
-# kind c of a chain slot: its primitive, its name and parameter key in the map
-# JSON, the shape of one parameter, and the inverse's parameters from a stack
-Kind = namedtuple("Kind", "primitive name key shape inverse")
-KINDS = (Kind(Translation, "translation", "b", (4,), np.negative),
-         Kind(LorentzTransform, "lorentz", "matrix", (4, 4), np.linalg.inv),
-         Kind(Dilation, "dilation", "s", (), np.reciprocal),
-         Kind(Inversion, "inversion", "beta", (), np.asarray))   # an involution
-KIND_OF = {k.primitive: c for c, k in enumerate(KINDS)}
+        return -beta * y / y2[..., None], dy, self.beta / y2, y2, _near_zero(y2, y2)
 
 
 class ConformalMap:
-    """m chains of primitives, each applied first to last, held as arrays:
-    slot s of chain i is of kind c = kinds[i, s] (-1 past the chain's end)
-    with parameter params[c][i, s].  Like stacked forms, the chains meet
-    event rows cyclically, row j chain j mod m.  A map built from a list of
-    primitives is a stack of one."""
+    """m chains of slots, each applied first to last, held as arrays: slot s
+    of chain i is of kind c = kinds[i, s] (-1 past the chain's end) with
+    parameters params[c][j][i, s], one array per key j of ``KINDS[c]``.
+    The chains meet event rows cyclically, row j chain j mod m.  A map built
+    from a list of primitives is a stack of one."""
 
     def __init__(self, chain):
         """A stack of one: the primitives of ``chain``, first to last (the
@@ -190,42 +188,62 @@ class ConformalMap:
         for p in chain:
             if type(p) not in KIND_OF:
                 raise ConstraintViolationError(f"unknown primitive {p!r}")
-        # each primitive holds one parameter, its only field
-        self._fill(np.array([[KIND_OF[type(p)] for p in chain]]),
-                   [[value for p in chain if type(p) is k.primitive for value in vars(p).values()]
-                    for k in KINDS])
+        self.kinds = np.array([[KIND_OF[type(p)] for p in chain]])
+        # a primitive's positional fields are its parameters, in key order
+        self._drawn = [[[getattr(p, name) for p in chain if type(p) is k.primitive]
+                        for name in k.primitive.__match_args__] for k in KINDS]
         self._steps = [[(p, slice(None))] for p in chain]
 
     @classmethod
     def stack(cls, kinds, drawn) -> "ConformalMap":
-        """m chains from their slot kinds (m, slots) and ``drawn``, each
-        kind's parameters in slot order, chain by chain.  At each slot, one
-        primitive per kind is stacked from the parameters of its chains,
-        sliced where it serves all of them."""
+        """m chains from their slot kinds (m, slots) and ``drawn``, for each
+        kind one sequence per key of its parameters in slot order, chain by
+        chain.  At each slot, one primitive per kind is stacked from the
+        parameters of its chains, sliced where it serves all of them."""
         self = object.__new__(cls)
-        self._fill(kinds, drawn)
+        self.kinds, self._drawn = kinds, drawn
         self._steps = []
         for s, column in enumerate(kinds.T):
             self._steps.append([])
-            for c, k in enumerate(KINDS):
+            for c in range(len(KINDS)):
                 at = np.flatnonzero(column == c)
                 if len(at):
                     at = slice(None) if len(at) == len(kinds) else at
-                    self._steps[-1].append((k.primitive(self.params[c][at, s]), at))
+                    self._steps[-1].append((self._slot(c, at, s), at))
         return self
 
-    def _fill(self, kinds, drawn):
-        self.kinds = kinds
-        self.params = tuple(np.zeros(kinds.shape + k.shape) for k in KINDS)
-        for c, (k, p) in enumerate(zip(KINDS, drawn)):
-            self.params[c][kinds == c] = np.reshape(p, (-1,) + k.shape)
+    @cached_property
+    def params(self):
+        """The drawn parameters as zero-filled arrays (m, slots, *shape),
+        built on first use."""
+        params = tuple(tuple(np.zeros(self.kinds.shape + shape) for shape in k.shapes)
+                       for k in KINDS)
+        for c, (k, values) in enumerate(zip(KINDS, self._drawn)):
+            at = self.kinds == c
+            for a, shape, value in zip(params[c], k.shapes, values):
+                a[at] = np.reshape(value, (-1,) + shape)
+        return params
+
+    def _slot(self, c, at, s):
+        """The primitive of kind c at slot s of chains ``at``, stacked; a bad
+        parameter is named by its chain and slot."""
+        k = KINDS[c]
+        try:
+            return k.primitive(*(p[at, s] for p in self.params[c]))
+        except ConstraintViolationError:
+            for i in np.arange(len(self.kinds))[at]:
+                try:
+                    k.primitive(*(p[i, s] for p in self.params[c]))
+                except ConstraintViolationError as exc:
+                    raise ConstraintViolationError(f"chain {i} slot {s}: {exc}") from None
+            raise
 
     @classmethod
     def identity(cls):
         return cls([])
 
     def _primitives(self, i):
-        return [KINDS[c].primitive(self.params[c][i, s])
+        return [KINDS[c].primitive(*(p[i, s] for p in self.params[c]))
                 for s, c in enumerate(self.kinds[i]) if c >= 0]
 
     def take(self, i) -> "ConformalMap":
@@ -240,15 +258,12 @@ class ConformalMap:
                              f"take(i) gives chain i")
         return self._primitives(0)
 
-    def as_chain(self) -> "ConformalMap":
-        return self
-
     def evaluate(self, x, v=None):
         """(images, J v or None, signed factors, residuals, singular) of event
         rows x (n, 4) and tangent rows v, row j through chain j mod m; never
-        raises for a singular row, where a primitive's denominator d has
-        |d| < SINGULAR_RTOL (1 + |d|): its residual is the first such d (0 on
-        regular rows), and its other values are meaningless."""
+        raises for a singular row, where a slot's denominator counts as
+        vanishing: its residual is the first such denominator (0 on regular
+        rows), and its other values are meaningless."""
         n, m = len(x), len(self.kinds)
         blocks = n // max(m, 1)
         if n != blocks * m:
@@ -262,13 +277,13 @@ class ConformalMap:
         with np.errstate(divide="ignore", invalid="ignore"):
             for step in self._steps:
                 for p, at in step:
-                    y[:, at], jv, factor, den = p.push(y[:, at], None if dy is None else dy[:, at])
+                    y[:, at], jv, factor, den, hit = p.push(
+                        y[:, at], None if dy is None else dy[:, at])
                     if dy is not None:
                         dy[:, at] = jv
                     if factor is not None:
-                        lam[:, at] = lam[:, at] * factor
-                    if den is not None:
-                        hit = np.abs(den) < SINGULAR_RTOL * (1.0 + np.abs(den))
+                        lam[:, at] *= factor
+                    if den is not None and hit.any():
                         residual[:, at] = np.where(hit & ~singular[:, at], den, residual[:, at])
                         singular[:, at] |= hit
         return (y.reshape(n, 4), None if dy is None else dy.reshape(n, 4),
@@ -286,14 +301,13 @@ class ConformalMap:
         return images, jv
 
     def inverse(self) -> "ConformalMap":
-        """Each chain backwards, each primitive inverted."""
+        """Each chain backwards, each slot inverted."""
         kinds = self.kinds[:, ::-1]
-        return ConformalMap.stack(kinds, [k.inverse(p[:, ::-1][kinds == c])
-                                          for c, (k, p) in enumerate(zip(KINDS, self.params))])
+        return ConformalMap.stack(kinds, [k.inverse(*(p[:, ::-1][kinds == c] for p in params))
+                                          for c, (k, params) in enumerate(zip(KINDS, self.params))])
 
 
-@dataclass(frozen=True, eq=False)
-class AcceleratedFrameForm:
+class AcceleratedFrameForm(ConformalMap):
     """Canonical inversion -> translation(alpha) -> inversion(beta) composite.
 
     Closed forms: xbar = lambda(x) (x - x^2 alpha) with
@@ -302,22 +316,21 @@ class AcceleratedFrameForm:
     three-primitive chain is undefined, so the only singular set kept here is
     the vanishing denominator.
 
-    ``alpha`` (n, 4) and ``beta`` (n,) stack n forms for batch checks.  They
-    meet event rows cyclically, row j form j mod n, so rows made of whole
-    blocks of n (the two events of n pairs, an event's four tangents) meet
-    their form in every block; each row gets the bits of its own form.
+    A form is the map of m chains of one frame slot, and it pushes that
+    slot itself: ``alpha`` (4,) and ``beta`` give one form, ``alpha`` (m, 4)
+    and ``beta`` (m,) stack m, which meet event rows cyclically, row j form
+    j mod m, as the chains of any stack do.  As a primitive it is the frame
+    slot of other maps' chains.
     """
 
-    alpha: np.ndarray
-    beta: float | np.ndarray = 1.0
-    alpha_sq: float | np.ndarray = field(init=False, repr=False)
+    __match_args__ = ("alpha", "beta")    # the frame slot's parameters
 
-    def __post_init__(self):
-        beta = np.asarray(self.beta, dtype=float)
+    def __init__(self, alpha, beta=1.0):
+        beta = np.asarray(beta, dtype=float)
         if beta.ndim == 0:
-            alpha = as_event(self.alpha)
+            alpha = as_event(alpha)
         else:
-            alpha = np.asarray(self.alpha, dtype=float)
+            alpha = np.asarray(alpha, dtype=float)
             if beta.ndim != 1 or alpha.shape != (len(beta), 4):
                 raise ValueError(f"stacked forms need alpha (n, 4) and beta (n,), "
                                  f"got shapes {alpha.shape} and {beta.shape}")
@@ -325,21 +338,39 @@ class AcceleratedFrameForm:
                 raise ValueError("alpha components must be finite")
         if np.any((beta == 0) | ~np.isfinite(beta)):
             raise ConstraintViolationError("beta must be finite and nonzero")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", float(beta) if beta.ndim == 0 else beta)
-        object.__setattr__(self, "alpha_sq", minkowski_dot(alpha, alpha))
+        self.alpha = alpha
+        self.beta = float(beta) if beta.ndim == 0 else beta
+        self.alpha_sq = minkowski_dot(alpha, alpha)
+        self.kinds = np.full((beta.size, 1), FRAME)
+        self._drawn = [()] * FRAME + [(alpha, beta)]
+        self._steps = [[(self, slice(None))]]
+
+    apply = ConformalMap.apply    # in the form's own dict, where bench/test_bench.py traces it
+
+    def push(self, y, dy):
+        """xbar = lambda xi with xi = x - x^2 alpha and
+        J v = lambda (v + xi (phi.v) - 2 alpha (x.v)); the denominator D
+        vanishes where |D| < SINGULAR_RTOL (1 + |alpha^2 x^2|)."""
+        y2 = minkowski_dot(y, y)
+        den = 1.0 - 2.0 * minkowski_dot(y, self.alpha) + self.alpha_sq * y2
+        lam = self.beta / den
+        xi = y - y2[..., None] * self.alpha
+        if dy is not None:
+            yw = minkowski_dot(y, dy)
+            phi_w = 2.0 * (minkowski_dot(dy, self.alpha) - self.alpha_sq * yw) / den
+            dy = lam[..., None] * (dy + xi * phi_w[..., None] - 2.0 * yw[..., None] * self.alpha)
+        return lam[..., None] * xi, dy, lam, den, _near_zero(den, self.alpha_sq * y2)
 
     def _blocks(self, x):
-        """Events x (..., 4) as (N / n, n, 4) for n forms (one form is a stack
+        """Events x (..., 4) as (N / m, m, 4) for m forms (one form is a stack
         of one), so that they broadcast against alpha and beta; no events
-        are (0, n, 4), also for n = 0."""
-        return x.reshape(-1 if x.size else 0, np.size(self.beta), 4)
+        are (0, m, 4), also for m = 0."""
+        return x.reshape(-1 if x.size else 0, len(self.kinds), 4)
 
-    def _rows(self, x, *arrays):
-        """Arrays computed on ``_blocks(x)`` back on the events of x; one
+    def _rows(self, x, a):
+        """An array computed on ``_blocks(x)`` back on the events of x; one
         event's scalar comes back as a scalar."""
-        return tuple(None if a is None else a.reshape(x.shape[:-1] + a.shape[2:])[()]
-                     for a in arrays)
+        return a.reshape(x.shape[:-1] + a.shape[2:])[()]
 
     def _denominator(self, y):
         return (1.0 - 2.0 * minkowski_dot(y, self.alpha)
@@ -347,37 +378,7 @@ class AcceleratedFrameForm:
 
     def denominator(self, x):
         x = np.asarray(x, dtype=float)
-        return self._rows(x, self._denominator(self._blocks(x)))[0]
-
-    def evaluate(self, x, v=None):
-        """(images, J v or None, signed factors, denominators, singular) of
-        event rows x (n, 4) and tangent rows v; never raises.  Closed forms
-        xbar = lambda xi with xi = x - x^2 alpha and
-        J v = lambda (v + xi (phi.v) - 2 alpha (x.v)); a row is singular where
-        |D| < SINGULAR_RTOL (1 + |alpha^2 x^2|).  Stacked forms need v as
-        full rows.
-        """
-        y = self._blocks(x)
-        y2 = minkowski_dot(y, y)
-        den = 1.0 - 2.0 * minkowski_dot(y, self.alpha) + self.alpha_sq * y2
-        singular = np.abs(den) < SINGULAR_RTOL * (1.0 + np.abs(self.alpha_sq * y2))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lam = self.beta / den
-            xi = y - y2[..., None] * self.alpha
-            jv = None
-            if v is not None:
-                w = self._blocks(v)
-                yw = minkowski_dot(y, w)
-                phi_w = 2.0 * (minkowski_dot(w, self.alpha) - self.alpha_sq * yw) / den
-                jv = lam[..., None] * (w + xi * phi_w[..., None]
-                                       - 2.0 * yw[..., None] * self.alpha)
-            return self._rows(x, lam[..., None] * xi, jv, lam, den, singular)
-
-    def factor(self, x):
-        return _checked(self, x)[2]
-
-    def apply(self, x):
-        return _checked(self, x)[0]
+        return self._rows(x, self._denominator(self._blocks(x)))
 
     def _phi(self, y, den):
         lowered = np.asarray(self.alpha_sq)[..., None] * lower_index(y)
@@ -388,7 +389,7 @@ class AcceleratedFrameForm:
         (n, 4); independent of beta."""
         x = np.asarray(x, dtype=float)
         y = self._blocks(x)
-        return self._rows(x, self._phi(y, self._denominator(y)))[0]
+        return self._rows(x, self._phi(y, self._denominator(y)))
 
     def phi2(self, x):
         """phi_{mu nu} = d_mu phi_nu = phi_mu phi_nu - (2 alpha^2 / D) eta,
@@ -398,31 +399,31 @@ class AcceleratedFrameForm:
         den = self._denominator(y)
         ph = self._phi(y, den)
         scale = (2.0 * self.alpha_sq / den)[..., None, None]
-        return self._rows(x, ph[..., :, None] * ph[..., None, :] - scale * ETA)[0]
-
-    def pushforward(self, x, v):
-        """Images and pushed tangents J v of rows x, v of shape (n, 4)."""
-        images, jv, _ = _checked(self, x, np.asarray(v, dtype=float))
-        return images, jv
-
-    def as_chain(self) -> ConformalMap:
-        return ConformalMap([Inversion(1.0), Translation(self.alpha), Inversion(self.beta)])
-
-    def inverse(self) -> "AcceleratedFrameForm":
-        return AcceleratedFrameForm(-self.alpha / self.beta, 1.0 / self.beta)
+        return self._rows(x, ph[..., :, None] * ph[..., None, :] - scale * ETA)
 
 
-Mappable = ConformalMap | AcceleratedFrameForm
+# kind c of a chain slot: its primitive, its name in the map JSON, the JSON key
+# and shape of each of its parameters, and the inverse's parameters from
+# stacked ones
+Kind = namedtuple("Kind", "primitive name keys shapes inverse")
+KINDS = (Kind(Translation, "translation", ("b",), ((4,),), lambda b: (-b,)),
+         Kind(LorentzTransform, "lorentz", ("matrix",), ((4, 4),), lambda L: (np.linalg.inv(L),)),
+         Kind(Dilation, "dilation", ("s",), ((),), lambda s: (1.0 / s,)),
+         Kind(Inversion, "inversion", ("beta",), ((),), lambda beta: (beta,)),  # an involution
+         Kind(AcceleratedFrameForm, "accelerated-frame", ("alpha", "beta"), ((4,), ()),
+              lambda alpha, beta: (-alpha / beta[:, None], 1.0 / beta)))
+KIND_OF = {k.primitive: c for c, k in enumerate(KINDS)}
+FRAME = KIND_OF[AcceleratedFrameForm]
 
 
 # ---------------------------------------------------------------------------
 # operations
 
-def apply_map(m: Mappable, x) -> np.ndarray:
+def apply_map(m: ConformalMap, x) -> np.ndarray:
     return m.apply(as_event(x))
 
 
-def _frames(m: Mappable, rows):
+def _frames(m: ConformalMap, rows):
     """(images (n, 4), signed factors (n,), Jacobians and tetrads f = J / lambda
     (n, 4, 4)) of finite event rows from one evaluation, raising for the
     first singular event.  The rows are pushed four times over, block nu
@@ -438,7 +439,7 @@ def _frames(m: Mappable, rows):
     return images[:n], lam, J, J / lam[:, None, None]
 
 
-def jacobian_tetrad(m: Mappable, x):
+def jacobian_tetrad(m: ConformalMap, x):
     """(J, lambda, f): Jacobian, signed scale factor, tetrad f = J / lambda.
 
     J^T eta J = lambda^2 eta, so f is a (pointwise) Lorentz matrix off the
@@ -448,9 +449,9 @@ def jacobian_tetrad(m: Mappable, x):
     return J[0], float(lam[0]), f[0]
 
 
-def compose(m1: Mappable, m2: Mappable) -> ConformalMap:
+def compose(m1: ConformalMap, m2: ConformalMap) -> ConformalMap:
     """Map acting as m1 after m2: apply(compose(m1, m2), x) = m1(m2(x))."""
-    return ConformalMap(m2.as_chain().chain + m1.as_chain().chain)
+    return ConformalMap(m2.chain + m1.chain)
 
 
 def _pair_rows(x, xp):
@@ -484,7 +485,7 @@ class IntervalLawReport:
         return cls(lhs, rhs, residual, lam[:n], lam[n:])
 
 
-def verify_interval_law(m: Mappable, x, xp) -> IntervalLawReport:
+def verify_interval_law(m: ConformalMap, x, xp) -> IntervalLawReport:
     """Check (xbar - xbar')^2 = lambda(x) lambda(x') (x - x')^2 on one pair or
     on pair rows (n stacked forms: pair i by form i), all events evaluated as
     one batch; the report carries both factors."""
@@ -546,7 +547,7 @@ class LightRayReport:
     time_formula_residual: float
 
 
-def transform_light_ray(m: Mappable, ray: LightRay):
+def transform_light_ray(m: ConformalMap, ray: LightRay):
     """Map a light ray; returns (image ray, report).
 
     The image direction is f(x') v / (f(x') v)^0 and image coordinate-time
@@ -671,14 +672,17 @@ def spatial_rotation(axis, angle) -> LorentzTransform:
 # ---------------------------------------------------------------------------
 # JSON serialization
 
-def map_to_dict(m: Mappable) -> dict:
-    """The JSON form of a form or of a stack of one."""
-    if isinstance(m, AcceleratedFrameForm):
-        return {"alpha": [float(a) for a in m.alpha], "beta": m.beta}
+def map_to_dict(m: ConformalMap) -> dict:
+    """The JSON of a stack of one: ``{"alpha", "beta"}`` for a map that is one
+    frame slot, else its chain of entries."""
     if len(m.kinds) != 1:
         raise ValueError(f"a stack of {len(m.kinds)} chains is not one map; take(i) gives chain i")
-    return {"chain": [{"kind": KINDS[c].name, KINDS[c].key: m.params[c][0, s].tolist()}
-                      for s, c in enumerate(m.kinds[0]) if c >= 0]}
+    chain = [{"kind": KINDS[c].name, **{key: p[0, s].tolist()
+                                        for key, p in zip(KINDS[c].keys, m.params[c])}}
+             for s, c in enumerate(m.kinds[0]) if c >= 0]
+    if [entry["kind"] for entry in chain] == [KINDS[FRAME].name]:
+        return {key: chain[0][key] for key in KINDS[FRAME].keys}
+    return {"chain": chain}
 
 
 def _entry(d, where):
@@ -708,13 +712,17 @@ def _param(d, key, shape, where):
     return a
 
 
-def map_from_dict(d) -> Mappable:
+def _made(k, d, where):
+    """The primitive of kind k from the JSON object d."""
+    return k.primitive(*(_param(d, key, shape, where) for key, shape in zip(k.keys, k.shapes)))
+
+
+def map_from_dict(d) -> ConformalMap:
     """The map of ``map_to_dict``; an entry that is not a JSON object, a
     missing key or a parameter of the wrong shape raises ``ValueError``
     naming the entry and the key."""
     if "alpha" in _entry(d, "map"):
-        where = "accelerated-frame map"
-        return AcceleratedFrameForm(_param(d, "alpha", (4,), where), _param(d, "beta", (), where))
+        return _made(KINDS[FRAME], d, "accelerated-frame map")
     chain = _key(d, "chain", "map without 'alpha'")
     if not isinstance(chain, list):
         raise ValueError(f"map key 'chain' is not a list: {chain!r}")
@@ -724,5 +732,5 @@ def map_from_dict(d) -> Mappable:
         k = next((k for k in KINDS if k.name == kind), None)
         if k is None:
             raise ValueError(f"chain entry {i}: unknown primitive kind {kind!r}")
-        primitives.append(k.primitive(_param(entry, k.key, k.shape, f"chain entry {i} ({kind})")))
+        primitives.append(_made(k, entry, f"chain entry {i} ({kind})"))
     return ConformalMap(primitives)

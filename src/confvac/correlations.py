@@ -78,13 +78,6 @@ def scalar_vacuum_correlation(x, xp, epsilon) -> complex:
     return complex(_kernel_rows(as_event(x)[None], as_event(xp)[None], epsilon)[0])
 
 
-def lorentzian(s, width) -> float:
-    """Normalized Lorentzian (integral 1 over s), the regularized delta."""
-    if width <= 0:
-        raise ValueError("width must be positive")
-    return width / (math.pi * (s * s + width * width))
-
-
 # ---------------------------------------------------------------------------
 # scalar invariance
 
@@ -434,14 +427,6 @@ def vacuum_spectra(xi, omega) -> SpectralPoint:
     sigma = xi if omega > 0 else -xi
     return SpectralPoint(omega=float(omega), xi=float(xi), temperature=0.0,
                          C=float(C), sigma=float(sigma))
-
-
-def scalar_commutator_spectrum(k, width) -> float:
-    """Massless scalar spectral density pi sgn(omega) delta(k^2), with the
-    delta regularized by a normalized Lorentzian of the given width."""
-    k = as_event(k)
-    k2 = minkowski_dot(k, k)
-    return math.pi * float(np.sign(k[0])) * lorentzian(k2, width)
 
 
 # ---------------------------------------------------------------------------

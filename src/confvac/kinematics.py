@@ -13,14 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import (AcceleratedFrameForm, Mappable, apply_map,
+from .conformal import (AcceleratedFrameForm, ConformalMap, apply_map,
                         jacobian_tetrad)  # noqa: F401  (apply_map re-exported)
 from .errors import SingularPointError
 from .minkowski import ETA, KinematicState, SampledWorldline, Worldline, minkowski_dot
 from .numdiff import OFFSETS, W_D1, W_D2, W_D3
-
-RIGIDITY_THRESHOLD = 1e-2   # a * delta below this treats a body as rigid
-
 
 @dataclass(frozen=True)
 class AbrahamVector:
@@ -89,7 +86,7 @@ def classify_motion(worldline: Worldline, grid, step=1e-3, tol=1e-5) -> MotionCl
     return MotionClass(kind="other", accel=None, tol=tol)
 
 
-def pushforward_worldline(m: Mappable, worldline: Worldline, grid,
+def pushforward_worldline(m: ConformalMap, worldline: Worldline, grid,
                           step=1e-3) -> SampledWorldline:
     """Image worldline, reparametrized by its own proper time.
 
@@ -158,23 +155,3 @@ def transform_abraham(form: AcceleratedFrameForm, state: KinematicState,
     scale = 1.0 / lam**3
     return HillTransformResult(general=scale * (J @ bracket),
                                reduced=scale * (J @ w))
-
-
-@dataclass(frozen=True)
-class RigidityReport:
-    ok: bool
-    ratio: float
-    threshold: float
-
-
-def rigidity_check(accel, size) -> RigidityReport:
-    """Approximate-rigidity condition a * delta << c^2 (= 1 here) for treating
-    a finite body as rigid in an accelerated conformal frame: a * delta below
-    RIGIDITY_THRESHOLD."""
-    a = float(accel)
-    delta = float(size)
-    if a < 0 or delta < 0:
-        raise ValueError("acceleration and size must be nonnegative")
-    ratio = a * delta
-    return RigidityReport(ok=ratio < RIGIDITY_THRESHOLD, ratio=ratio,
-                          threshold=RIGIDITY_THRESHOLD)

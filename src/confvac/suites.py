@@ -12,16 +12,17 @@ since residuals blow up polynomially near the singular sets.
 
 interval-law, scalar-invariance and tetrad-identity draw, then evaluate
 once, then filter: a block of candidates is drawn, the whole block is
-evaluated in one array pass (its forms as one stacked
-``AcceleratedFrameForm``, interval-law's chains as one ``ConformalMap`` of m
-chains) and the first n accepted are kept in order.  interval-law draws each
-block as arrays, every rejection loop redrawing only the rows that fail, so
-its samples are not those of a one-at-a-time draw; only the worst sample's
-chain is taken out of the stack, for the report.  scalar-invariance and
-tetrad-identity draw in stream order through ``DrawStream``, which replays
-the generator's doubles bit for bit; no draw depends on an evaluation, so
-their samples, and reports, are those of drawing and evaluating one sample
-at a time.
+evaluated in one array pass as one ``ConformalMap`` stack and the first n
+accepted are kept in order.  scalar-invariance and tetrad-identity stack
+their forms as one ``AcceleratedFrameForm``; interval-law's stack holds its
+forms as chains of one accelerated-frame slot beside its primitive chains.
+interval-law draws each block as arrays, every rejection loop redrawing only
+the rows that fail, so its samples are not those of a one-at-a-time draw;
+only the worst sample's chain is taken out of the stack, for the report.
+scalar-invariance and tetrad-identity draw in stream order through
+``DrawStream``, which replays the generator's doubles bit for bit; no draw
+depends on an evaluation, so their samples, and reports, are those of
+drawing and evaluating one sample at a time.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ import numpy as np
 
 from . import correlations as corr
 from . import lightcone2d as lc2
-from .conformal import (AcceleratedFrameForm, ConformalMap, IntervalLawReport,
+from .conformal import (FRAME, AcceleratedFrameForm, ConformalMap, IntervalLawReport,
                         LightRay, boost_matrix, map_to_dict, ricci_conformal,
-                        transform_light_ray, verify_interval_law)
+                        transform_light_ray)
 from .errors import SingularPointError
 from .kinematics import (abraham_norms_on_grid, pushforward_worldline,
                          transform_abraham)
@@ -142,7 +143,7 @@ class SuiteReport:
 # bits: of their decisions at seeds 20250 and 7, none lands within 1e-9 of
 # its threshold, so each decision, and with it the stream, is the numpy one
 # (tests/test_sampling.py replays the numpy samplers).  interval-law's array
-# samplers (``_ball_rows``, ``_rows_until``, ``_chain_stack``) decide
+# samplers (``_ball_rows``, ``_rows_until``, ``_chain_draws``) decide
 # on numpy rows.
 
 CANDIDATE_BLOCK = 1024    # candidates drawn, then evaluated, per array pass
@@ -225,20 +226,24 @@ def random_form(rng, alpha_max=0.5) -> AcceleratedFrameForm:
     return AcceleratedFrameForm(np.array(alpha), beta)
 
 
-def _chain_stack(rng, m) -> ConformalMap:
-    """m random chains: the lengths, integers(2, 5); each slot's kind,
-    integers(0, 4); then each kind's parameters in slot order: translation
-    U(-0.5, 0.5)^4, boost with velocity U(-0.4, 0.4)^3, dilation and
-    inversion U(0.5, 2)."""
+def _chain_draws(rng, m):
+    """Slot kinds (m, 4) and ``ConformalMap.stack`` parameters of m random
+    chains: the lengths, integers(2, 5); each slot's kind, integers(0, 4);
+    then each kind's parameters in slot order: translation U(-0.5, 0.5)^4,
+    boost with velocity U(-0.4, 0.4)^3, dilation and inversion U(0.5, 2)."""
     kinds = np.full((m, 4), -1)
     used = np.arange(4) < rng.integers(2, 5, m)[:, None]
     kinds[used] = rng.integers(0, 4, np.count_nonzero(used))
     n = [np.count_nonzero(kinds == c) for c in range(4)]
-    drawn = (rng.uniform(-0.5, 0.5, (n[0], 4)),
-             boost_matrix(rng.uniform(-0.4, 0.4, (n[1], 3))),
-             rng.uniform(0.5, 2.0, n[2]),
-             rng.uniform(0.5, 2.0, n[3]))
-    return ConformalMap.stack(kinds, drawn)
+    drawn = [(rng.uniform(-0.5, 0.5, (n[0], 4)),),
+             (boost_matrix(rng.uniform(-0.4, 0.4, (n[1], 3))),),
+             (rng.uniform(0.5, 2.0, n[2]),),
+             (rng.uniform(0.5, 2.0, n[3]),)]
+    return kinds, drawn
+
+
+def _chain_stack(rng, m) -> ConformalMap:
+    return ConformalMap.stack(*_chain_draws(rng, m))
 
 
 def random_chain(rng) -> ConformalMap:
@@ -320,15 +325,14 @@ def _ball_rows(rng, radius, m):
 
 
 def _interval_law_block(rng, k):
-    """k interval-law candidates, drawn as arrays, then evaluated:
-    (map_of, points (k, 2, 4), values (5, k)).  Candidate i is an
-    accelerated-frame form (probability 0.7) with two events in the unit
-    ball off its singular set (|denominator| >= 0.1), or a primitive chain
-    with two events in the unit ball; ``map_of(i)`` builds its map.  values
-    holds each candidate's residual, lhs, rhs, lambda and lambda', NaN for a
-    singular chain; the forms are evaluated as one stacked batch, the chains
-    as one stack.  Draw order: the kinds; the forms' alpha, beta, x and x';
-    the chains, their x and x'."""
+    """k interval-law candidates, drawn as arrays, then evaluated as one
+    stack: (maps, points (k, 2, 4), values (5, k)).  Candidate i is the
+    chain ``maps.take(i)``: an accelerated-frame form (probability 0.7), one
+    frame slot, with two events in the unit ball off its singular set
+    (|denominator| >= 0.1), or a primitive chain with two events in the unit
+    ball.  values holds each candidate's residual, lhs, rhs, lambda and
+    lambda', NaN for a singular candidate.  Draw order: the kinds; the forms'
+    alpha, beta, x and x'; the chains, their x and x'."""
     is_form = rng.random(k) < 0.7
     at_form, at_chain = np.flatnonzero(is_form), np.flatnonzero(~is_form)
     forms = AcceleratedFrameForm(_ball_rows(rng, 0.5, len(at_form)),
@@ -338,31 +342,26 @@ def _interval_law_block(rng, k):
         points[at_form, j] = _rows_until(lambda m: _ball_rows(rng, 1.0, m),
                                          lambda x: np.abs(forms.denominator(x)) < 0.1,
                                          len(at_form))
-    chains = _chain_stack(rng, len(at_chain))
+    kinds = np.full((k, 4), -1)
+    kinds[at_form, 0] = FRAME
+    kinds[at_chain], drawn = _chain_draws(rng, len(at_chain))
     for j in range(2):
         points[at_chain, j] = _ball_rows(rng, 1.0, len(at_chain))
 
-    rows = np.concatenate([points[at_chain, 0], points[at_chain, 1]])
-    images, _, lam, _, singular = chains.evaluate(rows)
-    values = np.empty((5, k))
-    for at, rep in ((at_form, verify_interval_law(forms, points[at_form, 0], points[at_form, 1])),
-                    (at_chain, IntervalLawReport.from_images(rows, images, lam))):
-        values[:, at] = rep.residual, rep.lhs, rep.rhs, rep.lam, rep.lam_p
-    values[:, at_chain[singular[:len(at_chain)] | singular[len(at_chain):]]] = np.nan
-
-    def map_of(i):
-        j = np.count_nonzero(is_form[:i])
-        return (AcceleratedFrameForm(forms.alpha[j], forms.beta[j]) if is_form[i]
-                else chains.take(i - j))
-
-    return map_of, points, values
+    maps = ConformalMap.stack(kinds, [*drawn, (forms.alpha, forms.beta)])
+    rows = np.concatenate([points[:, 0], points[:, 1]])
+    images, _, lam, _, singular = maps.evaluate(rows)
+    rep = IntervalLawReport.from_images(rows, images, lam)
+    values = np.array([rep.residual, rep.lhs, rep.rhs, rep.lam, rep.lam_p])
+    values[:, singular[:k] | singular[k:]] = np.nan
+    return maps, points, values
 
 
 def suite_interval_law(cfg: SuiteConfig) -> SuiteReport:
     """(xbar - xbar')^2 = lambda lambda' (x - x')^2 over random maps and pairs.
 
     Candidates are drawn in blocks as arrays, evaluated in one pass per
-    block (the forms as one stacked batch, the chains as one stack) and kept
+    block (forms and chains as one stack) and kept
     in order while fewer than n are kept: a rejected candidate (singular, or
     |lambda| >= 1e3) only moves on to the next, so the draws do not depend
     on what is kept."""
@@ -374,7 +373,7 @@ def suite_interval_law(cfg: SuiteConfig) -> SuiteReport:
         worst = None
         kept = 0
         while kept < n:
-            map_of, points, (res, lhs, rhs, lam, lam_p) = _interval_law_block(
+            maps, points, (res, lhs, rhs, lam, lam_p) = _interval_law_block(
                 rng, min(CANDIDATE_BLOCK, n - kept))
             accepted = np.flatnonzero((np.abs(lam) < 1e3) & (np.abs(lam_p) < 1e3))
             residuals[kept:kept + len(accepted)] = res[accepted]
@@ -383,7 +382,7 @@ def suite_interval_law(cfg: SuiteConfig) -> SuiteReport:
                 continue
             i = accepted[np.argmax(res[accepted])]   # the first maximum
             if worst is None or res[i] > worst[0]:
-                worst = (float(res[i]), map_to_dict(map_of(i)), points[i].tolist(),
+                worst = (float(res[i]), map_to_dict(maps.take(i)), points[i].tolist(),
                          float(lhs[i]), float(rhs[i]))
         check = CheckResult(
             name="interval-law-residual", statistic=float(residuals.max()),
@@ -569,7 +568,7 @@ def suite_scalar_invariance(cfg: SuiteConfig) -> SuiteReport:
             i = int(np.argmax(rep.residual))   # the first maximum
             if worst is None or rep.residual[i] > worst[0]:
                 worst = (float(rep.residual[i]),
-                         map_to_dict(AcceleratedFrameForm(form.alpha[i], form.beta[i])),
+                         map_to_dict(form.take(i)),
                          [x[i].tolist(), xp[i].tolist()],
                          [float(rep.lhs[i].real), float(rep.lhs[i].imag)],
                          [float(rep.rhs[i].real), float(rep.rhs[i].imag)])

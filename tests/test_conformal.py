@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 import confvac.numdiff as numdiff
 from confvac import suites
-from confvac.conformal import KINDS, IntervalLawReport, boost_matrix
+from confvac.conformal import FRAME, KINDS, SINGULAR_RTOL, IntervalLawReport, boost_matrix
 from confvac import (ETA, AcceleratedFrameForm, ConformalMap,
                      ConstraintViolationError, Dilation, Inversion,
                      LightRay, LorentzTransform, SingularPointError, Translation,
@@ -101,7 +102,7 @@ def test_form_equals_its_primitive_chain():
     rng = np.random.default_rng(1)
     for _ in range(25):
         form = random_form(rng)
-        chain = form.as_chain()
+        chain = ConformalMap([Inversion(1.0), Translation(form.alpha), Inversion(form.beta)])
         x = safe_event(rng, form)
         if abs(minkowski_dot(x, x)) < 0.05:
             continue  # raw chain is undefined on the inner cone
@@ -154,6 +155,39 @@ def test_jacobian_matches_finite_differences():
         np.testing.assert_allclose(J, J_fd, atol=1e-7)
         # tetrad is Lorentz
         np.testing.assert_allclose(f.T @ ETA @ f, ETA, atol=1e-9)
+
+
+def walk_to_singular_set(form, x0, d, dens):
+    """Events x0 + s d on the line's near side of the form's singular set,
+    where the denominator takes the values dens (to rounding)."""
+    g = lambda s: form.denominator(x0 + s * d)     # noqa: E731
+    s_star = brentq(g, 0.0, 3.0, xtol=1e-16)
+    slope = (g(s_star + 1e-6) - g(s_star - 1e-6)) / 2e-6
+    return x0 + (s_star + np.asarray(dens)[:, None] / slope) * d
+
+
+def test_tetrad_defect_near_the_singular_set():
+    # characterises, does not fix: walking toward 1 - 2 alpha.x + alpha^2 x^2 = 0
+    # the tetrad's Lorentz defect max |f^T eta f - eta| grows as D^-2 (f is
+    # O(1 / D) and f^T eta f cancels to eta), and no error is raised until D
+    # is inside the SINGULAR_RTOL band
+    form = AcceleratedFrameForm(np.array([0.3, 0.1, -0.2, 0.05]), 1.3)
+    dens = 3.6 * 10.0 ** -np.arange(3, 15)
+    walk = walk_to_singular_set(form, np.zeros(4), np.array([1.0, 0, 0, 0]), dens)
+    np.testing.assert_allclose(form.denominator(walk), dens, rtol=1e-2)
+    band = SINGULAR_RTOL * (1.0 + np.abs(form.alpha_sq * minkowski_dot(walk, walk)))
+    defects = []
+    for x, den, tol in zip(walk, form.denominator(walk), band):
+        if abs(den) < tol:
+            with pytest.raises(SingularPointError):
+                jacobian_tetrad(form, x)
+            continue
+        _, _, f = jacobian_tetrad(form, x)
+        defects.append(np.max(np.abs(f.T @ ETA @ f - ETA)))
+    assert len(defects) == 10                   # raised at 3.6e-13 and 3.6e-14 only
+    slope = np.polyfit(np.log10(dens[:7]), np.log10(defects[:7]), 1)[0]
+    assert -2.3 <= slope <= -1.7
+    assert defects[6] > 1e8 * defects[0]        # 3.6e-9 against 3.6e-3
 
 
 def test_chain_jacobian_via_chain_rule():
@@ -288,7 +322,7 @@ def stack_of(chains):
         for s, (cls, p) in enumerate(chain):
             kinds[i, s] = [k.primitive for k in KINDS].index(cls)
             drawn[kinds[i, s]].append(p)
-    return ConformalMap.stack(kinds, drawn)
+    return ConformalMap.stack(kinds, [(values,) for values in drawn])
 
 
 @given(st.integers(0, 2**32 - 1),
@@ -379,6 +413,24 @@ def test_stacked_lorentz_check_names_the_bad_matrix():
         LorentzTransform(stack[2])
     with pytest.raises(ConstraintViolationError, match="must be 4x4"):
         LorentzTransform(stack[None])
+
+
+def test_chain_stack_names_the_chain_and_slot_of_a_bad_matrix():
+    # kinds [[0, 1], [1, 2], [0, 1]]: the third drawn matrix is chain 2's
+    # slot 1, the second of slot 1's stacked Lorentz transforms
+    good = [lorentz_boost([0.1, 0.2, 0.0]).matrix, lorentz_boost([0.0, -0.3, 0.1]).matrix]
+    kinds = np.array([[0, 1], [1, 2], [0, 1]])
+    drawn = [(np.zeros((2, 4)),), (np.array([*good, np.diag([1.0, 1.0, 1.0, 2.0])]),),
+             (np.array([1.5]),), (np.zeros(0),)]
+    with pytest.raises(ConstraintViolationError,
+                       match=r"^chain 2 slot 1: matrix is not Lorentz: "
+                             r"max \|L\^T eta L - eta\| = 3\.000e\+00$"):
+        ConformalMap.stack(kinds, drawn)
+    drawn[2] = (np.array([0.0]),)
+    drawn[1] = (np.array([*good, good[0]]),)
+    with pytest.raises(ConstraintViolationError,
+                       match="^chain 1 slot 1: dilation scale must be finite and nonzero$"):
+        ConformalMap.stack(kinds, drawn)
 
 
 @pytest.mark.parametrize("make", [
@@ -793,8 +845,8 @@ def cone_distance(stack, x):
     ratios, since z = -beta y / y^2 has |z^2| / |z|_E^2 = |y^2| / |y|_E^2."""
     kinds, ratio = stack.kinds, np.full(len(x), np.inf)
     for s in range(kinds.shape[1]):
-        head = ConformalMap.stack(kinds[:, :s], [p[:, :s][kinds[:, :s] == c]
-                                                 for c, p in enumerate(stack.params)])
+        head = ConformalMap.stack(kinds[:, :s], [[p[:, :s][kinds[:, :s] == c] for p in params]
+                                                 for c, params in enumerate(stack.params)])
         y = head.evaluate(x)[0]
         at_inversion = np.tile(kinds[:, s] == 3, len(x) // len(kinds))
         here = np.abs(minkowski_dot(y, y)) / np.sum(y * y, axis=1)
@@ -829,6 +881,61 @@ def test_json_round_trip_of_a_chain_reproduces_its_stack_rows(seed, m):
         loaded = map_from_dict(json.loads(json.dumps(map_to_dict(stack.take(i)))))
         for p, q in zip(rows, loaded.evaluate(x[i::m])):
             assert p is None if q is None else same_bits(p[i::m], q)
+
+
+FORM_ON_CONE = (AcceleratedFrameForm(np.array([0.3, 0.1, -0.2, 0.05]), 1.3),
+                np.array([0.5, 0.3, 0.4, 0.0]))     # x^2 = 0, where the form is regular
+
+
+def test_compose_keeps_a_form_regular_on_its_inner_cone():
+    # the form's slot is pushed by its closed form, not by a three-primitive
+    # chain whose first inversion divides by x^2
+    form, x = FORM_ON_CONE
+    assert abs(minkowski_dot(x, x)) < 1e-16
+    # alpha.x = 0.2, so D = 0.6 and xbar = (1.3 / 0.6) x = (1.0833, 0.65, 0.8667, 0)
+    np.testing.assert_allclose(form.apply(x), 1.3 / 0.6 * x, rtol=1e-14, atol=1e-15)
+    for m in (compose(form, ConformalMap.identity()), compose(ConformalMap.identity(), form)):
+        np.testing.assert_allclose(m.apply(x), form.apply(x), rtol=0, atol=1e-12)
+        assert m.factor(x) == pytest.approx(form.factor(x), rel=1e-12)
+    with pytest.raises(SingularPointError):
+        ConformalMap([Inversion(1.0), Translation(form.alpha), Inversion(form.beta)]).apply(x)
+
+
+def test_json_round_trip_of_a_composite_with_a_frame_slot():
+    form, x = FORM_ON_CONE
+    chain = ConformalMap([Dilation(0.7), lorentz_boost([0.2, 0.0, 0.1])])
+    m = compose(chain, compose(form, ConformalMap([Translation(np.array([0.1, 0, 0, 0.2]))])))
+    d = map_to_dict(m)
+    assert [e["kind"] for e in d["chain"]] == ["translation", "accelerated-frame",
+                                               "dilation", "lorentz"]
+    assert d["chain"][1] == {"kind": "accelerated-frame", "alpha": form.alpha.tolist(),
+                             "beta": 1.3}
+    loaded = map_from_dict(json.loads(json.dumps(d)))
+    assert map_to_dict(loaded) == d
+    rows = np.random.default_rng(14).uniform(-1.0, 1.0, (50, 4))
+    tangents = np.random.default_rng(15).uniform(-1.0, 1.0, (50, 4))
+    for p, q in zip(m.evaluate(rows, tangents), loaded.evaluate(rows, tangents)):
+        assert same_bits(p, q)
+    # a map that is one frame slot keeps the form's own JSON
+    assert map_to_dict(form) == {"alpha": form.alpha.tolist(), "beta": 1.3}
+    assert map_to_dict(ConformalMap(form.chain)) == map_to_dict(form)
+
+
+def test_a_form_is_a_stack_of_frame_slots():
+    forms = stacked([AcceleratedFrameForm(np.array([0.1, 0.2, 0.0, 0.0]), 1.5),
+                     AcceleratedFrameForm(np.array([0.0, -0.1, 0.3, 0.2]), 0.8)])
+    assert forms.kinds.tolist() == [[FRAME], [FRAME]]
+    assert KINDS[FRAME].primitive is AcceleratedFrameForm
+    x = np.random.default_rng(16).uniform(-0.5, 0.5, (6, 4))
+    for i in range(2):
+        one = forms.take(i)
+        (slot,) = one.chain
+        assert same_bits(slot.alpha, forms.alpha[i]) and slot.beta == forms.beta[i]
+        assert same_bits(one.apply(x[i::2]), forms.apply(x)[i::2])
+        inverse = one.inverse()
+        (back,) = inverse.chain
+        assert same_bits(back.alpha, -forms.alpha[i] / forms.beta[i])
+        assert back.beta == 1.0 / forms.beta[i]
 
 
 def test_double_inversion_is_identity():

@@ -11,12 +11,12 @@ from confvac import (AcceleratedFrameForm, BoundaryError, ConvergenceError,
                      InternalConsistencyError, PoleError, SingularPointError,
                      em_potential_correlation, field_tensor_correlation, interval,
                      minkowski_field_tensor_correlation, momentum_space_oracle,
-                     scalar_commutator_spectrum, scalar_vacuum_correlation,
+                     scalar_vacuum_correlation,
                      tetrad_contraction, thermal_spectra,
                      transformed_em_correlation, vacuum_spectra,
                      verify_em_invariance, verify_scalar_invariance)
 from confvac.correlations import (LAST_TERM_MODES, _fd_field_tensor, _formula_matrix,
-                                  _kernel_rows, lorentzian)
+                                  _kernel_rows)
 
 finite4 = st.lists(st.floats(-3, 3), min_size=4, max_size=4)
 
@@ -164,11 +164,6 @@ def test_kernel_split_delta_identity_against_bump():
 
     val, _ = quad(lambda r: im_c(r) * bump(r), -0.6, 0.6, points=[0.0], limit=400)
     assert val == pytest.approx(math.pi * bump(0.0), rel=1e-2)
-
-
-def test_lorentzian_is_normalized():
-    val, _ = quad(lambda s: lorentzian(s, 0.05), -np.inf, np.inf)
-    assert val == pytest.approx(1.0, rel=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -560,16 +555,6 @@ def test_thermal_converges_monotonically_to_vacuum():
                 for k in range(1, 7)]
         assert all(devs[i + 1] <= devs[i] + 1e-15 for i in range(len(devs) - 1))
         assert devs[-1] < 1e-12
-
-
-def test_commutator_spectrum():
-    width = 0.02
-    on_shell = scalar_commutator_spectrum([1.0, 1.0, 0, 0], width)
-    assert on_shell == pytest.approx(1.0 / width)
-    flipped = scalar_commutator_spectrum([-1.0, 1.0, 0, 0], width)
-    assert flipped == pytest.approx(-1.0 / width)
-    far = scalar_commutator_spectrum([5.0, 0.1, 0, 0], width)
-    assert abs(far) < 1e-2
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from confvac import (AcceleratedFrameForm, ConformalMap, Dilation,
                      abraham_vector, apply_map, classify_motion,
                      jacobian_tetrad, lorentz_boost,
                      minkowski_dot, pushforward_worldline, rest_worldline,
-                     rigidity_check, transform_abraham)
+                     transform_abraham)
 from confvac.numdiff import gradient_hessian
 
 HYP = HyperbolicWorldline([1, 0, 0, 0], [0, 1, 0, 0], 1.0)
@@ -286,17 +286,3 @@ def test_transform_abraham_nonflat_factor_disagrees():
                                        st.position)
     res = transform_abraham(form, st, derivatives=exp_derivatives)
     assert res.disagreement > 1e-3
-
-
-# ---------------------------------------------------------------------------
-# rigidity
-
-def test_rigidity_examples():
-    rep = rigidity_check(1.0, 1e-3)
-    assert rep.ok and rep.ratio == pytest.approx(1e-3)
-    rep = rigidity_check(10.0, 1.0)
-    assert not rep.ok and rep.ratio == 10.0
-    rep = rigidity_check(0.0, 123.0)
-    assert rep.ok and rep.ratio == 0.0
-    with pytest.raises(ValueError):
-        rigidity_check(-1.0, 0.1)

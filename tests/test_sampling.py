@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confvac import (AcceleratedFrameForm, ConformalMap, Dilation, LorentzTransform,
+from confvac import (AcceleratedFrameForm, Dilation, LorentzTransform,
                      SingularPointError, Translation, interval, map_to_dict,
                      verify_interval_law)
 from confvac import suites
@@ -91,13 +91,19 @@ class KindsForced:
         return getattr(self.rng, name)
 
 
+def form_of(m):
+    """The form that is the one slot of chain m, None for a primitive chain."""
+    chain = m.chain
+    return chain[0] if len(chain) == 1 and isinstance(chain[0], AcceleratedFrameForm) else None
+
+
 def check_values(m, pair, values):
     """values are those of m's own verify_interval_law call on the pair,
-    NaN where that call raises."""
+    NaN where that call raises (never for a form)."""
     try:
         rep = verify_interval_law(m, *pair)
     except SingularPointError:
-        assert isinstance(m, ConformalMap) and np.isnan(values).all()
+        assert form_of(m) is None and np.isnan(values).all()
         return
     assert same_bits(values, [rep.residual, rep.lhs, rep.rhs, rep.lam, rep.lam_p])
 
@@ -106,9 +112,9 @@ def check_values(m, pair, values):
 @settings(max_examples=10, deadline=None)
 def test_interval_law_block_equals_one_candidate_at_a_time(seed):
     # each candidate, form or chain, gets the bits of its own map alone
-    map_of, points, values = suites._interval_law_block(np.random.default_rng(seed), 120)
-    maps = [map_of(i) for i in range(120)]
-    assert {type(m) for m in maps} == {AcceleratedFrameForm, ConformalMap}
+    stack, points, values = suites._interval_law_block(np.random.default_rng(seed), 120)
+    maps = [stack.take(i) for i in range(120)]
+    assert {form_of(m) is None for m in maps} == {True, False}
     for i, m in enumerate(maps):
         check_values(m, points[i], values[:, i])
 
@@ -136,14 +142,15 @@ def boost_velocity(L):
 @given(st.integers(0, 2**32 - 1), st.integers(1, 60))
 @settings(max_examples=40, deadline=None)
 def test_interval_law_block_candidates_meet_their_rules(seed, k):
-    map_of, points, values = suites._interval_law_block(np.random.default_rng(seed), k)
+    maps, points, values = suites._interval_law_block(np.random.default_rng(seed), k)
     assert points.shape == (k, 2, 4) and values.shape == (5, k)
     assert (np.sum(points * points, axis=2) <= 1.0).all()
     for i in range(k):
-        m = map_of(i)
-        if isinstance(m, AcceleratedFrameForm):
-            assert m.alpha @ m.alpha <= 0.25 and 0.5 <= m.beta <= 2.0
-            assert (np.abs(m.denominator(points[i])) >= 0.1).all()
+        m = maps.take(i)
+        form = form_of(m)
+        if form is not None:
+            assert form.alpha @ form.alpha <= 0.25 and 0.5 <= form.beta <= 2.0
+            assert (np.abs(form.denominator(points[i])) >= 0.1).all()
             continue
         assert 2 <= len(m.chain) <= 4
         for p in m.chain:
@@ -157,22 +164,21 @@ def test_interval_law_block_candidates_meet_their_rules(seed, k):
 
 
 @pytest.mark.parametrize("k", [1, 2, 40])
-@pytest.mark.parametrize("u, kind", [(0.0, AcceleratedFrameForm), (1.0, ConformalMap)],
-                         ids=["forms", "chains"])
-def test_interval_law_block_of_one_kind(k, u, kind):
-    map_of, points, values = suites._interval_law_block(
+@pytest.mark.parametrize("u, forms", [(0.0, True), (1.0, False)], ids=["forms", "chains"])
+def test_interval_law_block_of_one_kind(k, u, forms):
+    maps, points, values = suites._interval_law_block(
         KindsForced(np.random.default_rng(k), u), k)
-    assert values.shape == (5, k)
+    assert values.shape == (5, k) and len(maps.kinds) == k
     for i in range(k):
-        assert isinstance(map_of(i), kind)
-        check_values(map_of(i), points[i], values[:, i])
+        assert (form_of(maps.take(i)) is not None) == forms
+        check_values(maps.take(i), points[i], values[:, i])
 
 
 def test_interval_law_block_same_seed_same_bytes():
     a, b = (suites._interval_law_block(np.random.default_rng(5), 300) for _ in range(2))
     assert same_bits(a[1], b[1]) and same_bits(a[2], b[2])
-    assert [map_to_dict(a[0](i)) for i in range(300)] == [map_to_dict(b[0](i))
-                                                          for i in range(300)]
+    assert [map_to_dict(a[0].take(i)) for i in range(300)] == [map_to_dict(b[0].take(i))
+                                                               for i in range(300)]
 
 
 

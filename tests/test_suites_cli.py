@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from confvac import AcceleratedFrameForm, ConformalMap, Dilation, compose, map_to_dict
 from confvac.cli import main
 from confvac.suites import SUITE_NAMES, SuiteConfig, run_suite
 
@@ -166,8 +167,10 @@ def test_cli_transform_rejects_nonfinite_map(tmp_path, spec):
 
 @pytest.mark.parametrize("spec, message", [
     ('{"chain": [{"kind": "dilation"}]}', "chain entry 0 (dilation) lacks key 's'"),
-    ('{"alpha": [0, 0, 0, 0]}', "accelerated-frame map lacks key 'beta'")],
-    ids=["chain", "form"])
+    ('{"alpha": [0, 0, 0, 0]}', "accelerated-frame map lacks key 'beta'"),
+    ('{"chain": [{"kind": "accelerated-frame", "alpha": [0, 0, 0, 0]}]}',
+     "chain entry 0 (accelerated-frame) lacks key 'beta'")],
+    ids=["chain", "form", "frame-entry"])
 def test_cli_transform_names_a_missing_map_key(tmp_path, spec, message):
     mapfile = tmp_path / "map.json"
     mapfile.write_text(spec)
@@ -197,10 +200,14 @@ def test_cli_transform_names_a_missing_map_key(tmp_path, spec, message):
      "chain entry 0 (lorentz) key 'matrix' must be a 4x4 list of numbers, "
      "got [[1, 0], [0, 1]]"),
     ('{"chain": [{"kind": "dilation", "s": "two"}]}',
-     "chain entry 0 (dilation) key 's' must be a number, got 'two'")],
+     "chain entry 0 (dilation) key 's' must be a number, got 'two'"),
+    ('{"chain": [{"kind": "dilation", "s": 2}, '
+     '{"kind": "accelerated-frame", "alpha": [0.1, 0], "beta": 1}]}',
+     "chain entry 1 (accelerated-frame) key 'alpha' must be a list of 4 numbers, "
+     "got [0.1, 0]")],
     ids=["dilation-list", "inversion-list", "form-beta-list", "entry-not-object",
          "chain-not-list", "map-not-object", "short-translation", "small-matrix",
-         "scale-string"])
+         "scale-string", "short-frame-alpha"])
 def test_cli_transform_names_a_malformed_map_entry(tmp_path, spec, message):
     mapfile = tmp_path / "map.json"
     mapfile.write_text(spec)
@@ -226,6 +233,26 @@ def test_cli_transform_identity_map(tmp_path):
     row = next(csv.DictReader(outfile.read_text().splitlines()))
     assert float(row["tbar"]) == pytest.approx(0.1)
     assert float(row["lambda"]) == 1.0
+
+
+def test_cli_transform_chain_with_a_frame_slot(tmp_path):
+    # compose output serializes with the frame slot as a chain entry; its
+    # rows are the map's own, with the chain's residual column
+    form = AcceleratedFrameForm(np.array([0.3, 0.1, -0.2, 0.05]), 1.3)
+    m = compose(ConformalMap([Dilation(0.5)]), form)
+    mapfile = tmp_path / "map.json"
+    mapfile.write_text(json.dumps(map_to_dict(m)))
+    x = np.array([[0.5, 0.3, 0.4, 0.0], [0.1, -0.2, 0.3, 0.4]])
+    infile = tmp_path / "events.csv"
+    infile.write_text("t,x1,x2,x3\n" + "".join(",".join(map(repr, r)) + "\n" for r in x.tolist()))
+    outfile = tmp_path / "out.csv"
+    assert main(["transform", "--map", str(mapfile), "--input", str(infile),
+                 "--out", str(outfile)]) == 0
+    rows = list(csv.DictReader(outfile.read_text().splitlines()))
+    images = [[float(r[k]) for k in ("tbar", "x1bar", "x2bar", "x3bar")] for r in rows]
+    assert images == m.apply(x).tolist()
+    assert [float(r["lambda"]) for r in rows] == m.factor(x).tolist()
+    assert [r["singular_residual"] for r in rows] == ["", ""]
 
 
 def test_cli_transform_parse_error_line_numbered(tmp_path):
