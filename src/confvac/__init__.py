@@ -17,9 +17,7 @@ from .conformal import (AcceleratedFrameForm, ConformalMap, Dilation, Inversion,
                         jacobian_tetrad, lorentz_boost, map_from_dict, map_to_dict,
                         ricci_conformal, spatial_rotation, transform_light_ray,
                         verify_interval_law)
-from .correlations import (FieldTensorCorrelation, SpectralPoint,
-                           em_potential_correlation,
-                           field_tensor_correlation,
+from .correlations import (SpectralPoint, em_potential_correlation,
                            minkowski_field_tensor_correlation,
                            momentum_space_oracle,
                            scalar_vacuum_correlation, tetrad_contraction,

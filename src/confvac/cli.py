@@ -79,14 +79,17 @@ def cmd_suite(args) -> int:
     names = list(SUITE_NAMES) if "all" in args.names else args.names
     failures = 0
     for name in names:
-        cfg = SuiteConfig(
-            suite=name, seed=merged.get("seed", SuiteConfig.seed),
-            **{key: merged.get(key) for key in ("samples", "epsilon", "h", "step", "tol")},
-            out=(merged.get("out") if len(names) == 1 else
-                 (f"{merged['out']}.{name}.{merged.get('fmt', 'json')}"
-                  if merged.get("out") else None)),
-            fmt=merged.get("fmt", "json"),
-        )
+        try:
+            cfg = SuiteConfig(
+                suite=name, seed=merged.get("seed", SuiteConfig.seed),
+                **{key: merged.get(key) for key in ("samples", "epsilon", "h", "step", "tol")},
+                out=(merged.get("out") if len(names) == 1 else
+                     (f"{merged['out']}.{name}.{merged.get('fmt', 'json')}"
+                      if merged.get("out") else None)),
+                fmt=merged.get("fmt", "json"),
+            )
+        except ValueError as exc:
+            raise SystemExit(f"suite: {exc}")
         report = run_suite(cfg)
         status = "PASS" if report.passed else "FAIL"
         worst = max(c.statistic for c in report.checks)

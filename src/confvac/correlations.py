@@ -19,9 +19,10 @@ Finite-eps caution: the exact laws are distributional.  All invariance
 checks extrapolate eps -> 0 (linearly or quadratically on an
 (eps, eps/2, eps/4) ladder); finite-eps kernels are not exactly covariant.
 
-Evaluation is batch-first (a single pair is a batch of one): the
-finite-difference field tensor is one pass over its 64 stencil pairs and
-every rung of the regulator ladder.
+Evaluation is batch-first (a single pair is a batch of one): every check
+takes one pair or pair rows with n stacked forms, pair i by form i, and the
+electromagnetic check is one array pass over its pairs, the 64 stencil
+pairs of each and every rung of the regulator ladder.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .errors import (BoundaryError, ConvergenceError, InternalConsistencyError,
                      PoleError)
 from .minkowski import ETA, as_event, interval, lower_index, minkowski_dot
 
-LAST_TERM_MODES = ("exact", "limit", "omit")
+LAST_TERM_MODES = ("exact", "omit")
 LADDER = np.array([1.0, 0.5, 0.25])   # regulators eps * LADDER of the invariance checks
 
 
@@ -138,71 +139,31 @@ def em_potential_correlation(x, xp, epsilon) -> np.ndarray:
     return (1.0 / math.pi) * ETA * c
 
 
-def _formula_matrix(form, x, xp, epsilon, last_term):
-    """The four-term conformal-frame correlator on pair rows x, x' (n, 4):
-    (n, 4, 4), or (k, n, 4, 4) for a ladder of k regulators."""
-    c = _kernel_rows(x, xp, epsilon)[..., None, None]
-    phx = form.phi(x)
-    phy = form.phi(xp)
-    xl = lower_index(x)
-    yl = lower_index(xp)
-    r = minkowski_dot(x - xp, x - xp)[:, None, None]
-    M = ETA * c
-    M = M + phx[:, :, None] * (xl - yl)[:, None, :] * c
-    M = M + (yl - xl)[:, :, None] * phy[:, None, :] * c
-    phph = phx[:, :, None] * phy[:, None, :]
-    if last_term == "exact":
-        M = M - 0.5 * phph * (r * c)
-    elif last_term == "limit":
-        M = M - 0.5 * phph
-    elif last_term != "omit":
-        raise ValueError(f"last_term must be one of {LAST_TERM_MODES}")
-    return (1.0 / math.pi) * M
-
-
-def _transport_matrix(form, x, xp, epsilon):
-    """lambda lambda' f^T eta f' (1/pi) c_image at one pair; (k, 4, 4) for k regulators."""
-    images, (lam, lam_p), _, (f, fp) = _frames(form, np.array([x, xp]))
-    cbar = _kernel_rows(images[:1], images[1:], epsilon)[..., None]
-    return (1.0 / math.pi) * lam * lam_p * cbar * (f.T @ ETA @ fp)
-
-
-def _transport_residual(form, x, xp, epsilon, last_term):
-    """Four-term formula vs tetrad transport at one pair, over eps * LADDER."""
-    ladder = epsilon * LADDER
-    Mf = _extrapolate(_formula_matrix(form, x[None], xp[None], ladder, last_term)[:, 0])
-    Mt = _extrapolate(_transport_matrix(form, x, xp, ladder))
-    return float(np.max(np.abs(Mf - Mt)) / max(np.max(np.abs(Mt)), 1e-300))
-
-
 def transformed_em_correlation(form: AcceleratedFrameForm, x, xp, epsilon,
-                               last_term="exact", check=True,
-                               check_tol=1e-6) -> np.ndarray:
-    """Conformal-frame photon correlator, (4, 4) complex: Minkowski form
-    plus gauge terms.
+                               last_term="exact") -> np.ndarray:
+    """Conformal-frame photon correlator, Minkowski form plus gauge terms,
+    on one pair, (4, 4) complex, or on pair rows (n stacked forms: pair i by
+    form i), (n, 4, 4); a ladder of k regulators adds a leading axis k:
 
-    Built from the explicit four-term formula
         (1/pi) [eta + phi(x)(x - x') + phi(x')(x' - x)] c
-        - (1/2pi) phi(x) phi(x') * {(x'-x)^2 c | 1}
-    where the last factor is (x'-x)^2 c for ``last_term="exact"`` (matching
-    the tetrad transport identity at finite eps) or 1 for ``"limit"`` (the
-    eps -> 0 distributional form); ``"omit"`` drops the term (ablation).
+        - (1/2pi) phi(x) phi(x') (x'-x)^2 c
 
-    With ``check=True`` the result is cross-checked against the transport
-    route on an (eps, eps/2, eps/4) ladder; disagreement beyond ``check_tol``
-    raises InternalConsistencyError.  Omitting the phi phi' term breaks this
-    consistency at order |phi|^2 (x-x')^2.
+    whose last term makes it equal the tetrad transport at finite eps;
+    ``last_term="omit"`` drops it (the ablation).
     """
-    x = as_event(x)
-    xp = as_event(xp)
-    M = _formula_matrix(form, x[None], xp[None], epsilon, last_term)[0]
-    if check:
-        resid = _transport_residual(form, x, xp, epsilon, last_term)
-        if resid > check_tol:
-            raise InternalConsistencyError(
-                f"four-term formula and tetrad transport disagree: "
-                f"relative residual {resid:.3e} > {check_tol:.1e}")
-    return M
+    if last_term not in LAST_TERM_MODES:
+        raise ValueError(f"last_term must be one of {LAST_TERM_MODES}")
+    rows, single = _pair_rows(x, xp)
+    n = len(rows) // 2
+    x, xp = rows[:n], rows[n:]
+    c = _kernel_rows(x, xp, epsilon)[..., None, None]
+    phx, phy = form.phi(x), form.phi(xp)
+    xl, yl = lower_index(x), lower_index(xp)
+    M = ETA * c + _outer(phx, xl - yl) * c + _outer(yl - xl, phy) * c
+    if last_term == "exact":
+        M = M - 0.5 * _outer(phx, phy) * (interval(x, xp)[:, None, None] * c)
+    M = (1.0 / math.pi) * M
+    return M[..., 0, :, :] if single else M
 
 
 @dataclass(frozen=True)
@@ -248,20 +209,6 @@ def tetrad_contraction(form: AcceleratedFrameForm, x, xp) -> TetradContractionRe
 # ---------------------------------------------------------------------------
 # field-tensor correlations
 
-@dataclass(frozen=True, eq=False)
-class FieldTensorCorrelation:
-    """C_{F F}[mu, nu, rho, sigma], antisymmetric in (mu, nu) and (rho, sigma)."""
-
-    values: np.ndarray       # (4, 4, 4, 4) complex
-    h: float | None = None
-    richardson_defect: float | None = None
-
-    def antisymmetry_residual(self) -> float:
-        v = self.values
-        return float(max(np.max(np.abs(v + v.transpose(1, 0, 2, 3))),
-                         np.max(np.abs(v + v.transpose(0, 1, 3, 2)))))
-
-
 def _antisymmetrize(A):
     """K[mu,nu,rho,sig] = A[mu,nu,rho,sig] - A[nu,mu,rho,sig] - A[mu,nu,sig,rho]
     + A[nu,mu,sig,rho] over the last four axes: antisymmetric in (mu, nu)
@@ -271,67 +218,72 @@ def _antisymmetrize(A):
 
 
 def _fd_field_tensor(rule, x, xp, h):
-    """Field tensor by central cross stencils in x and x'.  ``rule`` maps
-    pair rows a, b (64, 4) to correlators (..., 64, 4, 4); it is called once,
-    on every pair of the stencil events x +- h e_mu and x' +- h e_rho.
-    Returns (..., 4, 4, 4, 4)."""
+    """Field tensor by central cross stencils in x and x' on pair rows x, x'
+    (n, 4).  ``rule`` maps pair rows a, b (64 n, 4) to correlators
+    (..., 64 n, 4, 4); it is called once, on every pair of the stencil
+    events x +- h e_mu and x' +- h e_rho, row s n + i of stencil pair s
+    belonging to pair i, so that n stacked forms meet them cyclically.
+    Returns (..., n, 4, 4, 4, 4)."""
+    n = len(x)
     steps = np.concatenate([h * np.eye(4), -h * np.eye(4)])
-    C = np.asarray(rule(np.repeat(x + steps, 8, axis=0), np.tile(xp + steps, (8, 1))),
-                   dtype=complex)
-    C = np.moveaxis(C, -3, 0).reshape(2, 4, 2, 4, *C.shape[:-3], 4, 4)  # +-, mu, +-, rho
-    mixed = (C[0, :, 0] - C[0, :, 1] - C[1, :, 0] + C[1, :, 1]) / (4.0 * h * h)
+    C = np.asarray(rule((np.repeat(steps, 8, axis=0)[:, None] + x).reshape(-1, 4),
+                        (np.tile(steps, (8, 1))[:, None] + xp).reshape(-1, 4)), dtype=complex)
+    lead = C.shape[:-3]
+    C = np.moveaxis(C.reshape(*lead, 64, n, 4, 4), -4, 0).reshape(2, 4, 2, 4, *lead, n, 4, 4)
+    mixed = (C[0, :, 0] - C[0, :, 1] - C[1, :, 0] + C[1, :, 1]) / (4.0 * h * h)  # mu, rho, ...
     return _antisymmetrize(np.moveaxis(mixed, (0, 1), (-4, -2)))  # d_mu d'_rho C_{nu sig}
 
 
-def field_tensor_correlation(rule, x, xp, h, defect_tol=None) -> FieldTensorCorrelation:
-    """Field-tensor correlator from a potential-correlator rule by central
-    finite differences (4-point cross stencils) in x and x'.
-
-    ``rule`` maps (x, x') to a (4, 4) complex matrix C_{A A}.  When
-    ``defect_tol`` is given, the (h, h/2) Richardson disagreement gates the
-    result: too-large steps (relative to the regulator scale) raise
-    InternalConsistencyError.
-    """
-    x = as_event(x)
-    xp = as_event(xp)
-    rows = lambda a, b: np.array([rule(p, q) for p, q in zip(a, b)])  # noqa: E731
-    K = _fd_field_tensor(rows, x, xp, h)
-    defect = None
-    if defect_tol is not None:
-        K_half = _fd_field_tensor(rows, x, xp, h / 2.0)
-        defect = float(np.max(np.abs(K - K_half)) / max(np.max(np.abs(K_half)), 1e-300))
-        if defect > defect_tol:
-            raise InternalConsistencyError(
-                f"finite-difference step h = {h} too large: Richardson "
-                f"disagreement {defect:.3e} > {defect_tol:.1e}")
-    return FieldTensorCorrelation(values=K, h=h, richardson_defect=defect)
-
-
-def minkowski_field_tensor_correlation(x, xp, epsilon) -> FieldTensorCorrelation:
-    """Closed-form field-tensor correlator of the Feynman-gauge photon.
+def minkowski_field_tensor_correlation(x, xp, epsilon) -> np.ndarray:
+    """Closed-form field-tensor correlator of the Feynman-gauge photon on one
+    pair, (4, 4, 4, 4) complex, or on pair rows, (n, 4, 4, 4, 4); a ladder of
+    k regulators adds a leading axis k.
 
     With s = x - x', D = s^2 - i eps s^0 and g_mu = 2 s_mu - i eps delta^0_mu:
 
         d_mu d'_rho c = -2 g_mu g_rho / D^3 + 2 eta_{mu rho} / D^2
 
-    antisymmetrized over both index pairs against eta.
+    antisymmetrized over both index pairs against eta.  D^2 and D^3 are
+    multiplied out in real arithmetic, so that they round as a single pair's
+    complex scalars do (numpy's complex product on arrays differs in the last
+    bit).  PoleError names the first pair where D = 0.
     """
-    x = as_event(x)
-    xp = as_event(xp)
-    s = x - xp
-    D = interval(x, xp) - 1j * epsilon * s[0]
-    g = 2.0 * lower_index(s).astype(complex)
-    g[0] -= 1j * epsilon
-    Kmix = -2.0 * np.outer(g, g) / D**3 + 2.0 * ETA.astype(complex) / D**2
+    rows, single = _pair_rows(x, xp)
+    n = len(rows) // 2
+    s = rows[:n] - rows[n:]
+    eps = np.multiply.outer(epsilon, np.ones(n))
+    a = minkowski_dot(s, s)
+    b = 0.0 - eps * s[:, 0]
+    p, q = a * a - b * b, a * b + b * a           # D^2
+    D2 = (p + 1j * q)[..., None, None]
+    D3 = (a * p - b * q + 1j * (a * q + b * p))[..., None, None]
+    g = np.zeros(eps.shape + (4,), dtype=complex)
+    g.real = 2.0 * lower_index(s)
+    g.imag[..., 0] = 0.0 - eps
+    with np.errstate(divide="ignore", invalid="ignore"):
+        Kmix = -2.0 * (g[..., :, None] * g[..., None, :]) / D3 + 2.0 * ETA.astype(complex) / D2
+    pole = ~np.isfinite(Kmix).all(axis=(-2, -1))
+    if pole.any():
+        i = np.unravel_index(np.argmax(pole), pole.shape)[-1]
+        raise PoleError(f"field-tensor pole: (x - x')^2 - i eps (t - t') = 0 "
+                        f"at x = {rows[i].tolist()}, x' = {rows[n + i].tolist()}")
     # A[mu,nu,rho,sig] = eta_{nu sig} Kmix_{mu rho}
-    K = (1.0 / math.pi) * _antisymmetrize(ETA[None, :, None, :] * Kmix[:, None, :, None])
-    return FieldTensorCorrelation(values=K, h=None, richardson_defect=None)
+    K = (1.0 / math.pi) * _antisymmetrize(ETA[None, :, None, :] * Kmix[..., :, None, :, None])
+    return K[..., 0, :, :, :, :] if single else K
+
+
+def _relative_max(a, b):
+    """max |a - b| / max |b| over each pair's tensor: (n,) from (n, ...)."""
+    axes = tuple(range(1, a.ndim))
+    return np.max(np.abs(a - b), axis=axes) / np.maximum(np.max(np.abs(b), axis=axes), 1e-300)
 
 
 @dataclass(frozen=True)
 class EmInvarianceReport:
-    field_residual: float
-    transport_residual: float
+    """Residuals as floats for one pair, (n,) arrays for pair rows."""
+
+    field_residual: float | np.ndarray
+    transport_residual: float | np.ndarray
     epsilon: float
     h: float
     last_term: str
@@ -340,32 +292,37 @@ class EmInvarianceReport:
 def verify_em_invariance(form: AcceleratedFrameForm, x, xp, epsilon=1e-2,
                          h=1e-4, last_term="exact") -> EmInvarianceReport:
     """Field-tensor correlations in the conformal frame equal the Minkowski
-    ones at the same events: the gauge corrections drop out.
+    ones at the same events: the gauge corrections drop out.  One pair, or
+    pair rows (n stacked forms: pair i by form i), in one array pass.
 
-    ``field_residual``: FD field-tensor of the transformed potential rule vs
+    ``field_residual``: FD field-tensor of ``transformed_em_correlation`` vs
     the closed-form Minkowski field tensor, both Richardson-extrapolated in
     eps over the ladder (eps, eps/2, eps/4).
 
-    ``transport_residual``: the potential-level cross-check of the four-term
-    formula against the tetrad transport route, same ladder.  Omitting the
-    phi phi' term (``last_term="omit"``) leaves the field residual nearly
-    unchanged (the product term is structurally annihilated by the
-    antisymmetrized projection) but breaks this transport consistency by
-    roughly |phi|^2 |x - x'|^2 / 2 - the cancellation inside the transported
-    correlator is structural, not accidental.
+    ``transport_residual``: the four-term formula against the tetrad
+    transport lambda lambda' f^T eta f' (1/pi) c_image, same ladder.
+    Omitting the phi phi' term (``last_term="omit"``) leaves the field
+    residual nearly unchanged (the product term is structurally annihilated
+    by the antisymmetrized projection) but breaks this transport consistency
+    by roughly |phi|^2 |x - x'|^2 / 2 - the cancellation inside the
+    transported correlator is structural, not accidental.
     """
-    x = as_event(x)
-    xp = as_event(xp)
+    rows, single = _pair_rows(x, xp)
+    n = len(rows) // 2
+    x, xp = rows[:n], rows[n:]
     ladder = epsilon * LADDER
     K_trans = _extrapolate(_fd_field_tensor(
-        lambda a, b: _formula_matrix(form, a, b, ladder, last_term), x, xp, h))
-    K_mink = _extrapolate([minkowski_field_tensor_correlation(x, xp, eps).values
-                           for eps in ladder.tolist()])
-    field_residual = float(np.max(np.abs(K_trans - K_mink))
-                           / max(np.max(np.abs(K_mink)), 1e-300))
-    return EmInvarianceReport(field_residual=field_residual,
-                              transport_residual=_transport_residual(
-                                  form, x, xp, epsilon, last_term),
+        lambda a, b: transformed_em_correlation(form, a, b, ladder, last_term), x, xp, h))
+    K_mink = _extrapolate(minkowski_field_tensor_correlation(x, xp, ladder))
+    images, lam, _, f = _frames(form, rows)
+    cbar = _kernel_rows(images[:n], images[n:], ladder)
+    M_trans = _extrapolate(((1.0 / math.pi) * lam[:n] * lam[n:] * cbar)[..., None, None]
+                           * (np.swapaxes(f[:n], 1, 2) @ ETA @ f[n:]))
+    M_form = _extrapolate(transformed_em_correlation(form, x, xp, ladder, last_term))
+    field, transport = _relative_max(K_trans, K_mink), _relative_max(M_form, M_trans)
+    if single:
+        field, transport = float(field[0]), float(transport[0])
+    return EmInvarianceReport(field_residual=field, transport_residual=transport,
                               epsilon=epsilon, h=h, last_term=last_term)
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -65,8 +66,10 @@ class SuiteConfig:
     fmt: str = "json"
 
     def __post_init__(self):
-        if self.samples is not None and self.samples <= 0:
-            raise ValueError("sample count must be positive")
+        for name in ("samples", "epsilon", "h", "step", "tol"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.fmt not in ("json", "csv"):
             raise ValueError("format must be json or csv")
 
@@ -607,7 +610,7 @@ def _em_sample(rng):
             continue
         if interval(x, xp) > -0.4:
             continue
-        return form, x, xp
+        return form.alpha, form.beta, x, xp
 
 
 def suite_em_invariance(cfg: SuiteConfig) -> SuiteReport:
@@ -620,24 +623,17 @@ def suite_em_invariance(cfg: SuiteConfig) -> SuiteReport:
     h = cfg.h or 1e-4
 
     def run(rng):
-        samples = [_em_sample(rng) for _ in range(n)]
-        field_res = np.empty(n)
-        transport_res = np.empty(n)
-        for i, (form, x, xp) in enumerate(samples):
-            rep = corr.verify_em_invariance(form, x, xp, epsilon=eps, h=h)
-            field_res[i] = rep.field_residual
-            transport_res[i] = rep.transport_residual
+        alpha, beta, x, xp = (np.array(col) for col in zip(*(_em_sample(rng) for _ in range(n))))
+
+        def first(k, **kw):
+            return corr.verify_em_invariance(AcceleratedFrameForm(alpha[:k], beta[:k]),
+                                             x[:k], xp[:k], epsilon=eps, **kw)
+
+        rep = first(n, h=h)
+        field_res, transport_res = rep.field_residual, rep.transport_residual
         n_h = min(10, n)
-        halved = np.empty(n_h)
-        for i in range(n_h):
-            form, x, xp = samples[i]
-            halved[i] = corr.verify_em_invariance(form, x, xp, epsilon=eps,
-                                                  h=h / 2).field_residual
-        ablated = np.empty(min(20, n))
-        for i in range(ablated.size):
-            form, x, xp = samples[i]
-            ablated[i] = corr.verify_em_invariance(form, x, xp, epsilon=eps, h=h,
-                                                   last_term="omit").transport_residual
+        halved = first(n_h, h=h / 2).field_residual
+        ablated = first(min(20, n), h=h, last_term="omit").transport_residual
         checks = [
             CheckResult(name="field-tensor-invariance", statistic=float(field_res.max()),
                         tolerance=tol, mean=float(field_res.mean()),

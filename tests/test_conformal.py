@@ -15,7 +15,7 @@ from confvac import (ETA, AcceleratedFrameForm, ConformalMap,
                      apply_map, compose, interval,
                      jacobian_tetrad, lorentz_boost, map_from_dict, map_to_dict,
                      minkowski_dot, ricci_conformal, spatial_rotation,
-                     transform_light_ray, verify_interval_law)
+                     transform_light_ray, verify_interval_law, verify_scalar_invariance)
 
 WORKED_FORM = AcceleratedFrameForm(np.array([0.5, 0.0, 0.0, 0.0]), 1.0)
 
@@ -635,6 +635,20 @@ def test_interval_law_fails_three_decades_on_bent_chain_stack():
     assert bent_residual.max() >= 1e-6
 
 
+def test_scalar_invariance_fails_three_decades_on_bent_form():
+    # scalar-invariance's own check on its draws: images composed with
+    # x -> x + 0.1 (x.x) n, against the form's factors, miss the suite's
+    # tolerance 1e-8 by three decades at half the draws and more (a draw
+    # whose pair is close may miss by less); the same draws unbent pass
+    n = np.array([0.3, 0.5, -0.2, 0.7])
+    n /= np.linalg.norm(n)
+    (form, x, xp), = suites._same_side_blocks(np.random.default_rng(7), 300, 0.05)
+    members = verify_scalar_invariance(form, x, xp, 1e-6).residual
+    bent = verify_scalar_invariance(BentForm(form, n, delta=0.1), x, xp, 1e-6).residual
+    assert members.max() < 1e-8
+    assert np.median(bent) >= 1e-5
+
+
 # ---------------------------------------------------------------------------
 # light rays
 
@@ -733,6 +747,25 @@ def test_ricci_exponential_factor_nonzero():
     R = ricci_conformal(*derivs)
     expected = np.diag([0.0, 2.0, 2.0, 2.0])
     np.testing.assert_allclose(R, expected, atol=1e-6)
+
+
+def test_ricci_fails_three_decades_on_perturbed_factor():
+    # ricci-flat's own check on its 50 draws: ln|lambda| + 1e-3 (x.n)^2 is not
+    # the log of a conformal factor, and its Ricci tensor misses the suite's
+    # tolerance 1e-7 by three decades at every draw; the unperturbed pass
+    n = np.array([0.3, 0.5, -0.2, 0.7])
+    n /= np.linalg.norm(n)
+    rng = np.random.default_rng(20250)
+    members, perturbed = [], []
+    for _ in range(50):
+        form = suites.random_form(rng)
+        x = suites.random_event_off_singular(rng, form, min_residual=0.3)
+        for out, bend in ((members, 0.0), (perturbed, 1e-3)):
+            derivs = numdiff.gradient_hessian(
+                lambda r: log_abs_factor(form)(r) + bend * minkowski_dot(r, n) ** 2, x, 1e-3)
+            out.append(np.max(np.abs(ricci_conformal(*derivs))))
+    assert max(members) < 1e-7
+    assert min(perturbed) >= 1e-4
 
 
 def test_factor_field_closed_forms_match_fd():

@@ -7,16 +7,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from confvac import (AcceleratedFrameForm, BoundaryError, ConvergenceError,
-                     InternalConsistencyError, PoleError, SingularPointError,
-                     em_potential_correlation, field_tensor_correlation, interval,
+from confvac import (ETA, AcceleratedFrameForm, BoundaryError, ConvergenceError,
+                     PoleError, SingularPointError,
+                     em_potential_correlation, interval,
                      minkowski_field_tensor_correlation, momentum_space_oracle,
                      scalar_vacuum_correlation,
                      tetrad_contraction, thermal_spectra,
                      transformed_em_correlation, vacuum_spectra,
                      verify_em_invariance, verify_scalar_invariance)
-from confvac.correlations import (LAST_TERM_MODES, _fd_field_tensor, _formula_matrix,
-                                  _kernel_rows)
+from confvac.correlations import LAST_TERM_MODES, _fd_field_tensor, _kernel_rows
 
 finite4 = st.lists(st.floats(-3, 3), min_size=4, max_size=4)
 
@@ -39,6 +38,14 @@ def same_side_pair(rng, form, min_interval=0.05):
         if abs(d[0] ** 2 - d[1] ** 2 - d[2] ** 2 - d[3] ** 2) < min_interval:
             continue
         return x, xp
+
+
+def _stacked_draws(rng, n, min_interval):
+    """n forms stacked, with one same-side pair each as rows x, x' (n, 4)."""
+    forms = [random_form(rng) for _ in range(n)]
+    x, xp = np.array([same_side_pair(rng, f, min_interval) for f in forms]).transpose(1, 0, 2)
+    return (AcceleratedFrameForm(np.array([f.alpha for f in forms]),
+                                 np.array([f.beta for f in forms])), x, xp)
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +233,8 @@ def test_transformed_em_first_term_is_minkowski_form():
     form = random_form(rng)
     x, xp = same_side_pair(rng, form)
     eps = 1e-4
-    full = transformed_em_correlation(form, x, xp, eps, check=False)
-    ablated = transformed_em_correlation(form, x, xp, eps, last_term="omit",
-                                         check=False)
+    full = transformed_em_correlation(form, x, xp, eps)
+    ablated = transformed_em_correlation(form, x, xp, eps, last_term="omit")
     c = scalar_vacuum_correlation(x, xp, eps)
     phx, phy = form.phi(x), form.phi(xp)
     sig = np.array([1.0, -1, -1, -1])
@@ -243,22 +249,36 @@ def test_transformed_em_first_term_is_minkowski_form():
                                atol=1e-12)
 
 
+def test_transformed_em_rows_and_ladder_equal_single_pairs_bit_for_bit():
+    rng = np.random.default_rng(31)
+    forms, x, xp = _stacked_draws(rng, 5, min_interval=0.05)
+    ladder = 1e-3 * 0.5 ** np.arange(3)
+    rows = transformed_em_correlation(forms, x, xp, ladder)
+    assert rows.shape == (3, 5, 4, 4)
+    for i in range(5):
+        form = AcceleratedFrameForm(forms.alpha[i], forms.beta[i])
+        for k, eps in enumerate(ladder.tolist()):
+            one = transformed_em_correlation(form, x[i], xp[i], eps)
+            np.testing.assert_array_equal(bits(rows[k, i]), bits(one))
+    with pytest.raises(ValueError, match="last_term"):
+        transformed_em_correlation(forms, x, xp, 1e-3, last_term="limit")
+
+
 def test_transformed_em_routes_agree():
+    # the four-term formula equals the tetrad transport route at 1e-9
     rng = np.random.default_rng(33)
-    for _ in range(10):
-        form = random_form(rng)
-        x, xp = same_side_pair(rng, form)
-        # internal ladder cross-check at 1e-9 must not raise
-        transformed_em_correlation(form, x, xp, 1e-6, check=True, check_tol=1e-9)
+    forms, x, xp = _stacked_draws(rng, 10, min_interval=0.05)
+    rep = verify_em_invariance(forms, x, xp, epsilon=1e-6)
+    assert rep.transport_residual.shape == (10,)
+    assert rep.transport_residual.max() < 1e-9
 
 
 def test_transformed_em_ablation_breaks_transport_consistency():
     rng = np.random.default_rng(34)
     form = random_form(rng)
     x, xp = same_side_pair(rng, form, min_interval=0.3)
-    with pytest.raises(InternalConsistencyError):
-        transformed_em_correlation(form, x, xp, 1e-6, last_term="omit",
-                                   check=True, check_tol=1e-6)
+    rep = verify_em_invariance(form, x, xp, epsilon=1e-6, last_term="omit")
+    assert rep.transport_residual > 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -355,22 +375,32 @@ def _sympy_mixed_derivative_oracle():
 def test_minkowski_field_tensor_closed_form_against_sympy():
     oracle = _sympy_mixed_derivative_oracle()
     rng = np.random.default_rng(37)
-    x, xp = rng.uniform(-1, 1, (2, 4))
-    eps = 1e-2
-    K = minkowski_field_tensor_correlation(x, xp, eps).values
+    x, xp = rng.uniform(-1, 1, (2, 3, 4))
+    ladder = 1e-2 * 0.5 ** np.arange(2)
+    K = minkowski_field_tensor_correlation(x, xp, ladder)
+    assert K.shape == (2, 3, 4, 4, 4, 4)
     eta = np.diag([1.0, -1, -1, -1])
-    args = list(x) + list(xp) + [eps]
-    Kmix = np.array([[oracle[(mu, rho)](*args) for rho in range(4)]
-                     for mu in range(4)])
-    expected = np.zeros((4, 4, 4, 4), complex)
-    for mu in range(4):
-        for nu in range(4):
-            for rho in range(4):
-                for sig in range(4):
-                    expected[mu, nu, rho, sig] = (1.0 / math.pi) * (
-                        eta[nu, sig] * Kmix[mu, rho] - eta[mu, sig] * Kmix[nu, rho]
-                        - eta[nu, rho] * Kmix[mu, sig] + eta[mu, rho] * Kmix[nu, sig])
-    np.testing.assert_allclose(K, expected, atol=1e-10)
+    for k, eps in enumerate(ladder):
+        for i in range(3):
+            args = list(x[i]) + list(xp[i]) + [eps]
+            Kmix = np.array([[oracle[(mu, rho)](*args) for rho in range(4)]
+                             for mu in range(4)])
+            expected = (1.0 / math.pi) * (
+                np.einsum("ns,mr->mnrs", eta, Kmix) - np.einsum("ms,nr->mnrs", eta, Kmix)
+                - np.einsum("nr,ms->mnrs", eta, Kmix) + np.einsum("mr,ns->mnrs", eta, Kmix))
+            np.testing.assert_allclose(K[k, i], expected, atol=1e-10)
+            np.testing.assert_array_equal(
+                bits(K[k, i]), bits(minkowski_field_tensor_correlation(x[i], xp[i], eps)))
+
+
+def test_minkowski_field_tensor_coincident_pair_raises_pole_error():
+    x = np.array([[0.5, 1, 0, 0], [0.3, 0.1, 0, 0], [0.2, 0.2, 0, 0]])
+    xp = np.array([[0, 0, 0, 0], [0.3, 0.1, 0, 0], [0.2, 0.2, 0, 0]])
+    for eps in (1e-2, np.array([1e-2, 5e-3])):
+        with pytest.raises(PoleError, match=re.escape("x = [0.3, 0.1, 0.0, 0.0]")):
+            minkowski_field_tensor_correlation(x, xp, eps)
+    with pytest.raises(PoleError, match="pole"):
+        minkowski_field_tensor_correlation(x[1], x[1], 1e-2)
 
 
 def _fd_per_pair(rule, x, xp, h):
@@ -387,61 +417,49 @@ def _fd_per_pair(rule, x, xp, h):
     return A - A.transpose(1, 0, 2, 3) - A.transpose(0, 1, 3, 2) + A.transpose(1, 0, 3, 2)
 
 
+def _minkowski_rule(eps):
+    """The Feynman-gauge correlator (1/pi) eta c on pair rows."""
+    return lambda a, b: (1.0 / math.pi) * ETA * _kernel_rows(a, b, eps)[..., None, None]
+
+
 @pytest.mark.parametrize("last_term", LAST_TERM_MODES)
 def test_fd_field_tensor_batch_equals_per_pair_stencils(last_term):
-    # one call on all 64 pairs and 3 ladder rungs gives the bits of the
-    # per-pair stencil at each rung
+    # one call on all 64 stencil pairs of 4 stacked pairs and 3 ladder rungs
+    # gives the bits of the per-pair stencil at each pair and rung
     rng = np.random.default_rng(43)
     ladder = 1e-2 * 0.5 ** np.arange(3)
-    for _ in range(4):
-        form = random_form(rng)
-        x, xp = same_side_pair(rng, form, min_interval=0.4)
-        batched = _fd_field_tensor(
-            lambda a, b: _formula_matrix(form, a, b, ladder, last_term), x, xp, 1e-4)
-        assert batched.shape == (3, 4, 4, 4, 4)
+    forms, x, xp = _stacked_draws(rng, 4, min_interval=0.4)
+    batched = _fd_field_tensor(
+        lambda a, b: transformed_em_correlation(forms, a, b, ladder, last_term), x, xp, 1e-4)
+    assert batched.shape == (3, 4, 4, 4, 4, 4)
+    for i in range(4):
+        form = AcceleratedFrameForm(forms.alpha[i], forms.beta[i])
         for k, eps in enumerate(ladder.tolist()):
             ref = _fd_per_pair(
-                lambda a, b: _formula_matrix(form, a[None], b[None], eps, last_term)[0],
-                x, xp, 1e-4)
-            np.testing.assert_array_equal(bits(batched[k]), bits(ref))
+                lambda a, b: transformed_em_correlation(form, a, b, eps, last_term),
+                x[i], xp[i], 1e-4)
+            np.testing.assert_array_equal(bits(batched[k, i]), bits(ref))
 
 
 def test_field_tensor_antisymmetry_exact():
     rng = np.random.default_rng(38)
-    x, xp = rng.uniform(-1, 1, (2, 4))
-    eps = 1e-2
-    rule = lambda a, b: em_potential_correlation(a, b, eps)
-    K = field_tensor_correlation(rule, x, xp, h=1e-4)
-    assert K.antisymmetry_residual() == 0.0
+    x, xp = rng.uniform(-1, 1, (2, 5, 4))
+    for K in (_fd_field_tensor(_minkowski_rule(1e-2), x, xp, h=1e-4),
+              minkowski_field_tensor_correlation(x, xp, 1e-2)):
+        assert np.all(K + K.swapaxes(-4, -3) == 0)
+        assert np.all(K + K.swapaxes(-2, -1) == 0)
 
 
 def test_field_tensor_fd_matches_analytic_oracle():
     rng = np.random.default_rng(39)
-    worst = 0.0
-    for _ in range(5):
-        x = rng.uniform(-1, 1, 4)
-        xp = rng.uniform(-1, 1, 4)
-        d = x - xp
-        if abs(d[0] ** 2 - d[1] ** 2 - d[2] ** 2 - d[3] ** 2) < 0.3:
-            continue
-        eps = 1e-2
-        rule = lambda a, b: em_potential_correlation(a, b, eps)
-        K = field_tensor_correlation(rule, x, xp, h=1e-4).values
-        K0 = minkowski_field_tensor_correlation(x, xp, eps).values
-        worst = max(worst, np.max(np.abs(K - K0)) / np.max(np.abs(K0)))
-    assert worst < 1e-5
-
-
-def test_field_tensor_step_gate():
-    x, xp = np.array([0.5, 1.0, 0, 0.0]), np.zeros(4)
+    x, xp = rng.uniform(-1, 1, (2, 5, 4))
+    far = np.abs(interval(x, xp)) >= 0.3
+    x, xp = x[far], xp[far]
     eps = 1e-2
-    rule = lambda a, b: em_potential_correlation(a, b, eps)
-    # acceptable step passes the Richardson gate
-    K = field_tensor_correlation(rule, x, xp, h=1e-4, defect_tol=1e-4)
-    assert K.richardson_defect < 1e-4
-    # absurdly large step trips it
-    with pytest.raises(InternalConsistencyError, match="too large"):
-        field_tensor_correlation(rule, x, xp, h=0.3, defect_tol=1e-4)
+    K = _fd_field_tensor(_minkowski_rule(eps), x, xp, h=1e-4)
+    K0 = minkowski_field_tensor_correlation(x, xp, eps)
+    worst = np.max(np.abs(K - K0), axis=(1, 2, 3, 4)) / np.max(np.abs(K0), axis=(1, 2, 3, 4))
+    assert len(x) >= 2 and worst.max() < 1e-5
 
 
 def test_gauge_corrections_drop_from_field_tensor():
@@ -449,15 +467,28 @@ def test_gauge_corrections_drop_from_field_tensor():
     # below 1e-5 of the leading term in the field-tensor projection; their
     # contribution is O(eps), so the regulator must sit well below the target
     rng = np.random.default_rng(40)
-    form = random_form(rng)
-    x, xp = same_side_pair(rng, form, min_interval=0.4)
+    forms, x, xp = _stacked_draws(rng, 3, min_interval=0.4)
     eps, h = 1e-6, 1e-4
-    full_rule = lambda a, b: transformed_em_correlation(
-        form, a, b, eps, check=False)
-    lead_rule = lambda a, b: em_potential_correlation(a, b, eps)
-    Kf = field_tensor_correlation(full_rule, x, xp, h=h).values
-    Kl = field_tensor_correlation(lead_rule, x, xp, h=h).values
-    assert np.max(np.abs(Kf - Kl)) / np.max(np.abs(Kl)) < 1e-5
+    Kf = _fd_field_tensor(lambda a, b: transformed_em_correlation(forms, a, b, eps),
+                          x, xp, h=h)
+    Kl = _fd_field_tensor(_minkowski_rule(eps), x, xp, h=h)
+    axes = (1, 2, 3, 4)
+    assert np.max(np.max(np.abs(Kf - Kl), axis=axes) / np.max(np.abs(Kl), axis=axes)) < 1e-5
+
+
+@pytest.mark.parametrize("last_term", LAST_TERM_MODES)
+def test_verify_em_invariance_rows_equal_single_pairs_bit_for_bit(last_term):
+    # a stack of n forms gives, pair by pair, the residuals of n single calls
+    rng = np.random.default_rng(44)
+    forms, x, xp = _stacked_draws(rng, 6, min_interval=0.4)
+    rows = verify_em_invariance(forms, x, xp, epsilon=1e-2, h=1e-4, last_term=last_term)
+    assert rows.field_residual.shape == rows.transport_residual.shape == (6,)
+    for i in range(6):
+        one = verify_em_invariance(AcceleratedFrameForm(forms.alpha[i], forms.beta[i]),
+                                   x[i], xp[i], epsilon=1e-2, h=1e-4, last_term=last_term)
+        assert type(one.field_residual) is float and type(one.transport_residual) is float
+        assert (one.field_residual, one.transport_residual) == (
+            rows.field_residual[i], rows.transport_residual[i])
 
 
 def test_verify_em_invariance_identity_map():

@@ -42,6 +42,22 @@ def test_invalid_config_rejected():
         SuiteConfig(suite="interval-law", samples=0)
     with pytest.raises(ValueError, match="json or csv"):
         SuiteConfig(suite="interval-law", fmt="xml")
+    # 0 is not read as "the suite's default", nor a wrong-sign regulator taken
+    for key in ("epsilon", "h", "step", "tol"):
+        for value in (0.0, -1e-6, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"{key} must be positive and finite"):
+                SuiteConfig(suite="interval-law", **{key: value})
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--samples", "0"], "samples must be positive and finite, got 0"),
+    (["--step", "0"], "step must be positive and finite, got 0.0"),
+    (["--epsilon=-1e-6"], "epsilon must be positive and finite, got -1e-06"),
+])
+def test_suite_command_rejects_invalid_config_without_traceback(flags, message):
+    with pytest.raises(SystemExit, match=f"^suite: {message}$") as info:
+        main(["suite", "ricci-flat", *flags])
+    assert info.value.code != 0
 
 
 def test_reports_deterministic_given_seed():
