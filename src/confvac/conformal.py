@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConstraintViolationError, SingularPointError
 from .minkowski import ETA, SIGNATURE, as_event, interval, lower_index, minkowski_dot
@@ -554,8 +553,8 @@ def transform_light_ray(m: ConformalMap, ray: LightRay):
     intervals are dtbar = (f(x') v)^0 lambda(x) dt.  The samples along the
     span are mapped in one batch; sampled points of the image must be
     collinear with that line.  The report carries the maximum deviation, the
-    parameter values where lambda changes sign (refined by brentq), and the
-    sign law verdict.
+    parameter values where lambda changes sign (the root of the affine
+    1/lambda between bracketing samples), and the sign law verdict.
     """
     (origin_bar,), (lam_origin,), _, (tet,) = _frames(m, ray.origin[None])
     fv = tet @ ray.direction
@@ -569,19 +568,14 @@ def transform_light_ray(m: ConformalMap, ray: LightRay):
     dts = np.linspace(lo, hi, LIGHT_RAY_SAMPLES)
     images, _, lams, _, singular = m.evaluate(ray.point(dts))
 
-    def inv_lam(dt):
-        # 1/lambda crosses zero exactly on the singular set
-        try:
-            return 1.0 / m.factor(ray.point(dt))
-        except SingularPointError:
-            return 0.0
-
     # sign flips between consecutive regular samples (a sample landing exactly
-    # on the singular set leaves a gap the flip must still be detected across)
+    # on the singular set leaves a gap the flip must still be detected across);
+    # 1/lambda = a + b.x + c x^2 is affine in dt along a null ray, so each
+    # crossing is the root of the line through its two bracketing samples
     regular = np.flatnonzero(~singular)
-    a, b = regular[:-1], regular[1:]
-    flips = lams[a] * lams[b] < 0
-    crossings = [float(brentq(inv_lam, dts[i], dts[j])) for i, j in zip(a[flips], b[flips])]
+    flip = np.flatnonzero(lams[regular[:-1]] * lams[regular[1:]] < 0)
+    i, j = regular[flip], regular[flip + 1]
+    crossings = ((dts[i] / lams[j] - dts[j] / lams[i]) / (1 / lams[j] - 1 / lams[i])).tolist()
 
     # the time formula, the sign law and collinearity, away from crossings
     # and from dt = 0

@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .conformal import AcceleratedFrameForm, _checked, _frames, _pair_rows
 from .errors import (BoundaryError, ConvergenceError, InternalConsistencyError,
@@ -151,19 +150,22 @@ def transformed_em_correlation(form: AcceleratedFrameForm, x, xp, epsilon,
     whose last term makes it equal the tetrad transport at finite eps;
     ``last_term="omit"`` drops it (the ablation).
     """
+    rows, single = _pair_rows(x, xp)
+    M = _transformed_em_rows(form, *np.split(rows, 2), epsilon, last_term)
+    return M[..., 0, :, :] if single else M
+
+
+def _transformed_em_rows(form, x, xp, epsilon, last_term):
+    """``transformed_em_correlation`` on checked pair rows x, x' (n, 4)."""
     if last_term not in LAST_TERM_MODES:
         raise ValueError(f"last_term must be one of {LAST_TERM_MODES}")
-    rows, single = _pair_rows(x, xp)
-    n = len(rows) // 2
-    x, xp = rows[:n], rows[n:]
     c = _kernel_rows(x, xp, epsilon)[..., None, None]
     phx, phy = form.phi(x), form.phi(xp)
     xl, yl = lower_index(x), lower_index(xp)
     M = ETA * c + _outer(phx, xl - yl) * c + _outer(yl - xl, phy) * c
     if last_term == "exact":
         M = M - 0.5 * _outer(phx, phy) * (interval(x, xp)[:, None, None] * c)
-    M = (1.0 / math.pi) * M
-    return M[..., 0, :, :] if single else M
+    return (1.0 / math.pi) * M
 
 
 @dataclass(frozen=True)
@@ -249,9 +251,14 @@ def minkowski_field_tensor_correlation(x, xp, epsilon) -> np.ndarray:
     bit).  PoleError names the first pair where D = 0.
     """
     rows, single = _pair_rows(x, xp)
-    n = len(rows) // 2
-    s = rows[:n] - rows[n:]
-    eps = np.multiply.outer(epsilon, np.ones(n))
+    K = _field_tensor_rows(*np.split(rows, 2), epsilon)
+    return K[..., 0, :, :, :, :] if single else K
+
+
+def _field_tensor_rows(x, xp, epsilon):
+    """``minkowski_field_tensor_correlation`` on checked pair rows x, x' (n, 4)."""
+    s = x - xp
+    eps = np.multiply.outer(epsilon, np.ones(len(s)))
     a = minkowski_dot(s, s)
     b = 0.0 - eps * s[:, 0]
     p, q = a * a - b * b, a * b + b * a           # D^2
@@ -266,10 +273,9 @@ def minkowski_field_tensor_correlation(x, xp, epsilon) -> np.ndarray:
     if pole.any():
         i = np.unravel_index(np.argmax(pole), pole.shape)[-1]
         raise PoleError(f"field-tensor pole: (x - x')^2 - i eps (t - t') = 0 "
-                        f"at x = {rows[i].tolist()}, x' = {rows[n + i].tolist()}")
+                        f"at x = {x[i].tolist()}, x' = {xp[i].tolist()}")
     # A[mu,nu,rho,sig] = eta_{nu sig} Kmix_{mu rho}
-    K = (1.0 / math.pi) * _antisymmetrize(ETA[None, :, None, :] * Kmix[..., :, None, :, None])
-    return K[..., 0, :, :, :, :] if single else K
+    return (1.0 / math.pi) * _antisymmetrize(ETA[None, :, None, :] * Kmix[..., :, None, :, None])
 
 
 def _relative_max(a, b):
@@ -312,13 +318,13 @@ def verify_em_invariance(form: AcceleratedFrameForm, x, xp, epsilon=1e-2,
     x, xp = rows[:n], rows[n:]
     ladder = epsilon * LADDER
     K_trans = _extrapolate(_fd_field_tensor(
-        lambda a, b: transformed_em_correlation(form, a, b, ladder, last_term), x, xp, h))
-    K_mink = _extrapolate(minkowski_field_tensor_correlation(x, xp, ladder))
+        lambda a, b: _transformed_em_rows(form, a, b, ladder, last_term), x, xp, h))
+    K_mink = _extrapolate(_field_tensor_rows(x, xp, ladder))
     images, lam, _, f = _frames(form, rows)
     cbar = _kernel_rows(images[:n], images[n:], ladder)
     M_trans = _extrapolate(((1.0 / math.pi) * lam[:n] * lam[n:] * cbar)[..., None, None]
                            * (np.swapaxes(f[:n], 1, 2) @ ETA @ f[n:]))
-    M_form = _extrapolate(transformed_em_correlation(form, x, xp, ladder, last_term))
+    M_form = _extrapolate(_transformed_em_rows(form, x, xp, ladder, last_term))
     field, transport = _relative_max(K_trans, K_mink), _relative_max(M_form, M_trans)
     if single:
         field, transport = float(field[0]), float(transport[0])
@@ -344,8 +350,7 @@ class SpectralPoint:
     sigma: float
 
     def __post_init__(self):
-        lhs = self.C
-        rhs = self.sigma + self.xi
+        lhs, rhs = self.C, self.sigma + self.xi
         if abs(lhs - rhs) > 1e-9 * (1.0 + abs(lhs) + abs(rhs)):
             raise InternalConsistencyError(
                 f"spectral point violates C = sigma + xi: {lhs} vs {rhs}")
@@ -408,6 +413,7 @@ def momentum_space_oracle(x, xp, epsilon, cutoff=None) -> complex:
         raise ValueError("epsilon must be positive")
     if cutoff is None:
         cutoff = 50.0 / epsilon
+    from scipy.integrate import quad  # on first use: keeps scipy off import
 
     if R > 0:
         def radial(k):

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
 
 from .errors import ConstraintViolationError, PoleError
 
@@ -136,6 +135,7 @@ class SampledRule:
             raise ConstraintViolationError("sampled rule must be strictly increasing")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "f", f)
+        from scipy.interpolate import make_interp_spline  # on first use: keeps scipy off import
         object.__setattr__(self, "_spline", make_interp_spline(u, f, k=min(5, u.size - 1)))
 
     @classmethod

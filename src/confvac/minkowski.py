@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
 
 from .errors import ConstraintViolationError
 from .numdiff import OFFSETS, W_D1, W_D2, W_D3
@@ -163,6 +162,7 @@ class SampledWorldline:
             raise ValueError("samples must be finite")
         self.tau = tau
         self.events = events
+        from scipy.interpolate import make_interp_spline  # on first use: keeps scipy off import
         self._spline = make_interp_spline(tau, events, k=min(5, tau.size - 1))
 
     @property

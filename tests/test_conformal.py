@@ -587,16 +587,16 @@ def test_malformed_pairs_rejected():
 
 class BentForm:
     """Not conformal: an accelerated-frame form followed by
-    y -> y + delta (y.y) n.  It reports the form's own factors, so the
-    interval law must fail by O(delta)."""
+    y -> y + delta (y.y) n.  It reports the form's own factors and pushed
+    tangents, so the interval law must fail by O(delta)."""
 
     def __init__(self, form, n, delta=1e-3):
         self.form, self.n, self.delta = form, np.asarray(n, dtype=float), delta
 
     def evaluate(self, x, v=None):
-        images, _, lam, residual, singular = self.form.evaluate(x)
+        images, pushed, lam, residual, singular = self.form.evaluate(x, v)
         bent = images + self.delta * minkowski_dot(images, images)[:, None] * self.n
-        return bent, None, lam, residual, singular
+        return bent, pushed, lam, residual, singular
 
 
 def test_interval_law_fails_three_decades_on_non_conformal_map():
@@ -713,6 +713,100 @@ def test_sign_flip_recorded_once_and_law_holds():
     assert rep.sign_crossings[0] == pytest.approx(dstar, abs=1e-9)
     assert rep.sign_law_ok
     assert rep.global_sign == 1.0  # beta > 0
+
+
+def random_null_rays(rng, k, span):
+    for _ in range(k):
+        n = rng.normal(size=3)
+        yield LightRay(rng.uniform(-0.5, 0.5, 4), np.array([1.0, *(n / np.linalg.norm(n))]),
+                       span=span)
+
+
+def test_chain_crossings_are_roots_of_the_fitted_affine_inverse_factor():
+    # 1/lambda of any conformal map is affine along a null ray: fitted
+    # through three exact factor evaluations, its root is each crossing.
+    # Rays stay off the first inversion's cone, where the chain's own
+    # evaluation loses digits: its argument y^2 is affine along the ray too,
+    # so its ends bound it
+    b, boost = np.array([0.1, -0.2, 0.05, 0.0]), lorentz_boost([0.3, -0.1, 0.2])
+    chain = ConformalMap([Translation(b), boost, Inversion(1.2), Dilation(0.8),
+                          Translation(np.array([-0.3, 0.1, 0.2, -0.1])), Inversion(0.7)])
+    rng = np.random.default_rng(41)
+    found = 0
+    for ray in random_null_rays(rng, 1500, (-1.5, 1.5)):
+        y = (ray.point(np.array(ray.span)) + b) @ boost.matrix.T
+        y2 = minkowski_dot(y, y)
+        if y2[0] * y2[1] <= 0 or np.abs(y2).min() < 0.05:
+            continue
+        ts = np.array([-1.5, rng.uniform(-1.0, 1.0), 1.5])
+        try:
+            _, rep = transform_light_ray(chain, ray)
+            inv = 1.0 / chain.factor(ray.point(ts))
+        except SingularPointError:
+            continue
+        slope, offset = np.polyfit(ts, inv, 1)
+        assert np.max(np.abs(slope * ts + offset - inv)) < 1e-13 * np.max(np.abs(inv))
+        for crossing in rep.sign_crossings:
+            assert crossing == pytest.approx(-offset / slope, abs=1e-13)
+        found += len(rep.sign_crossings)
+    assert found >= 30
+
+
+def test_form_crossings_are_the_root_of_the_affine_denominator():
+    rng = np.random.default_rng(42)
+    found = 0
+    for _ in range(300):
+        form = random_form(rng)
+        ray, = random_null_rays(rng, 1, (-1.5, 1.5))
+        try:
+            _, rep = transform_light_ray(form, ray)
+        except SingularPointError:
+            continue
+        slope = (minkowski_dot(form.alpha, ray.direction)
+                 - form.alpha_sq * minkowski_dot(ray.origin, ray.direction))
+        for crossing in rep.sign_crossings:
+            assert crossing == pytest.approx(form.denominator(ray.origin) / (2 * slope),
+                                             abs=1e-13)
+        found += len(rep.sign_crossings)
+    assert found >= 30
+
+
+@pytest.mark.parametrize("m, p", [(ConformalMap([Inversion(1.0)]), [0.5, 0.5, 0.0, 0.0]),
+                                  (WORKED_FORM, [2.5, 0.5, 0.0, 0.0])])
+def test_crossing_found_across_a_sample_on_the_singular_set(m, p):
+    # the span (-1, 1) samples dt at steps of 0.01, and the ray meets the
+    # singular set exactly at the sample dt = 0.25, which is dropped
+    v = np.array([1.0, 0.0, 1.0, 0.0])
+    ray = LightRay(np.array(p) - 0.25 * v, v, span=(-1.0, 1.0))
+    dts = np.linspace(-1.0, 1.0, 201)
+    singular = m.evaluate(ray.point(dts))[4]
+    assert dts[125] == 0.25 and np.flatnonzero(singular).tolist() == [125]
+    _, rep = transform_light_ray(m, ray)
+    assert len(rep.sign_crossings) == 1
+    assert rep.sign_crossings[0] == pytest.approx(0.25, abs=1e-13)
+    assert rep.sign_law_ok
+
+
+def test_light_ray_collinearity_fails_three_decades_on_bent_form():
+    # light-rays' own draws at seed 7: bent images miss the suite's
+    # tolerance 1e-9 by three decades; the same draws unbent pass
+    n = np.array([0.3, 0.5, -0.2, 0.7])
+    n /= np.linalg.norm(n)
+    rng = np.random.default_rng(7)
+    members, bent = [], []
+    while len(members) < 50:
+        form = suites.random_form(rng)
+        origin = suites.random_event_off_singular(rng, form, min_residual=0.2)
+        nvec = rng.normal(size=3)
+        ray = LightRay(origin, np.array([1.0, *(nvec / np.linalg.norm(nvec))]), span=(-0.6, 0.6))
+        try:
+            _, rep = transform_light_ray(form, ray)
+        except SingularPointError:
+            continue
+        members.append(rep.collinearity_residual)
+        bent.append(transform_light_ray(BentForm(form, n), ray)[1].collinearity_residual)
+    assert max(members) < 1e-9
+    assert min(bent) >= 1e-6
 
 
 # ---------------------------------------------------------------------------

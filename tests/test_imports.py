@@ -1,0 +1,72 @@
+"""scipy stays off the import path: ``import confvac`` loads none of it, and
+the frame suites and ``confvac transform`` run without it.  Each check runs
+in a fresh interpreter, because other test modules import scipy themselves."""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _run(script, tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_frames_suites_and_transform_load_no_scipy(tmp_path):
+    out = _run("""
+        import json, sys
+        import numpy as np
+        import confvac, confvac.cli
+        from confvac import (AcceleratedFrameForm, ConformalMap, Dilation, Inversion,
+                             Translation, lorentz_boost, map_to_dict)
+        from confvac.suites import SuiteConfig, run_suite
+
+        def loaded():
+            return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+        assert loaded() == [], loaded()
+        for name, n in [("interval-law", 30), ("tetrad-identity", 30),
+                        ("scalar-invariance", 30), ("light-rays", 30), ("ricci-flat", 5)]:
+            assert run_suite(SuiteConfig(suite=name, samples=n, seed=7)).passed, name
+        form = AcceleratedFrameForm(np.array([0.3, 0.1, -0.2, 0.05]), 1.3)
+        chain = ConformalMap([Translation(np.array([0.1, 0.2, 0.0, -0.1])),
+                              lorentz_boost([0.3, 0.0, 0.1]),
+                              Inversion(1.0), Dilation(0.5), Inversion(1.5)])
+        with open("events.csv", "w") as fh:
+            fh.write("t,x1,x2,x3\\n0.5,0.3,0.4,0\\n0.1,-0.2,0.3,0.4\\n")
+        for i, m in enumerate([form, chain]):
+            with open(f"map{i}.json", "w") as fh:
+                json.dump(map_to_dict(m), fh)
+            assert confvac.cli.main(["transform", "--map", f"map{i}.json",
+                                     "--input", "events.csv", "--out", f"out{i}.csv"]) == 0
+        print(loaded())
+    """, tmp_path)
+    assert out.splitlines()[-1] == "[]"
+    assert (tmp_path / "out0.csv").read_text().count("\n") == 3
+    assert (tmp_path / "out1.csv").read_text().count("\n") == 3
+
+
+def test_scipy_users_import_it_on_first_use(tmp_path):
+    out = _run("""
+        import sys
+        import numpy as np
+        from confvac import SampledRule, SampledWorldline, momentum_space_oracle
+
+        tau = np.linspace(0.0, 1.0, 41)
+        w = SampledWorldline(tau, np.stack([tau, 0.1 * tau, 0 * tau, 0 * tau], axis=1))
+        assert np.allclose(w.position(0.5), [0.5, 0.05, 0.0, 0.0])
+        rule = SampledRule.from_callable(lambda u: u + 0.1 * u**3, 0.0, 1.0, n=101)
+        assert abs(rule(0.5) - 0.5125) < 1e-12
+        value = momentum_space_oracle([0.3, 0.1, 0, 0], [0, 0, 0, 0], 0.5)
+        assert value != 0 and np.isfinite(value)
+        print(sorted(m for m in ("scipy.interpolate", "scipy.integrate") if m in sys.modules))
+    """, tmp_path)
+    assert out.splitlines()[-1] == "['scipy.integrate', 'scipy.interpolate']"
