@@ -5,6 +5,14 @@ the transformation law of w under an accelerated-frame map.
 w vanishes identically on uniformly accelerated motion (vddot = a^2 v and
 vdot.vdot = -a^2), and conformal maps preserve that property: the pushforward
 of a w = 0 worldline again has w = 0 in the image coordinates.
+
+Two routes lead to the image's w.  ``pushforward_worldline`` samples the
+image on a grid and fits a ``SampledWorldline`` (a quintic scipy spline),
+whose w comes from 5-point stencils at step 1e-3; ``confvac abraham`` takes
+that route for worldlines read from CSV, and its rounding floor is about
+1e-6.  The abraham suite takes the other: ``_image_abraham_jets`` pushes the
+source's order-3 Taylor jets through an accelerated-frame form's closed form
+as truncated power series, exact up to rounding, with no spline and no scipy.
 """
 
 from __future__ import annotations
@@ -16,7 +24,8 @@ import numpy as np
 from .conformal import (AcceleratedFrameForm, ConformalMap, apply_map,
                         jacobian_tetrad)  # noqa: F401  (apply_map re-exported)
 from .errors import SingularPointError
-from .minkowski import ETA, KinematicState, SampledWorldline, Worldline, minkowski_dot
+from .minkowski import (ETA, SIGNATURE, KinematicState, SampledWorldline, Worldline,
+                        lower_index, minkowski_dot)
 from .numdiff import OFFSETS, W_D1, W_D2, W_D3
 
 @dataclass(frozen=True)
@@ -155,3 +164,63 @@ def transform_abraham(form: AcceleratedFrameForm, state: KinematicState,
     scale = 1.0 / lam**3
     return HillTransformResult(general=scale * (J @ bracket),
                                reduced=scale * (J @ w))
+
+
+# ---------------------------------------------------------------------------
+# truncated power series in s, coefficient-major: c[k] multiplies s^k; vectors
+# are (K, ..., 4), scalars (K, ..., 1); a result has as many coefficients as
+# the shorter input (one fewer for d/ds)
+
+def _smul(a, b):
+    """a b."""
+    return np.stack([sum(a[i] * b[k - i] for i in range(k + 1))
+                     for k in range(min(len(a), len(b)))])
+
+
+def _sdot(a, b):
+    """Minkowski a.b."""
+    return np.vecdot(_smul(a, b), SIGNATURE)[..., None]
+
+
+def _sdiv(a, b):
+    """a / b, for b[0] != 0 and len(b) >= len(a)."""
+    q = []
+    for k in range(len(a)):
+        q.append((a[k] - sum(b[i] * q[k - i] for i in range(1, k + 1))) / b[0])
+    return np.stack(q)
+
+
+def _ssqrt(a):
+    """sqrt(a), for a[0] > 0."""
+    r = [np.sqrt(a[0])]
+    for k in range(1, len(a)):
+        r.append((a[k] - sum(r[i] * r[k - i] for i in range(1, k))) / (2.0 * r[0]))
+    return np.stack(r)
+
+
+def _sder(a):
+    """da/ds."""
+    return np.stack([k * a[k] for k in range(1, len(a))])
+
+
+def _image_abraham_jets(form: AcceleratedFrameForm, state: KinematicState):
+    """(wbar, abar): the image Abraham vector wbar = d abar / d taubar +
+    ubar (abar.abar) and the image acceleration abar at the state's proper
+    times (one form, not a stack), exact up to rounding.
+
+    The source's order-3 Taylor jet x + v s + vdot s^2 / 2 + vddot s^3 / 6
+    in its proper time s goes through xbar = beta (x - x^2 alpha) / D, with
+    D = 1 - 2 alpha.x + alpha^2 x^2, as truncated power series; dividing by
+    the image speed sqrt(xbar'.xbar') turns s-derivatives into image
+    proper-time ones.  No image is sampled, splined or differenced.
+    """
+    x = np.stack([state.position, state.velocity, state.velocity_dot / 2.0,
+                  state.velocity_ddot / 6.0])
+    x2 = _sdot(x, x)
+    den = form.alpha_sq * x2 - 2.0 * np.vecdot(x, lower_index(form.alpha))[..., None]
+    den[0] += 1.0
+    dxbar = _sder(form.beta * _sdiv(x - x2 * form.alpha, den))
+    speed = _ssqrt(_sdot(dxbar, dxbar))
+    u = _sdiv(dxbar, speed)
+    a = _sdiv(_sder(u), speed)
+    return _abraham_w(u[0], a[0], _sder(a)[0] / speed[0]), a[0]

@@ -15,6 +15,7 @@ from confvac import (ETA, AcceleratedFrameForm, BoundaryError, ConvergenceError,
                      tetrad_contraction, thermal_spectra,
                      transformed_em_correlation, vacuum_spectra,
                      verify_em_invariance, verify_scalar_invariance)
+from confvac import suites
 from confvac.correlations import LAST_TERM_MODES, _fd_field_tensor, _kernel_rows
 
 finite4 = st.lists(st.floats(-3, 3), min_size=4, max_size=4)
@@ -308,6 +309,36 @@ def test_tetrad_contraction_random():
         x, xp = same_side_pair(rng, form)
         worst = max(worst, tetrad_contraction(form, x, xp).residual)
     assert worst < 1e-10
+
+
+class BentTetradForm:
+    """Not conformal: an accelerated-frame form whose Jacobian is bent to
+    J + delta n n^T.  It keeps the form's images, factors and phi, so its
+    tetrads J / lambda are no longer Lorentz matrices and the contraction
+    identity must fail by O(delta)."""
+
+    def __init__(self, form, n, delta=1e-3):
+        self.form, self.n, self.delta = form, np.asarray(n, dtype=float), delta
+
+    def evaluate(self, x, v=None):
+        images, pushed, lam, residual, singular = self.form.evaluate(x, v)
+        return (images, pushed + self.delta * (v @ self.n)[:, None] * self.n,
+                lam, residual, singular)
+
+    def phi(self, x):
+        return self.form.phi(x)
+
+
+def test_tetrad_contraction_fails_three_decades_on_bent_tetrad():
+    # tetrad-identity's own draws at seed 7: every bent pair misses the
+    # suite's tolerance 1e-10 by three decades; the same draws unbent pass
+    n = np.array([0.3, 0.5, -0.2, 0.7])
+    n /= np.linalg.norm(n)
+    (form, x, xp), = suites._same_side_blocks(np.random.default_rng(7), 300, 0.0)
+    members = tetrad_contraction(form, x, xp).residual
+    bent = tetrad_contraction(BentTetradForm(form, n), x, xp).residual
+    assert members.max() < 1e-10
+    assert bent.min() >= 1e-7
 
 
 def test_tetrad_contraction_singular_event_named_once():

@@ -1,6 +1,7 @@
 """scipy stays off the import path: ``import confvac`` loads none of it, and
-the frame suites and ``confvac transform`` run without it.  Each check runs
-in a fresh interpreter, because other test modules import scipy themselves."""
+the frame suites, the abraham suite and ``confvac transform`` run without
+it.  Each check runs in a fresh interpreter, because other test modules
+import scipy themselves."""
 
 import os
 import subprocess
@@ -36,6 +37,8 @@ def test_frames_suites_and_transform_load_no_scipy(tmp_path):
         for name, n in [("interval-law", 30), ("tetrad-identity", 30),
                         ("scalar-invariance", 30), ("light-rays", 30), ("ricci-flat", 5)]:
             assert run_suite(SuiteConfig(suite=name, samples=n, seed=7)).passed, name
+        assert run_suite(SuiteConfig(suite="abraham", samples=4, seed=7)).passed
+        assert loaded() == [], loaded()
         form = AcceleratedFrameForm(np.array([0.3, 0.1, -0.2, 0.05]), 1.3)
         chain = ConformalMap([Translation(np.array([0.1, 0.2, 0.0, -0.1])),
                               lorentz_boost([0.3, 0.0, 0.1]),

@@ -3,12 +3,14 @@ import pytest
 from scipy.integrate import cumulative_trapezoid
 
 from confvac import (AcceleratedFrameForm, ConformalMap, Dilation,
-                     HyperbolicWorldline, Inversion, SampledWorldline,
+                     HyperbolicWorldline, Inversion, KinematicState, SampledWorldline,
                      SingularPointError, Translation, abraham_norms_on_grid,
                      abraham_vector, apply_map, classify_motion,
                      jacobian_tetrad, lorentz_boost,
                      minkowski_dot, pushforward_worldline, rest_worldline,
                      transform_abraham)
+from confvac import suites
+from confvac.kinematics import _image_abraham_jets
 from confvac.numdiff import gradient_hessian
 
 HYP = HyperbolicWorldline([1, 0, 0, 0], [0, 1, 0, 0], 1.0)
@@ -286,3 +288,78 @@ def test_transform_abraham_nonflat_factor_disagrees():
                                        st.position)
     res = transform_abraham(form, st, derivatives=exp_derivatives)
     assert res.disagreement > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# image Abraham vector from exact jets
+
+def jerked_state(taus):
+    """States at proper times taus in [-0.5, 0.5] of motion in the t-x plane
+    with rapidity eta = 0.2 + 0.7 tau + 0.2 tau^2: its Abraham vector is
+    eta'' (sinh eta, cosh eta, 0, 0), non-zero everywhere.  Positions are a
+    trapezoidal integral of v from tau = -0.5."""
+    fine = np.linspace(-0.5, 0.5, 1001)
+    eta = 0.2 + 0.7 * fine + 0.2 * fine**2
+    pos = np.stack([cumulative_trapezoid(np.cosh(eta), fine, initial=0.0) + 0.1,
+                    cumulative_trapezoid(np.sinh(eta), fine, initial=0.0) - 0.2,
+                    np.full_like(fine, 0.05), np.full_like(fine, -0.1)], axis=1)
+    eta = 0.2 + 0.7 * taus + 0.2 * taus**2
+    d1, d2 = 0.7 + 0.4 * taus, 0.4
+    ch, sh, z = np.cosh(eta), np.sinh(eta), np.zeros_like(taus)
+    return KinematicState(
+        position=pos[np.rint((taus + 0.5) * 1000).astype(int)],
+        velocity=np.stack([ch, sh, z, z], axis=1),
+        velocity_dot=np.stack([d1 * sh, d1 * ch, z, z], axis=1),
+        velocity_ddot=np.stack([d2 * sh + d1**2 * ch, d2 * ch + d1**2 * sh, z, z], axis=1),
+        tau=taus)
+
+
+def test_image_abraham_jets_equal_hills_law_on_a_jerked_source():
+    # negative control: a source with w != 0 has an image with wbar != 0,
+    # and wbar is Hill's transformation law J w / lambda^3 plus its
+    # correction, evaluated one proper time at a time
+    form = AcceleratedFrameForm(np.array([0.15, -0.1, 0.05, 0.08]), 1.3)
+    st = jerked_state(np.linspace(-0.5, 0.5, 11))
+    assert np.min(form.denominator(st.position)) > 0.5
+    wbar, _ = _image_abraham_jets(form, st)
+    assert np.min(np.linalg.norm(wbar, axis=1)) > 0.1
+    for j, tau in enumerate(st.tau):
+        one = KinematicState(st.position[j], st.velocity[j], st.velocity_dot[j],
+                             st.velocity_ddot[j], float(tau))
+        hill = transform_abraham(form, one).general
+        assert np.max(np.abs(wbar[j] - hill)) <= 1e-12 * np.max(np.abs(hill))
+
+
+def test_image_abraham_jets_vanish_on_hyperbolic_and_rest_sources():
+    grid = np.linspace(-0.6, 0.6, 121)
+    forms = (AcceleratedFrameForm(np.array([0.1, 0.15, -0.1, 0.0]), 1.2),
+             AcceleratedFrameForm(np.array([-0.2, 0.05, 0.1, 0.15]), 0.7))
+    sources = (HYP, HyperbolicWorldline([1, 0, 0, 0], [0, 0, 0.4, 0], 0.4, x0=[0.1, 0, 0.2, 0]),
+               rest_worldline(x0=[0.0, 0.1, -0.1, 0.2]))
+    for form in forms:
+        for wl in sources:
+            st = wl.state(grid)
+            assert np.min(np.abs(form.denominator(st.position))) > 0.3
+            wbar, abar = _image_abraham_jets(form, st)
+            assert np.max(np.linalg.norm(wbar, axis=1)) < 1e-12
+            assert np.max(np.linalg.norm(abar, axis=1)) > 0.05   # the image accelerates
+
+
+def test_spline_pushforward_agrees_with_the_jets_on_the_suite_sampler():
+    # confvac abraham's path on CSV worldlines (pushforward, quintic spline,
+    # 5-point stencils), which no suite runs, on four draws of the abraham
+    # suite's sampler: w stays under the suite's 1e-5 in the image's
+    # interior, and the stencil acceleration at mid-grid is the jets' one
+    rng = np.random.default_rng(20250)
+    for i in range(4):
+        form, wl, grid, wbar = suites._conditioned_abraham_sample(rng, hyperbolic=(i % 4 != 3))
+        image = pushforward_worldline(form, wl, grid)
+        lo, hi = image.tau_range
+        margin = 2e-3 + 5 * float(np.max(np.diff(image.tau)))
+        interior = image.tau[(image.tau > lo + margin) & (image.tau < hi - margin)]
+        assert np.max(abraham_norms_on_grid(image, interior)) < 1e-5
+        assert np.max(np.linalg.norm(wbar, axis=1)) < 1e-13
+        k = len(grid) // 2
+        _, abar = _image_abraham_jets(form, wl.state(grid))
+        stencil = image.state(image.tau[k], step=1e-3).velocity_dot
+        assert np.max(np.abs(stencil - abar[k])) < 1e-6

@@ -23,7 +23,7 @@ from confvac.suites import CANDIDATE_BLOCK, SUITE_NAMES, SuiteConfig, run_suite
 DIGESTS = {
     "interval-law": (500, "fc3c9b344ff0bb6765fd5643b0b1a0d6f6ec7612159ebd8c61b250b33d2fdd4f"),
     "ricci-flat": (10, "d2f17b45a1a449fbb755420479c2d7e6983498879c7db091b362c2b81c414086"),
-    "abraham": (2, "af6d7ddfab3a09b99b403901163d7fb6b085b800f3e529957919572b5ce2dddf"),
+    "abraham": (2, "b35b78bd068afef40c8085a06382b51f5358b06aaa1e7a351422adde4526e46f"),
     "light-rays": (10, "16ec6df9b536f6635a826db717f28e85fdce175580be1760808c000227ec508d"),
     "scalar-invariance": (100, "23b689895d9d7fb4d394261fd0796df1a1607e1b0444a2807d5d934d09e8f787"),
     "tetrad-identity": (100, "76b8df2e7b5a7bf5f5ddfcb45928966bd5c3e84ad4f74b2ddfbb019087e0c6e7"),
