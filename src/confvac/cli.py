@@ -52,12 +52,19 @@ def _add_flags(parser, *names):
         parser.add_argument(name, **FLAGS[name])
 
 
+CONFIG_KEYS = ("seed", "samples", "tol", "epsilon", "step", "h", "out", "fmt")
+
+
 def _merge_config(args):
     merged = {}
     if args.config:
         with open(args.config) as fh:
             merged.update(json.load(fh))
-    for key in ("seed", "samples", "tol", "epsilon", "step", "h", "out", "fmt"):
+    unknown = sorted(set(merged) - set(CONFIG_KEYS))
+    if unknown:
+        raise SystemExit(f"suite: unknown config keys {', '.join(unknown)}; "
+                         f"known: {', '.join(CONFIG_KEYS)}")
+    for key in CONFIG_KEYS:
         val = getattr(args, key)
         if val is not None:
             merged[key] = val

@@ -554,7 +554,9 @@ def transform_light_ray(m: ConformalMap, ray: LightRay):
     span are mapped in one batch; sampled points of the image must be
     collinear with that line.  The report carries the maximum deviation, the
     parameter values where lambda changes sign (the root of the affine
-    1/lambda between bracketing samples), and the sign law verdict.
+    1/lambda between bracketing samples), and the sign law verdict.  An
+    image direction that is not null raises ``ConstraintViolationError``
+    naming the ray origin and the tetrad's defect max |f^T eta f - eta|.
     """
     (origin_bar,), (lam_origin,), _, (tet,) = _frames(m, ray.origin[None])
     fv = tet @ ray.direction
@@ -563,6 +565,11 @@ def transform_light_ray(m: ConformalMap, ray: LightRay):
                                  residual=fv[0], point=ray.origin)
     vbar = fv / fv[0]
     vbar[0] = 1.0
+    if abs(minkowski_dot(vbar, vbar)) > NULL_TOL:
+        defect = np.max(np.abs(tet.T @ ETA @ tet - ETA))
+        raise ConstraintViolationError(
+            f"image of the ray at origin {ray.origin.tolist()} is not null: the "
+            f"tetrad there misses f^T eta f = eta by {defect:.1e}")
 
     lo, hi = ray.span
     dts = np.linspace(lo, hi, LIGHT_RAY_SAMPLES)

@@ -10,19 +10,16 @@ zero, and (for worldline images) image accelerations of order one.  The
 tolerances are meaningless without such conditioning since residuals blow
 up polynomially near the singular sets.
 
-interval-law, scalar-invariance and tetrad-identity draw, then evaluate
-once, then filter: a block of candidates is drawn, the whole block is
-evaluated in one array pass as one ``ConformalMap`` stack and the first n
-accepted are kept in order.  scalar-invariance and tetrad-identity stack
-their forms as one ``AcceleratedFrameForm``; interval-law's stack holds its
-forms as chains of one accelerated-frame slot beside its primitive chains.
-interval-law draws each block as arrays, every rejection loop redrawing only
-the rows that fail, so its samples are not those of a one-at-a-time draw;
-only the worst sample's chain is taken out of the stack, for the report.
-scalar-invariance and tetrad-identity draw in stream order through
-``DrawStream``, which replays the generator's doubles bit for bit; no draw
-depends on an evaluation, so their samples, and reports, are those of
-drawing and evaluating one sample at a time.
+Every sampler with a rejection rule draws numpy rows through one idiom,
+``_rows_until``, which redraws only the rows its rule rejects.  interval-law,
+scalar-invariance and tetrad-identity draw a block of candidates as arrays,
+evaluate the whole block in one pass as one stack and keep the first n
+accepted in order; only the worst sample's map is taken out of the stack,
+for the report.  ricci-flat, light-rays, abraham and em-invariance draw a
+batch of one per sample, which is the one-at-a-time rejection loop, so
+their streams are those of drawing one sample at a time; abraham and
+light-rays then skip a sample whose evaluated image is out of bounds (a
+worldline image that is not tame, a singular ray) and draw the next.
 """
 
 from __future__ import annotations
@@ -52,6 +49,10 @@ def _json_plain(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
+def _is_int(value):
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass
 class SuiteConfig:
     suite: str
@@ -65,10 +66,15 @@ class SuiteConfig:
     fmt: str = "json"
 
     def __post_init__(self):
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if self.samples is not None and not _is_int(self.samples):
+            raise ValueError(f"samples must be an integer, got {self.samples!r}")
         for name in ("samples", "epsilon", "h", "step", "tol"):
             value = getattr(self, name)
-            if value is not None and not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+            if value is not None and not (isinstance(value, (int, float, np.number))
+                                          and 0 < value < math.inf):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.fmt not in ("json", "csv"):
             raise ValueError("format must be json or csv")
 
@@ -138,94 +144,78 @@ class SuiteReport:
 # ---------------------------------------------------------------------------
 # random draws
 #
-# The samplers take a numpy Generator or a DrawStream: they read doubles only
-# through ``uniform(lo, hi[, size])`` and compute their rejection predicates
-# on plain floats.  These differ from the numpy predicates they replace
-# (``np.linalg.norm``, ``form.denominator``, ``interval``) only in the last
-# bits: of their decisions at seeds 20250 and 7, none lands within 1e-9 of
-# its threshold, so each decision, and with it the stream, is the numpy one
-# (tests/test_sampling.py replays the numpy samplers).  interval-law's array
-# samplers (``_ball_rows``, ``_rows_until``, ``_chain_draws``) decide
-# on numpy rows.
+# Every sampler draws numpy rows through ``_rows_until``: m rows at once,
+# then only the rows its rule rejects, redrawn until none is.  Block suites
+# draw a block of m candidates; per-sample suites draw a batch of one, for
+# which ``_rows_until`` is the one-at-a-time rejection loop, so their streams
+# are those of drawing one sample at a time (tests/test_sampling.py replays
+# the numpy per-sample samplers against them).
 
 CANDIDATE_BLOCK = 1024    # candidates drawn, then evaluated, per array pass
 
 
-class DrawStream:
-    """The doubles of ``rng.random()``, read from prefetched blocks.
-
-    ``uniform(lo, hi)`` is bitwise ``rng.uniform(lo, hi)``: numpy computes
-    ``lo + (hi - lo) * random()``, as it does for each entry of
-    ``rng.uniform(lo, hi, k)``.
-    """
-
-    BLOCK = 256
-
-    def __init__(self, rng):
-        self.rng = rng
-        self._block, self._next = [], 0
-
-    def random(self):
-        if self._next == len(self._block):
-            self._block = self.rng.random(self.BLOCK).tolist()
-            self._next = 0
-        self._next += 1
-        return self._block[self._next - 1]
-
-    def uniform(self, lo, hi, size=None):
-        """One float, or a list of ``size`` floats."""
-        if size is None:
-            return lo + (hi - lo) * self.random()
-        if self._next + size > len(self._block):
-            return [self.uniform(lo, hi) for _ in range(size)]
-        self._next += size
-        return [lo + (hi - lo) * d for d in self._block[self._next - size:self._next]]
+def _rows_until(draw, rejected, m):
+    """draw(m) rows, then the rejected ones redrawn until none is."""
+    v = draw(m)
+    while len(out := rejected(v).nonzero()[0]):
+        v[out] = draw(len(out))
+    return v
 
 
-def _mdot(a, b):
-    return a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3]
+def _ball_rows(rng, radius, m):
+    """m rows uniform in the ball |v| <= radius, by cube rejection."""
+    return _rows_until(lambda k: rng.uniform(-radius, radius, (k, 4)),
+                       lambda v: (v * v).sum(axis=1) > radius * radius, m)
 
 
-def _ball(rng, radius):
-    """Uniform in the cube until |v| <= radius: 4 floats."""
-    while True:
-        v = rng.uniform(-radius, radius, 4)
-        if radius * radius >= v[0] * v[0] + v[1] * v[1] + v[2] * v[2] + v[3] * v[3]:
-            return v
-
-
-def _form_params(rng, alpha_max=0.5):
-    alpha = _ball(rng, alpha_max)
-    return alpha, rng.uniform(0.5, 2.0)
-
-
-def _off_singular(rng, alpha, min_residual):
-    """An event x (4 floats) in the unit ball with |form.denominator(x)| >=
-    min_residual, and that denominator."""
-    alpha_sq = _mdot(alpha, alpha)
-    while True:
-        x = _ball(rng, 1.0)
-        den = 1.0 - 2.0 * _mdot(x, alpha) + alpha_sq * _mdot(x, x)
-        if abs(den) >= min_residual:
-            return x, den
-
-
-def _same_side(rng, alpha, min_residual, min_interval):
-    """Events x, x' (4 floats each) in the unit ball, off the singular set,
-    on one side of it, with |(x - x')^2| >= min_interval."""
-    while True:
-        x, den = _off_singular(rng, alpha, min_residual)
-        xp, den_p = _off_singular(rng, alpha, min_residual)
-        if den * den_p <= 0:    # |den| >= min_residual: the plain signs are numpy's
-            continue
-        d = [a - b for a, b in zip(x, xp)]
-        if abs(_mdot(d, d)) >= min_interval:
-            return x, xp
+def _form_rows(rng, m) -> AcceleratedFrameForm:
+    """m stacked forms: alpha rows in the ball |alpha| <= 0.5, then m betas
+    U(0.5, 2)."""
+    return AcceleratedFrameForm(_ball_rows(rng, 0.5, m), rng.uniform(0.5, 2.0, m))
 
 
 def random_form(rng, alpha_max=0.5) -> AcceleratedFrameForm:
-    alpha, beta = _form_params(rng, alpha_max)
-    return AcceleratedFrameForm(np.array(alpha), beta)
+    return AcceleratedFrameForm(_ball_rows(rng, alpha_max, 1)[0], rng.uniform(0.5, 2.0))
+
+
+def _off_singular_rows(rng, forms, min_residual, m):
+    """m events in the unit ball with |forms.denominator(x)| >= min_residual;
+    row i meets form i of a stack of m, or the one form."""
+    return _rows_until(lambda k: _ball_rows(rng, 1.0, k),
+                       lambda x: np.abs(forms.denominator(x)) < min_residual, m)
+
+
+def _pair_rows(rng, m):
+    """m event pairs (m, 2, 4) in the unit ball: the m first events, then
+    the m second."""
+    return np.stack([_ball_rows(rng, 1.0, m), _ball_rows(rng, 1.0, m)], axis=1)
+
+
+def _pair_denominators(forms, p):
+    """Denominators (2, m) of the first, then the second events of pairs p
+    (m, 2, 4): pair i meets form i of a stack of m, or the one form."""
+    return forms.denominator(np.concatenate([p[:, 0], p[:, 1]])).reshape(2, -1)
+
+
+def _same_side_rows(rng, forms, min_interval, m):
+    """m pairs (m, 2, 4) in the unit ball with both |denominator| >= 0.1, on
+    one side of the singular set and |(x - x')^2| >= min_interval; a pair
+    that fails is redrawn whole."""
+    def rejected(p):
+        den, den_p = _pair_denominators(forms, p)
+        return ((np.minimum(np.abs(den), np.abs(den_p)) < 0.1) | (den * den_p <= 0)
+                | (np.abs(interval(p[:, 0], p[:, 1])) < min_interval))
+    return _rows_until(lambda k: _pair_rows(rng, k), rejected, m)
+
+
+def _same_side_blocks(rng, n, min_interval):
+    """(forms stacked, x rows, x' rows) for blocks of up to CANDIDATE_BLOCK
+    samples: each block's alpha rows, then its betas, then its pairs."""
+    for start in range(0, n, CANDIDATE_BLOCK):
+        k = min(CANDIDATE_BLOCK, n - start)
+        forms = _form_rows(rng, k)
+        pairs = _same_side_rows(rng, forms, min_interval, k)
+        yield forms, pairs[:, 0], pairs[:, 1]
 
 
 def _chain_draws(rng, m):
@@ -252,44 +242,19 @@ def random_chain(rng) -> ConformalMap:
     return _chain_stack(rng, 1).take(0)
 
 
-def random_event(rng):
-    return np.array(_ball(rng, 1.0))
-
-
-def random_event_off_singular(rng, form, min_residual=0.1):
-    return np.array(_off_singular(rng, form.alpha.tolist(), min_residual)[0])
-
-
-def random_same_side_pair(rng, form, min_residual=0.1, min_interval=0.0):
-    x, xp = _same_side(rng, form.alpha.tolist(), min_residual, min_interval)
-    return np.array(x), np.array(xp)
-
-
-def _same_side_blocks(rng, n, min_interval):
-    """(forms stacked, x rows, x' rows) for blocks of CANDIDATE_BLOCK draws of
-    ``random_form`` then ``random_same_side_pair``, in stream order."""
-    stream = DrawStream(rng)
-    for start in range(0, n, CANDIDATE_BLOCK):
-        draws = []
-        for _ in range(min(CANDIDATE_BLOCK, n - start)):
-            alpha, beta = _form_params(stream)
-            draws.append((alpha, beta, *_same_side(stream, alpha, 0.1, min_interval)))
-        alpha, beta, x, xp = (np.array(col) for col in zip(*draws))
-        yield AcceleratedFrameForm(alpha, beta), x, xp
-
-
 def random_hyperbolic(rng):
     a = rng.uniform(0.2, 0.8)
     u = rng.uniform(-0.3, 0.3, 3)
     g = 1.0 / np.sqrt(1.0 - u @ u)
     v0 = np.array([g, *(g * u)])
-    while True:
-        n = np.array([0.0, *rng.uniform(-1.0, 1.0, 3)])
-        n = n - minkowski_dot(n, v0) * v0  # v0.v0 = 1
-        norm = np.sqrt(max(-minkowski_dot(n, n), 0.0))
-        if norm > 1e-3:
-            break
-    vdot0 = n / norm * a
+
+    def normals(k):     # spatial rows made orthogonal to v0 (v0.v0 = 1)
+        n = np.zeros((k, 4))
+        n[:, 1:] = rng.uniform(-1.0, 1.0, (k, 3))
+        return n - minkowski_dot(n, v0)[:, None] * v0
+
+    n, = _rows_until(normals, lambda n: minkowski_dot(n, n) >= -1e-6, 1)
+    vdot0 = n / np.sqrt(-minkowski_dot(n, n)) * a
     x0 = rng.uniform(-0.2, 0.2, 4)
     return HyperbolicWorldline(v0, vdot0, a, x0=x0)
 
@@ -312,20 +277,6 @@ def _wrap(name, cfg, rng_consumer):
     return report
 
 
-def _rows_until(draw, rejected, m):
-    """draw(m) rows, then the rejected ones redrawn until none is."""
-    v = draw(m)
-    while len(out := np.flatnonzero(rejected(v))):
-        v[out] = draw(len(out))
-    return v
-
-
-def _ball_rows(rng, radius, m):
-    """m rows uniform in the ball |v| <= radius, by cube rejection."""
-    return _rows_until(lambda k: rng.uniform(-radius, radius, (k, 4)),
-                       lambda v: np.sum(v * v, axis=1) > radius * radius, m)
-
-
 def _interval_law_block(rng, k):
     """k interval-law candidates, drawn as arrays, then evaluated as one
     stack: (maps, points (k, 2, 4), values (5, k)).  Candidate i is the
@@ -337,13 +288,10 @@ def _interval_law_block(rng, k):
     alpha, beta, x and x'; the chains, their x and x'."""
     is_form = rng.random(k) < 0.7
     at_form, at_chain = np.flatnonzero(is_form), np.flatnonzero(~is_form)
-    forms = AcceleratedFrameForm(_ball_rows(rng, 0.5, len(at_form)),
-                                 rng.uniform(0.5, 2.0, len(at_form)))
+    forms = _form_rows(rng, len(at_form))
     points = np.empty((k, 2, 4))
     for j in range(2):
-        points[at_form, j] = _rows_until(lambda m: _ball_rows(rng, 1.0, m),
-                                         lambda x: np.abs(forms.denominator(x)) < 0.1,
-                                         len(at_form))
+        points[at_form, j] = _off_singular_rows(rng, forms, 0.1, len(at_form))
     kinds = np.full((k, 4), -1)
     kinds[at_form, 0] = FRAME
     kinds[at_chain], drawn = _chain_draws(rng, len(at_chain))
@@ -409,7 +357,7 @@ def suite_ricci_flat(cfg: SuiteConfig) -> SuiteReport:
         vals = np.empty(n)
         for i in range(n):
             form = random_form(rng)
-            x = random_event_off_singular(rng, form, min_residual=0.3)
+            x = _off_singular_rows(rng, form, 0.3, 1)[0]
             phi, phi2 = gradient_hessian(lambda r: np.log(np.abs(form.factor(r))), x, step)
             vals[i] = np.max(np.abs(ricci_conformal(phi, phi2)))
         check = CheckResult(name="ricci-max-component", statistic=float(vals.max()),
@@ -484,7 +432,7 @@ def suite_light_rays(cfg: SuiteConfig) -> SuiteReport:
         i = 0
         while i < n:
             form = random_form(rng)
-            origin = random_event_off_singular(rng, form, min_residual=0.2)
+            origin = _off_singular_rows(rng, form, 0.2, 1)[0]
             nvec = rng.normal(size=3)
             nvec /= np.linalg.norm(nvec)
             ray = LightRay(origin, np.array([1.0, *nvec]), span=(-0.6, 0.6))
@@ -505,7 +453,7 @@ def suite_light_rays(cfg: SuiteConfig) -> SuiteReport:
         while crossing_checked < 5 and attempts < 2000:
             attempts += 1
             form = random_form(rng)
-            origin = random_event_off_singular(rng, form, min_residual=0.05)
+            origin = _off_singular_rows(rng, form, 0.05, 1)[0]
             nvec = rng.normal(size=3)
             nvec /= np.linalg.norm(nvec)
             v = np.array([1.0, *nvec])
@@ -594,15 +542,14 @@ def suite_tetrad_identity(cfg: SuiteConfig) -> SuiteReport:
 
 
 def _em_sample(rng):
+    """A form, then a pair in the unit ball with both denominators >= 0.25
+    and (x - x')^2 <= -0.4: a batch of one."""
     form = random_form(rng)
-    while True:
-        x = random_event(rng)
-        xp = random_event(rng)
-        if form.denominator(x) < 0.25 or form.denominator(xp) < 0.25:
-            continue
-        if interval(x, xp) > -0.4:
-            continue
-        return form.alpha, form.beta, x, xp
+    (x, xp), = _rows_until(
+        lambda k: _pair_rows(rng, k),
+        lambda p: (_pair_denominators(form, p).min(axis=0) < 0.25)
+                  | (interval(p[:, 0], p[:, 1]) > -0.4), 1)
+    return form.alpha, form.beta, x, xp
 
 
 def suite_em_invariance(cfg: SuiteConfig) -> SuiteReport:

@@ -566,7 +566,7 @@ def test_interval_law_report_carries_both_factors():
 def test_interval_law_pair_rows_equal_pairs_bit_for_bit(seed, n):
     rng = np.random.default_rng(seed)
     forms = [suites.random_form(rng) for _ in range(n)]
-    x, xp = (np.array(col) for col in zip(*[suites.random_same_side_pair(rng, f)
+    x, xp = (np.array(col) for col in zip(*[suites._same_side_rows(rng, f, 0.0, 1)[0]
                                              for f in forms]))
     chain = suites.random_chain(rng)
     for m, per_pair in ((stacked(forms), forms), (chain, [chain] * n)):
@@ -606,8 +606,8 @@ def test_interval_law_fails_three_decades_on_non_conformal_map():
     members, bent = [], []
     for _ in range(200):
         form = suites.random_form(rng)
-        x = suites.random_event_off_singular(rng, form)
-        xp = suites.random_event_off_singular(rng, form)
+        x = suites._off_singular_rows(rng, form, 0.1, 1)[0]
+        xp = suites._off_singular_rows(rng, form, 0.1, 1)[0]
         members.append(verify_interval_law(form, x, xp).residual)
         bent.append(verify_interval_law(BentForm(form, n), x, xp).residual)
     assert max(members) < 1e-9          # the suite's tolerance
@@ -657,6 +657,22 @@ def test_light_ray_normalization():
     assert ray.direction[0] == 1.0
     with pytest.raises(ConstraintViolationError, match="not null"):
         LightRay([0, 0, 0, 0], [1.0, 0.5, 0, 0])
+
+
+def test_light_ray_names_the_tetrad_defect_of_a_bent_tetrad():
+    # next to the first inversion's cone (y^2 ~ 2e-5) this chain's tetrad
+    # loses digits; the error names the ray origin and the tetrad's Lorentz
+    # defect, not the image direction the caller never gave
+    chain = ConformalMap([Translation([0.1, -0.2, 0.05, 0.0]),
+                          LorentzTransform(boost_matrix([0.3, -0.1, 0.2])), Inversion(1.2),
+                          Dilation(0.8), Translation([-0.3, 0.1, 0.2, -0.1]), Inversion(0.7)])
+    origin = [0.4685, -0.2807, -0.0386, 0.3033]
+    _, _, f = jacobian_tetrad(chain, origin)
+    defect = np.max(np.abs(f.T @ ETA @ f - ETA))
+    assert 1e-4 < defect < 1e-3
+    with pytest.raises(ConstraintViolationError,
+                       match=rf"origin \[0.4685, -0.2807, -0.0386, 0.3033\].*{defect:.1e}$"):
+        transform_light_ray(chain, LightRay(origin, [1.0, 1.0, 0.0, 0.0], span=(-0.1, 0.1)))
 
 
 def test_pure_dilation_ray():
@@ -796,7 +812,7 @@ def test_light_ray_collinearity_fails_three_decades_on_bent_form():
     members, bent = [], []
     while len(members) < 50:
         form = suites.random_form(rng)
-        origin = suites.random_event_off_singular(rng, form, min_residual=0.2)
+        origin = suites._off_singular_rows(rng, form, 0.2, 1)[0]
         nvec = rng.normal(size=3)
         ray = LightRay(origin, np.array([1.0, *(nvec / np.linalg.norm(nvec))]), span=(-0.6, 0.6))
         try:
@@ -853,7 +869,7 @@ def test_ricci_fails_three_decades_on_perturbed_factor():
     members, perturbed = [], []
     for _ in range(50):
         form = suites.random_form(rng)
-        x = suites.random_event_off_singular(rng, form, min_residual=0.3)
+        x = suites._off_singular_rows(rng, form, 0.3, 1)[0]
         for out, bend in ((members, 0.0), (perturbed, 1e-3)):
             derivs = numdiff.gradient_hessian(
                 lambda r: log_abs_factor(form)(r) + bend * minkowski_dot(r, n) ** 2, x, 1e-3)

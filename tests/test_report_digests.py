@@ -25,8 +25,8 @@ DIGESTS = {
     "ricci-flat": (10, "d2f17b45a1a449fbb755420479c2d7e6983498879c7db091b362c2b81c414086"),
     "abraham": (2, "b35b78bd068afef40c8085a06382b51f5358b06aaa1e7a351422adde4526e46f"),
     "light-rays": (10, "16ec6df9b536f6635a826db717f28e85fdce175580be1760808c000227ec508d"),
-    "scalar-invariance": (100, "23b689895d9d7fb4d394261fd0796df1a1607e1b0444a2807d5d934d09e8f787"),
-    "tetrad-identity": (100, "76b8df2e7b5a7bf5f5ddfcb45928966bd5c3e84ad4f74b2ddfbb019087e0c6e7"),
+    "scalar-invariance": (100, "61346ab8d55bebc9309e600ddbf1f3d661f649effc30fbb7636abd35511ccdd0"),
+    "tetrad-identity": (100, "36c649a5a61cf6810d2ee235b781a6dcb8a4da813b664ebe75ce957e1457069f"),
     "em-invariance": (10, "26cfd105bcf5c04db91410899ba0ca161382403ecf17f877b3f8c7cf8cd4e85b"),
     "fdr": (None, "8fb098f415d6b97843f047cb33544cee419ee47ba7cff5e1df6c0387864010e1"),
     "momentum-oracle": (None, "23dff9ebaf6894ca8f2f31835bf105af85ccfb18c02529ba36a98e48c8c31572"),

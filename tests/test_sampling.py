@@ -1,16 +1,16 @@
-"""The suites' samplers: the per-sample ones replay numpy's draws bit for
-bit, and interval-law's array sampler keeps its candidates' rules.
+"""The suites' samplers: a batch of one replays the one-at-a-time numpy
+draws bit for bit, and the block samplers keep their candidates' rules.
 
-The per-sample samplers decide their rejection predicates on plain floats,
-and scalar-invariance and tetrad-identity read their doubles through
-``DrawStream``.  The references below are the numpy samplers they replace
-(``rng.uniform(lo, hi, 4)``, ``np.linalg.norm``, ``form.denominator``,
-``interval``): every draw, and the generator's position after it, must match
-them.  The plain-float predicates have no numpy fallback near their
-thresholds, so these replays are the evidence that they decide as the numpy
-ones do.  interval-law draws each block of candidates as arrays
-(``suites._interval_law_block``); its tests check every candidate against
-its rule and its values against its own map alone.
+Every sampler draws rows through ``suites._rows_until``.  ricci-flat,
+light-rays, abraham and em-invariance draw a batch of one; the references
+below are the one-at-a-time numpy samplers those streams were first written
+with (``rng.uniform(lo, hi, 4)``, ``np.linalg.norm``, ``form.denominator``),
+and every draw, and the generator's position after it, must match them.
+interval-law draws each block of candidates as arrays
+(``suites._interval_law_block``), and scalar-invariance and tetrad-identity
+draw each block's forms, then its same-side pairs
+(``suites._same_side_blocks``); their tests check every candidate against
+its rule, and interval-law's values against its own map alone.
 """
 
 import numpy as np
@@ -43,17 +43,6 @@ def ref_off_singular(rng, form, min_residual=0.1):
             return x
 
 
-def ref_same_side_pair(rng, form, min_interval):
-    while True:
-        x = ref_off_singular(rng, form)
-        xp = ref_off_singular(rng, form)
-        if form.denominator(x) * form.denominator(xp) <= 0:
-            continue
-        if abs(interval(x, xp)) < min_interval:
-            continue
-        return x, xp
-
-
 def same_bits(a, b):
     return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
 
@@ -70,10 +59,8 @@ def test_samplers_on_a_generator_replay_numpy_samplers(seed):
         form = ref_form(ref)
         assert_same_form(form, suites.random_form(rng))
         assert same_bits(ref_off_singular(ref, form, 0.2),
-                         suites.random_event_off_singular(rng, form, min_residual=0.2))
-        assert same_bits(ref_same_side_pair(ref, form, 0.05),
-                         suites.random_same_side_pair(rng, form, min_interval=0.05))
-        assert same_bits(ref_event(ref), suites.random_event(rng))
+                         suites._off_singular_rows(rng, form, 0.2, 1)[0])
+        assert same_bits(ref_event(ref), suites._ball_rows(rng, 1.0, 1)[0])
     assert ref.random() == rng.random()
 
 
@@ -181,15 +168,20 @@ def test_interval_law_block_same_seed_same_bytes():
                                                                for i in range(300)]
 
 
-
 @pytest.mark.parametrize("min_interval", [0.0, 0.05])
-def test_same_side_blocks_replay_per_sample_draws(min_interval, monkeypatch):
+def test_same_side_blocks_meet_their_rules(min_interval, monkeypatch):
     monkeypatch.setattr(suites, "CANDIDATE_BLOCK", 7)
-    ref = np.random.default_rng(11)
     blocks = list(suites._same_side_blocks(np.random.default_rng(11), 30, min_interval))
     assert [len(x) for _, x, _ in blocks] == [7, 7, 7, 7, 2]
     for form, x, xp in blocks:
-        for i in range(len(x)):
-            one = ref_form(ref)
-            assert same_bits(one.alpha, form.alpha[i]) and same_bits(one.beta, form.beta[i])
-            assert same_bits(ref_same_side_pair(ref, one, min_interval), (x[i], xp[i]))
+        assert (np.sum(form.alpha**2, axis=1) <= 0.25).all()
+        assert ((0.5 <= form.beta) & (form.beta <= 2.0)).all()
+        assert (np.sum(x * x, axis=1) <= 1.0).all() and (np.sum(xp * xp, axis=1) <= 1.0).all()
+        den, den_p = form.denominator(x), form.denominator(xp)
+        assert (np.abs(den) >= 0.1).all() and (np.abs(den_p) >= 0.1).all()
+        assert (den * den_p > 0).all()
+        assert (np.abs(interval(x, xp)) >= min_interval).all()
+    again = suites._same_side_blocks(np.random.default_rng(11), 30, min_interval)
+    for (form, x, xp), (form_b, x_b, xp_b) in zip(blocks, again, strict=True):
+        assert_same_form(form, form_b)
+        assert same_bits(x, x_b) and same_bits(xp, xp_b)

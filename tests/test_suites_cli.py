@@ -53,8 +53,21 @@ def test_invalid_config_rejected():
     (["--samples", "0"], "samples must be positive and finite, got 0"),
     (["--step", "0"], "step must be positive and finite, got 0.0"),
     (["--epsilon=-1e-6"], "epsilon must be positive and finite, got -1e-06"),
+    (["--seed", "-1"], "seed must be a non-negative integer, got -1"),
+    # a dict stands for a config file that holds it
+    (["--config", {"seed": -1}], "seed must be a non-negative integer, got -1"),
+    (["--config", {"seed": "x"}], "seed must be a non-negative integer, got 'x'"),
+    (["--config", {"samples": 2.5}], "samples must be an integer, got 2.5"),
+    (["--config", {"samples": 2.0}], "samples must be an integer, got 2.0"),
+    (["--config", {"tol": "x"}], "tol must be positive and finite, got 'x'"),
+    (["--config", {"sample": 3}],
+     "unknown config keys sample; known: seed, samples, tol, epsilon, step, h, out, fmt"),
 ])
-def test_suite_command_rejects_invalid_config_without_traceback(flags, message):
+def test_suite_command_rejects_invalid_config_without_traceback(flags, message, tmp_path):
+    if isinstance(flags[-1], dict):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(flags[-1]))
+        flags = [*flags[:-1], str(path)]
     with pytest.raises(SystemExit, match=f"^suite: {message}$") as info:
         main(["suite", "ricci-flat", *flags])
     assert info.value.code != 0
