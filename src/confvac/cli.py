@@ -19,7 +19,7 @@ import numpy as np
 
 from . import correlations as corrmod
 from . import lightcone2d as lc2
-from .conformal import AcceleratedFrameForm, map_from_dict
+from .conformal import map_from_dict
 from .errors import PoleError
 from .kinematics import abraham_norms_on_grid, classify_motion
 from .minkowski import SampledWorldline
@@ -143,17 +143,11 @@ def cmd_transform(args) -> int:
     except ValueError as exc:
         raise SystemExit(f"transform: {args.map}: {exc}")
     taus, events = _read_events_csv(args.input)
-    images, _, lams, residuals, singular = m.evaluate(events)
-    # a form reports its denominator on every row, a chain its residual on
-    # singular rows only
-    form = isinstance(m, AcceleratedFrameForm)
+    images, _, lams, den, singular = m.evaluate(events)
     lead = [] if taus is None else [taus]
-    values = np.column_stack([*lead, events, images, lams,
-                              m.denominator(events) if form else residuals])
+    values = np.column_stack([*lead, events, images, lams, den])
     cells = np.array(list(map(repr, values.ravel().tolist())), dtype=object).reshape(values.shape)
     cells[singular, len(lead) + 4:-1] = ""
-    if not form:
-        cells[~singular, -1] = ""
     status = np.where(singular, "singular", "ok").astype(object)[:, None]
     header = (["tau"] if lead else []) + \
         ["t", "x1", "x2", "x3", "tbar", "x1bar", "x2bar", "x3bar",

@@ -1,28 +1,27 @@
 """The conformal group of 4D Minkowski spacetime.
 
-A map is a ``ConformalMap``: m chains of slots, each slot of one of the
-five kinds in the table ``KINDS``.  Four are the primitives (translations,
-Lorentz transformations, dilations, inversions); the fifth is the
-accelerated-frame form ``AcceleratedFrameForm``, the composite
-inversion -> translation -> inversion with closed forms for the image, the
-conformal scale factor
+A map is a ``ConformalMap``: m chains of slots, each of one of the five
+kinds in the table ``KINDS``: the four primitives (translations, Lorentz
+transformations, dilations, inversions) and the accelerated-frame form
+``AcceleratedFrameForm``, inversion -> translation -> inversion, with the
+signed conformal factor lambda(x) = beta / (1 - 2 alpha.x + alpha^2 x^2).
 
-    lambda(x) = beta / (1 - 2 alpha.x + alpha^2 x^2),
+The group acts linearly on the projective null cone (Dirac, Ann. Math. 37
+(1936) 429).  An event x lifts to X = (1, x^mu, x^2), a slot is a 6x6
+matrix with a signed scale, and a chain is their product M with the
+product s of their scales.  With Y = M X the image is Y^mu / Y^+ and
+lambda = s / Y^+, where Y^+ = Y_0 is the product of the slots' denominators
+(x^2 for an inversion, 1 - 2 alpha.x + alpha^2 x^2 for a form); J v, the
+log-derivatives phi and the tetrad are closed forms of the same Y.  Only
+lambda^2 is fixed by the metric pullback: the sign, continuous from the
+identity on each side of the singular set Y^+ = 0, is what makes the
+light-ray sign law checkable.
 
-its Jacobian and the log-derivatives phi, phi2.  A form is itself a map, m
-chains of one frame slot, and the primitive that pushes that slot.  The
-scale factor is kept *signed* (continuous from the identity on each side of
-the singular set); only lambda^2 is fixed by the metric pullback, and the
-sign bookkeeping is what makes the light-ray sign law checkable.
-
-Evaluation is batch-first: ``ConformalMap.evaluate`` is the one
-non-raising evaluation, over event rows (n, 4); ``apply``, ``factor`` and
-``pushforward`` take one event (a batch of one) or rows and are built on
-it, as is ``jacobian_tetrad``.  Event rows meet the chains cyclically, and
-at each slot the rows of each kind go through one primitive with stacked
-parameters, so every row gets the bits of its own chain alone.
-Singular sets (where a denominator vanishes) are excluded: these raise
-``SingularPointError`` for the first singular row, carrying its residual.
+``ConformalMap.evaluate`` is the one non-raising evaluation, over event
+rows (n, 4), row j through chain j mod m with the bits of that chain alone
+(each contraction with M is one ``@`` per matrix); ``apply``, ``factor``,
+``pushforward`` and ``jacobian_tetrad`` take one event (a batch of one) or
+rows and raise ``SingularPointError`` for the first singular one.
 """
 
 from __future__ import annotations
@@ -36,22 +35,8 @@ import numpy as np
 from .errors import ConstraintViolationError, SingularPointError
 from .minkowski import ETA, SIGNATURE, as_event, interval, lower_index, minkowski_dot
 
-SINGULAR_RTOL = 1e-12   # a row is singular where |den| < SINGULAR_RTOL (1 + |scale|)
+SINGULAR_RTOL = 1e-12   # a row is singular where |Y^+| < SINGULAR_RTOL (1 + |M^+_{x^2} x^2|)
 LORENTZ_TOL = 1e-9      # largest max |L^T eta L - eta| of a Lorentz matrix
-
-
-def _near_zero(den, scale):
-    """Where a denominator counts as vanishing: |den| < SINGULAR_RTOL (1 + |scale|)."""
-    return np.abs(den) < SINGULAR_RTOL * (1.0 + np.abs(scale))
-
-
-def _guard_rows(singular, residual, points):
-    """Raise ``SingularPointError`` for the first row flagged singular."""
-    if singular.any():
-        i = int(np.argmax(singular))
-        raise SingularPointError(
-            f"event {points[i]} lies on a singular set (denominator {residual[i]:.3e})",
-            residual=float(residual[i]), point=points[i], index=i)
 
 
 def _checked(m, x, v=None):
@@ -65,20 +50,19 @@ def _checked(m, x, v=None):
         raise ValueError(f"expected a 4-vector or rows of shape (n, 4), got shape {rows.shape}")
     if not np.isfinite(rows).all():
         raise ValueError("event components must be finite")
-    images, jv, lam, residual, singular = m.evaluate(rows, v)
-    _guard_rows(singular, residual, rows)
+    images, jv, lam, den, singular = m.evaluate(rows, v)
+    if singular.any():
+        i = int(np.argmax(singular))
+        raise SingularPointError(
+            f"event {rows[i]} lies on a singular set (denominator {den[i]:.3e})",
+            residual=float(den[i]), point=rows[i], index=i)
     return (images[0], jv, float(lam[0])) if single else (images, jv, lam)
 
 
 # ---------------------------------------------------------------------------
 # primitives
 #
-# A primitive holds its parameters, one or a stack of m (a leading axis) that
-# meet m event rows one by one: ``push(y, dy)`` maps event rows y (n, 4) and
-# tangent rows dy (None, or rows like y) to (images, pushed tangents, signed
-# step factor or None for 1, denominator or None if it divides by nothing,
-# where that denominator counts as vanishing), broadcasting the parameters
-# row by row.
+# A primitive holds its parameters, one or a stack of m (a leading axis).
 
 def _scales(value, what):
     """A finite nonzero scale as a float, or a stack of them as an array (m,)."""
@@ -109,9 +93,6 @@ class Translation:
                              f"got shape {offset.shape}")
         object.__setattr__(self, "offset", offset)
 
-    def push(self, y, dy):
-        return y + self.offset, dy, None, None, None
-
 
 @dataclass(frozen=True, eq=False)
 class LorentzTransform:
@@ -130,13 +111,6 @@ class LorentzTransform:
                 f"{which} is not Lorentz: max |L^T eta L - eta| = {defect.flat[bad[0]]:.3e}")
         object.__setattr__(self, "matrix", m)
 
-    def push(self, y, dy):
-        # einsum rounds each row as L @ y does; y @ L.T differs in the last bits
-        L = self.matrix
-        return (np.einsum("...ij,...j->...i", L, y),
-                None if dy is None else np.einsum("...ij,...j->...i", L, dy),
-                None, None, None)
-
 
 @dataclass(frozen=True, eq=False)
 class Dilation:
@@ -145,10 +119,6 @@ class Dilation:
 
     def __post_init__(self):
         object.__setattr__(self, "scale", _scales(self.scale, "dilation scale"))
-
-    def push(self, y, dy):
-        s = np.asarray(self.scale)[..., None]
-        return s * y, None if dy is None else s * dy, self.scale, None, None
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,21 +134,14 @@ class Inversion:
     def __post_init__(self):
         object.__setattr__(self, "beta", _scales(self.beta, "inversion scale beta"))
 
-    def push(self, y, dy):
-        beta = np.asarray(self.beta)[..., None]
-        y2 = minkowski_dot(y, y)
-        if dy is not None:
-            reflect = dy - 2.0 * y * (minkowski_dot(y, dy) / y2)[..., None]
-            dy = (-beta / y2[..., None]) * reflect
-        return -beta * y / y2[..., None], dy, self.beta / y2, y2, _near_zero(y2, y2)
-
 
 class ConformalMap:
     """m chains of slots, each applied first to last, held as arrays: slot s
-    of chain i is of kind c = kinds[i, s] (-1 past the chain's end) with
-    parameters params[c][j][i, s], one array per key j of ``KINDS[c]``.
-    The chains meet event rows cyclically, row j chain j mod m.  A map built
-    from a list of primitives is a stack of one."""
+    of chain i is of kind c = kinds[i, s] (-1 past the chain's end; every
+    chain has a slot 0) with parameters params[c][j][i, s], one array per
+    key j of ``KINDS[c]``.  The chains meet event rows cyclically, row j
+    chain j mod m.  A map built from a list of primitives is a stack of
+    one."""
 
     def __init__(self, chain):
         """A stack of one: the primitives of ``chain``, first to last (the
@@ -191,24 +154,25 @@ class ConformalMap:
         # a primitive's positional fields are its parameters, in key order
         self._drawn = [[[getattr(p, name) for p in chain if type(p) is k.primitive]
                         for name in k.primitive.__match_args__] for k in KINDS]
-        self._steps = [[(p, slice(None))] for p in chain]
 
     @classmethod
     def stack(cls, kinds, drawn) -> "ConformalMap":
-        """m chains from their slot kinds (m, slots) and ``drawn``, for each
-        kind one sequence per key of its parameters in slot order, chain by
-        chain.  At each slot, one primitive per kind is stacked from the
-        parameters of its chains, sliced where it serves all of them."""
+        """m chains from their slot kinds (m, slots) and ``drawn``, per kind one
+        sequence per key of its parameters, chain by chain and slot by slot;
+        a bad parameter is named by its chain and slot."""
         self = object.__new__(cls)
         self.kinds, self._drawn = kinds, drawn
-        self._steps = []
-        for s, column in enumerate(kinds.T):
-            self._steps.append([])
-            for c in range(len(KINDS)):
-                at = np.flatnonzero(column == c)
+        for c, (k, values) in enumerate(zip(KINDS, drawn)):
+            at = np.argwhere(kinds == c)
+            try:
                 if len(at):
-                    at = slice(None) if len(at) == len(kinds) else at
-                    self._steps[-1].append((self._slot(c, at, s), at))
+                    k.primitive(*values)
+            except ConstraintViolationError:
+                for j, (i, s) in enumerate(at):
+                    try:
+                        k.primitive(*(np.asarray(v)[j] for v in values))
+                    except ConstraintViolationError as exc:
+                        raise ConstraintViolationError(f"chain {i} slot {s}: {exc}") from None
         return self
 
     @cached_property
@@ -223,19 +187,23 @@ class ConformalMap:
                 a[at] = np.reshape(value, (-1,) + shape)
         return params
 
-    def _slot(self, c, at, s):
-        """The primitive of kind c at slot s of chains ``at``, stacked; a bad
-        parameter is named by its chain and slot."""
-        k = KINDS[c]
-        try:
-            return k.primitive(*(p[at, s] for p in self.params[c]))
-        except ConstraintViolationError:
-            for i in np.arange(len(self.kinds))[at]:
-                try:
-                    k.primitive(*(p[i, s] for p in self.params[c]))
-                except ConstraintViolationError as exc:
-                    raise ConstraintViolationError(f"chain {i} slot {s}: {exc}") from None
-            raise
+    @cached_property
+    def cone(self):
+        """(M, s): each chain's matrix (m, 6, 6) on X = (1, x, x^2) and signed scale
+        (m,): the slot matrices, kind by kind, folded first to last, M <- M_slot @ M."""
+        m, slots = self.kinds.shape
+        mats, scales = np.zeros((m, slots, 6, 6)), np.ones((m, slots))
+        for c, (k, values) in enumerate(zip(KINDS, self._drawn)):
+            if len(values) and len(values[0]):
+                at = self.kinds == c
+                mats[at], scales[at] = k.matrix(*(np.reshape(v, (-1,) + shape)
+                                                  for v, shape in zip(values, k.shapes)))
+        M, s = mats[:, 0], scales[:, 0]
+        for j in range(1, slots):
+            at = np.flatnonzero(self.kinds[:, j] >= 0)
+            M[at] = mats[at, j] @ M[at]
+            s = s * scales[:, j]
+        return M, s
 
     @classmethod
     def identity(cls):
@@ -257,36 +225,39 @@ class ConformalMap:
                              f"take(i) gives chain i")
         return self._primitives(0)
 
-    def evaluate(self, x, v=None):
-        """(images, J v or None, signed factors, residuals, singular) of event
-        rows x (n, 4) and tangent rows v, row j through chain j mod m; never
-        raises for a singular row, where a slot's denominator counts as
-        vanishing: its residual is the first such denominator (0 on regular
-        rows), and its other values are meaningless."""
+    def _lift(self, x):
+        """Event rows (n, 4) as blocks (n / m, m, 4), chain i's at [:, i], with x^2 and Y = M X."""
         n, m = len(x), len(self.kinds)
         blocks = n // max(m, 1)
         if n != blocks * m:
             raise ValueError(f"{n} event rows are not whole blocks of the stack's {m} chains")
-        rows = (blocks, m, 4)    # the rows of chain i are [:, i]
-        y = np.array(x, dtype=float).reshape(rows)
-        dy = None if v is None else np.array(np.broadcast_to(v, (n, 4)), dtype=float).reshape(rows)
-        lam = np.ones(y.shape[:2])
-        residual = np.zeros(y.shape[:2])
-        singular = np.zeros(y.shape[:2], dtype=bool)
+        x = np.asarray(x, dtype=float).reshape(blocks, m, 4)
+        x2 = minkowski_dot(x, x)
+        X = np.concatenate([np.ones(x2.shape + (1,)), x, x2[..., None]], axis=-1)
+        return x, x2, (self.cone[0] @ X[..., None])[..., 0]
+
+    def evaluate(self, x, v=None):
+        """(images, J v or None, signed factors, Y^+, singular) of event rows x
+        (n, 4) and tangent rows v, row j through chain j mod m; never raises.  A
+        row is singular where |Y^+| < SINGULAR_RTOL (1 + |M^+_{x^2} x^2|), and its
+        other values are meaningless.  J v = (dY - Y dY^+ / Y^+) / Y^+, dY = M (0, v, 2 x.v)."""
+        n = len(x)
+        y, x2, Y = self._lift(x)
+        M, s = self.cone
+        den = Y[..., 0]
+        jv = None
         with np.errstate(divide="ignore", invalid="ignore"):
-            for step in self._steps:
-                for p, at in step:
-                    y[:, at], jv, factor, den, hit = p.push(
-                        y[:, at], None if dy is None else dy[:, at])
-                    if dy is not None:
-                        dy[:, at] = jv
-                    if factor is not None:
-                        lam[:, at] *= factor
-                    if den is not None and hit.any():
-                        residual[:, at] = np.where(hit & ~singular[:, at], den, residual[:, at])
-                        singular[:, at] |= hit
-        return (y.reshape(n, 4), None if dy is None else dy.reshape(n, 4),
-                lam.ravel(), residual.ravel(), singular.ravel())
+            if v is not None:
+                v = np.broadcast_to(np.asarray(v, dtype=float), (n, 4)).reshape(y.shape)
+                dX = np.concatenate([np.zeros(x2.shape + (1,)), v,
+                                     2.0 * minkowski_dot(y, v)[..., None]], axis=-1)
+                dY = (M @ dX[..., None])[..., 0]
+                d = den[..., None]
+                jv = ((dY[..., 1:5] - Y[..., 1:5] * (dY[..., :1] / d)) / d).reshape(n, 4)
+            images = Y[..., 1:5] / den[..., None]
+            lam = s / den
+        singular = np.abs(den) < SINGULAR_RTOL * (1.0 + np.abs(M[:, 0, 5] * x2))
+        return images.reshape(n, 4), jv, lam.ravel(), den.ravel(), singular.ravel()
 
     def apply(self, x):
         return _checked(self, x)[0]
@@ -296,121 +267,160 @@ class ConformalMap:
 
     def pushforward(self, x, v):
         """Images and pushed tangents J v of rows x, v of shape (n, 4)."""
-        images, jv, _ = _checked(self, x, np.asarray(v, dtype=float))
-        return images, jv
+        return _checked(self, x, v)[:2]
+
+    def _closed(self, x, closed_form):
+        """``closed_form(x, Y)`` on the blocks of one event (4,) or of rows
+        (n, 4), back on the events of x (a scalar for one event's scalar)."""
+        x = np.asarray(x, dtype=float)
+        rows, _, Y = self._lift(x.reshape(-1, 4))
+        a = closed_form(rows, Y)
+        return a.reshape(x.shape[:-1] + a.shape[2:])[()]
+
+    def denominator(self, x):
+        """Y^+ = s / lambda: the product of the slots' denominators."""
+        return self._closed(x, lambda x, Y: Y[..., 0])
+
+    def _phi(self, x, Y):
+        M = self.cone[0]
+        return -(M[:, 0, 1:5] + 2.0 * M[:, 0, 5, None] * lower_index(x)) / Y[..., :1]
+
+    def _phi2(self, x, Y):
+        ph = self._phi(x, Y)
+        scale = 2.0 * self.cone[0][:, 0, 5] / Y[..., 0]
+        return ph[..., :, None] * ph[..., None, :] - scale[..., None, None] * ETA
+
+    def _tetrad(self, x, Y):
+        M, s = self.cone
+        dY = M[:, 1:5, 1:5] + 2.0 * M[:, 1:5, 5, None] * lower_index(x)[..., None, :]
+        return (dY + Y[..., 1:5, None] * self._phi(x, Y)[..., None, :]) / s[:, None, None]
+
+    def phi(self, x):
+        """phi_mu = d_mu ln|lambda| = -d_mu Y^+ / Y^+, lower index, (4,) or (n, 4)."""
+        return self._closed(x, self._phi)
+
+    def phi2(self, x):
+        """phi_{mu nu} = d_mu phi_nu = phi_mu phi_nu - 2 M^+_{x^2} eta_{mu nu} / Y^+."""
+        return self._closed(x, self._phi2)
+
+    def tetrad(self, x):
+        """f = J / lambda = (d_nu Y^mu + Y^mu phi_nu) / s, (4, 4) or (n, 4, 4)."""
+        return self._closed(x, self._tetrad)
 
     def inverse(self) -> "ConformalMap":
-        """Each chain backwards, each slot inverted."""
+        """Each chain backwards, each slot inverted, its slots first again."""
         kinds = self.kinds[:, ::-1]
-        return ConformalMap.stack(kinds, [k.inverse(*(p[:, ::-1][kinds == c] for p in params))
-                                          for c, (k, params) in enumerate(zip(KINDS, self.params))])
+        drawn = [k.inverse(*(p[:, ::-1][kinds == c] for p in params))
+                 for c, (k, params) in enumerate(zip(KINDS, self.params))]
+        first = np.argsort(kinds < 0, axis=1, kind="stable")
+        return ConformalMap.stack(np.take_along_axis(kinds, first, axis=1), drawn)
 
 
 class AcceleratedFrameForm(ConformalMap):
-    """Canonical inversion -> translation(alpha) -> inversion(beta) composite.
+    """Canonical inversion -> translation(alpha) -> inversion(beta) composite:
+    xbar = lambda(x) (x - x^2 alpha) with lambda(x) = beta / D and
+    D = 1 - 2 alpha.x + alpha^2 x^2, singular only where D vanishes.
 
-    Closed forms: xbar = lambda(x) (x - x^2 alpha) with
-    lambda(x) = beta / (1 - 2 alpha.x + alpha^2 x^2).  The composite formula
-    extends continuously across the inner light cone x^2 = 0 where the raw
-    three-primitive chain is undefined, so the only singular set kept here is
-    the vanishing denominator.
-
-    A form is the map of m chains of one frame slot, and it pushes that
-    slot itself: ``alpha`` (4,) and ``beta`` give one form, ``alpha`` (m, 4)
-    and ``beta`` (m,) stack m, which meet event rows cyclically, row j form
-    j mod m, as the chains of any stack do.  As a primitive it is the frame
-    slot of other maps' chains.
+    ``alpha`` (4,) and ``beta`` give one form, ``alpha`` (m, 4) and ``beta``
+    (m,) stack m, which meet event rows cyclically as the chains of any
+    stack do.  As a primitive it is the frame slot of other maps' chains.
     """
 
     __match_args__ = ("alpha", "beta")    # the frame slot's parameters
 
     def __init__(self, alpha, beta=1.0):
-        beta = np.asarray(beta, dtype=float)
-        if beta.ndim == 0:
+        self.beta = beta = _scales(beta, "beta")
+        if np.ndim(beta) == 0:
             alpha = as_event(alpha)
         else:
             alpha = np.asarray(alpha, dtype=float)
-            if beta.ndim != 1 or alpha.shape != (len(beta), 4):
+            if alpha.shape != (len(beta), 4):
                 raise ValueError(f"stacked forms need alpha (n, 4) and beta (n,), "
                                  f"got shapes {alpha.shape} and {beta.shape}")
             if not np.isfinite(alpha).all():
                 raise ValueError("alpha components must be finite")
-        if np.any((beta == 0) | ~np.isfinite(beta)):
-            raise ConstraintViolationError("beta must be finite and nonzero")
         self.alpha = alpha
-        self.beta = float(beta) if beta.ndim == 0 else beta
         self.alpha_sq = minkowski_dot(alpha, alpha)
-        self.kinds = np.full((beta.size, 1), FRAME)
+        self.kinds = np.full((np.size(beta), 1), FRAME)
         self._drawn = [()] * FRAME + [(alpha, beta)]
-        self._steps = [[(self, slice(None))]]
 
     apply = ConformalMap.apply    # in the form's own dict, where bench/test_bench.py traces it
 
-    def push(self, y, dy):
-        """xbar = lambda xi with xi = x - x^2 alpha and
-        J v = lambda (v + xi (phi.v) - 2 alpha (x.v)); the denominator D
-        vanishes where |D| < SINGULAR_RTOL (1 + |alpha^2 x^2|)."""
-        y2 = minkowski_dot(y, y)
-        den = 1.0 - 2.0 * minkowski_dot(y, self.alpha) + self.alpha_sq * y2
-        lam = self.beta / den
-        xi = y - y2[..., None] * self.alpha
-        if dy is not None:
-            yw = minkowski_dot(y, dy)
-            phi_w = 2.0 * (minkowski_dot(dy, self.alpha) - self.alpha_sq * yw) / den
-            dy = lam[..., None] * (dy + xi * phi_w[..., None] - 2.0 * yw[..., None] * self.alpha)
-        return lam[..., None] * xi, dy, lam, den, _near_zero(den, self.alpha_sq * y2)
-
-    def _blocks(self, x):
-        """Events x (..., 4) as (N / m, m, 4) for m forms (one form is a stack
-        of one), so that they broadcast against alpha and beta; no events
-        are (0, m, 4), also for m = 0."""
-        return x.reshape(-1 if x.size else 0, len(self.kinds), 4)
-
-    def _rows(self, x, a):
-        """An array computed on ``_blocks(x)`` back on the events of x; one
-        event's scalar comes back as a scalar."""
-        return a.reshape(x.shape[:-1] + a.shape[2:])[()]
-
-    def _denominator(self, y):
-        return (1.0 - 2.0 * minkowski_dot(y, self.alpha)
-                + self.alpha_sq * minkowski_dot(y, y))
-
-    def denominator(self, x):
-        x = np.asarray(x, dtype=float)
-        return self._rows(x, self._denominator(self._blocks(x)))
-
-    def _phi(self, y, den):
-        lowered = np.asarray(self.alpha_sq)[..., None] * lower_index(y)
-        return 2.0 * (lower_index(self.alpha) - lowered) / den[..., None]
-
-    def phi(self, x):
-        """phi_mu = d_mu ln(lambda), lower index, at one event (4,) or rows
-        (n, 4); independent of beta."""
-        x = np.asarray(x, dtype=float)
-        y = self._blocks(x)
-        return self._rows(x, self._phi(y, self._denominator(y)))
-
-    def phi2(self, x):
-        """phi_{mu nu} = d_mu phi_nu = phi_mu phi_nu - (2 alpha^2 / D) eta,
-        (4, 4) at one event or (n, 4, 4) on rows."""
-        x = np.asarray(x, dtype=float)
-        y = self._blocks(x)
-        den = self._denominator(y)
-        ph = self._phi(y, den)
-        scale = (2.0 * self.alpha_sq / den)[..., None, None]
-        return self._rows(x, ph[..., :, None] * ph[..., None, :] - scale * ETA)
+    @cached_property
+    def cone(self):     # each chain is one frame slot: its matrix and scale
+        return _frame(np.reshape(self.alpha, (-1, 4)), np.reshape(self.beta, -1))
 
 
-# kind c of a chain slot: its primitive, its name in the map JSON, the JSON key
-# and shape of each of its parameters, and the inverse's parameters from
-# stacked ones
-Kind = namedtuple("Kind", "primitive name keys shapes inverse")
-KINDS = (Kind(Translation, "translation", ("b",), ((4,),), lambda b: (-b,)),
-         Kind(LorentzTransform, "lorentz", ("matrix",), ((4, 4),), lambda L: (np.linalg.inv(L),)),
-         Kind(Dilation, "dilation", ("s",), ((),), lambda s: (1.0 / s,)),
-         Kind(Inversion, "inversion", ("beta",), ((),), lambda beta: (beta,)),  # an involution
+# ---------------------------------------------------------------------------
+# the kinds: matrices (k, 6, 6) and signed scales (k,) from k stacked
+# parameters, acting on X = (1, x, x^2) as
+#   translation b    (1, x + b, x^2 + 2 b.x + b^2)
+#   Lorentz L        (1, L x, x^2)
+#   dilation s       (1, s x, s^2 x^2), scale s
+#   inversion beta   (x^2, -beta x, beta^2), scale beta
+
+def _blank(k):
+    """k zero matrices (k, 6, 6) and a view (k, 6) of their diagonals."""
+    M = np.zeros((k, 6, 6))
+    return M, M.reshape(k, 36)[:, ::7]
+
+
+def _translation(b):
+    M, diagonal = _blank(len(b))
+    diagonal[:] = 1.0
+    M[:, 1:5, 0] = b
+    M[:, 5, 0] = minkowski_dot(b, b)
+    M[:, 5, 1:5] = 2.0 * lower_index(b)
+    return M, 1.0
+
+
+def _lorentz(L):
+    M, _ = _blank(len(L))
+    M[:, 0, 0] = M[:, 5, 5] = 1.0
+    M[:, 1:5, 1:5] = L
+    return M, 1.0
+
+
+def _dilation(s):
+    M, diagonal = _blank(len(s))
+    diagonal[:, 0] = 1.0
+    diagonal[:, 1:5] = s[:, None]
+    diagonal[:, 5] = s * s
+    return M, s
+
+
+def _inversion(beta):
+    M, diagonal = _blank(len(beta))
+    M[:, 0, 5] = 1.0
+    diagonal[:, 1:5] = -beta[:, None]
+    M[:, 5, 0] = beta * beta
+    return M, beta
+
+
+def _frame(alpha, beta):
+    """inversion(1) -> translation(alpha) -> inversion(beta), scale beta:
+    (1 - 2 alpha.x + alpha^2 x^2, beta (x - x^2 alpha), beta^2 x^2)."""
+    M, diagonal = _blank(len(beta))
+    M[:, 0, 0] = 1.0
+    M[:, 0, 1:5] = -2.0 * lower_index(alpha)
+    M[:, 0, 5] = minkowski_dot(alpha, alpha)
+    diagonal[:, 1:5] = beta[:, None]
+    M[:, 1:5, 5] = -beta[:, None] * alpha
+    M[:, 5, 5] = beta * beta
+    return M, beta
+
+
+# kind c of a chain slot: its primitive, JSON name, JSON key and shape of each parameter,
+# and, from stacked parameters, the inverse's parameters and the matrices and scales
+Kind = namedtuple("Kind", "primitive name keys shapes inverse matrix")
+KINDS = (Kind(Translation, "translation", ("b",), ((4,),), lambda b: (-b,), _translation),
+         Kind(LorentzTransform, "lorentz", ("matrix",), ((4, 4),),
+              lambda L: (np.linalg.inv(L),), _lorentz),
+         Kind(Dilation, "dilation", ("s",), ((),), lambda s: (1.0 / s,), _dilation),
+         Kind(Inversion, "inversion", ("beta",), ((),), lambda beta: (beta,),  # an involution
+              _inversion),
          Kind(AcceleratedFrameForm, "accelerated-frame", ("alpha", "beta"), ((4,), ()),
-              lambda alpha, beta: (-alpha / beta[:, None], 1.0 / beta)))
+              lambda alpha, beta: (-alpha / beta[:, None], 1.0 / beta), _frame))
 KIND_OF = {k.primitive: c for c, k in enumerate(KINDS)}
 FRAME = KIND_OF[AcceleratedFrameForm]
 
@@ -423,19 +433,11 @@ def apply_map(m: ConformalMap, x) -> np.ndarray:
 
 
 def _frames(m: ConformalMap, rows):
-    """(images (n, 4), signed factors (n,), Jacobians and tetrads f = J / lambda
-    (n, 4, 4)) of finite event rows from one evaluation, raising for the
-    first singular event.  The rows are pushed four times over, block nu
-    with the identity row e_nu, which gives column nu of each J (so n stacked
-    forms meet n rows); J is copied to C order, the layout later products
-    round with."""
-    n = len(rows)
-    images, pushed, lam, residual, singular = m.evaluate(
-        np.tile(rows, (4, 1)), np.repeat(np.eye(4), n, axis=0))
-    _guard_rows(singular[:n], residual[:n], rows)
-    J = np.ascontiguousarray(pushed.reshape(4, n, 4).transpose(1, 2, 0))
-    lam = lam[:n]
-    return images[:n], lam, J, J / lam[:, None, None]
+    """(images (n, 4), signed factors (n,), Jacobians J = lambda f and
+    tetrads f (n, 4, 4)) of event rows, raising for the first singular one."""
+    images, _, lam = _checked(m, rows)
+    f = m.tetrad(rows)
+    return images, lam, lam[:, None, None] * f, f
 
 
 def jacobian_tetrad(m: ConformalMap, x):
@@ -544,28 +546,32 @@ class LightRayReport:
     sign_law_ok: bool
     collinearity_residual: float
     time_formula_residual: float
+    span_is_default: bool   # a crossing or a singular end sample: the image span is (-1, 1)
 
 
 def transform_light_ray(m: ConformalMap, ray: LightRay):
     """Map a light ray; returns (image ray, report).
 
-    The image direction is f(x') v / (f(x') v)^0 and image coordinate-time
-    intervals are dtbar = (f(x') v)^0 lambda(x) dt.  The samples along the
-    span are mapped in one batch; sampled points of the image must be
-    collinear with that line.  The report carries the maximum deviation, the
-    parameter values where lambda changes sign (the root of the affine
-    1/lambda between bracketing samples), and the sign law verdict.  An
+    The image direction is f v / (f v)^0 with f v = J v / lambda at the
+    origin x', and image coordinate-time intervals are
+    dtbar = (f(x') v)^0 lambda(x) dt.  The samples along the span are mapped
+    in one batch; sampled points of the image must be collinear with that
+    line.  The report carries the maximum deviation, the parameter values
+    where lambda changes sign (the root of the affine 1/lambda between
+    bracketing samples), the sign law verdict, and whether a crossing or a
+    singular end sample left the image span at its default (-1, 1).  An
     image direction that is not null raises ``ConstraintViolationError``
     naming the ray origin and the tetrad's defect max |f^T eta f - eta|.
     """
-    (origin_bar,), (lam_origin,), _, (tet,) = _frames(m, ray.origin[None])
-    fv = tet @ ray.direction
+    (origin_bar,), (jv,), (lam_origin,) = _checked(m, ray.origin[None], ray.direction[None])
+    fv = jv / lam_origin
     if abs(fv[0]) < DEGENERATE_DIRECTION:
         raise SingularPointError("image direction degenerate at the ray origin",
                                  residual=fv[0], point=ray.origin)
     vbar = fv / fv[0]
     vbar[0] = 1.0
     if abs(minkowski_dot(vbar, vbar)) > NULL_TOL:
+        _, _, tet = jacobian_tetrad(m, ray.origin)
         defect = np.max(np.abs(tet.T @ ETA @ tet - ETA))
         raise ConstraintViolationError(
             f"image of the ray at origin {ray.origin.tolist()} is not null: the "
@@ -598,8 +604,8 @@ def transform_light_ray(m: ConformalMap, ray: LightRay):
     law_ok = bool(np.all(np.sign(dt) == global_sign * np.sign(lam) * np.sign(lam_origin)
                          * np.sign(dtbar)))
 
-    ends = ([-1.0, 1.0] if crossings or singular[0] or singular[-1]
-            else [fv[0] * lams[0] * lo, fv[0] * lams[-1] * hi])
+    default_span = bool(crossings or singular[0] or singular[-1])
+    ends = [-1.0, 1.0] if default_span else [fv[0] * lams[0] * lo, fv[0] * lams[-1] * hi]
     image = LightRay(origin_bar, vbar, span=(min(ends), max(ends)))
     report = LightRayReport(
         sign_crossings=tuple(crossings),
@@ -607,6 +613,7 @@ def transform_light_ray(m: ConformalMap, ray: LightRay):
         sign_law_ok=law_ok,
         collinearity_residual=col_res,
         time_formula_residual=time_res,
+        span_is_default=default_span,
     )
     return image, report
 
@@ -621,10 +628,9 @@ def ricci_conformal(phi, phi2) -> np.ndarray:
     R_{mu nu} = -eta_{mu nu} eta^{ab} (phi_{ab} + 2 phi_a phi_b)
                 - 2 (phi_{mu nu} - phi_mu phi_nu)
 
-    Vanishes identically for factors of the accelerated-frame family.  The
-    derivatives come from the closed forms (``form.phi``, ``form.phi2``) or
-    from finite differences of ln|lambda| alone
-    (``numdiff.gradient_hessian``).
+    Vanishes identically for conformal factors.  The derivatives come from
+    the closed forms (``m.phi``, ``m.phi2``) or from finite differences of
+    ln|lambda| alone (``numdiff.gradient_hessian``).
     """
     ph = np.asarray(phi, dtype=float)
     ph2 = np.asarray(phi2, dtype=float)

@@ -11,8 +11,8 @@ image on a grid and fits a ``SampledWorldline`` (a quintic scipy spline),
 whose w comes from 5-point stencils at step 1e-3; ``confvac abraham`` takes
 that route for worldlines read from CSV, and its rounding floor is about
 1e-6.  The abraham suite takes the other: ``_image_abraham_jets`` pushes the
-source's order-3 Taylor jets through an accelerated-frame form's closed form
-as truncated power series, exact up to rounding, with no spline and no scipy.
+source's order-3 Taylor jets through the map's matrix on the null cone as
+truncated power series, exact up to rounding, with no spline and no scipy.
 """
 
 from __future__ import annotations
@@ -21,11 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import (AcceleratedFrameForm, ConformalMap, apply_map,
-                        jacobian_tetrad)  # noqa: F401  (apply_map re-exported)
+from .conformal import ConformalMap, apply_map, jacobian_tetrad  # noqa: F401 (apply_map re-export)
 from .errors import SingularPointError
 from .minkowski import (ETA, SIGNATURE, KinematicState, SampledWorldline, Worldline,
-                        lower_index, minkowski_dot)
+                        minkowski_dot)
 from .numdiff import OFFSETS, W_D1, W_D2, W_D3
 
 @dataclass(frozen=True)
@@ -141,9 +140,9 @@ class HillTransformResult:
         return float(np.max(np.abs(self.general - self.reduced)))
 
 
-def transform_abraham(form: AcceleratedFrameForm, state: KinematicState,
+def transform_abraham(m: ConformalMap, state: KinematicState,
                       derivatives=None) -> HillTransformResult:
-    """Transformation law of the Abraham vector under an accelerated-frame map.
+    """Transformation law of the Abraham vector under a conformal map m.
 
     The correction term uses phi_mu = d_mu ln|lambda| and phi_{mu nu} =
     d_mu phi_nu at the state's position: the map's closed forms, or the pair
@@ -153,9 +152,9 @@ def transform_abraham(form: AcceleratedFrameForm, state: KinematicState,
     accelerated-frame family.
     """
     x = state.position
-    J, lam, _ = jacobian_tetrad(form, x)
+    J, lam, _ = jacobian_tetrad(m, x)
     w = _abraham_w(state.velocity, state.velocity_dot, state.velocity_ddot)
-    ph, ph2 = (form.phi(x), form.phi2(x)) if derivatives is None else derivatives
+    ph, ph2 = (m.phi(x), m.phi2(x)) if derivatives is None else derivatives
     v = state.velocity
     # correction_rho = v^sigma (phi_{rho sigma} - phi_rho phi_sigma), lower rho
     corr_lower = (ph2 - np.outer(ph, ph)) @ v
@@ -203,23 +202,23 @@ def _sder(a):
     return np.stack([k * a[k] for k in range(1, len(a))])
 
 
-def _image_abraham_jets(form: AcceleratedFrameForm, state: KinematicState):
+def _image_abraham_jets(m: ConformalMap, state: KinematicState):
     """(wbar, abar): the image Abraham vector wbar = d abar / d taubar +
     ubar (abar.abar) and the image acceleration abar at the state's proper
-    times (one form, not a stack), exact up to rounding.
+    times under a map m (one chain, not a stack), exact up to rounding.
 
     The source's order-3 Taylor jet x + v s + vdot s^2 / 2 + vddot s^3 / 6
-    in its proper time s goes through xbar = beta (x - x^2 alpha) / D, with
-    D = 1 - 2 alpha.x + alpha^2 x^2, as truncated power series; dividing by
+    in its proper time s lifts to X = (1, x, x^2) as truncated power series,
+    Y = M X, and the image Y^mu / Y^+ is one series division; dividing by
     the image speed sqrt(xbar'.xbar') turns s-derivatives into image
     proper-time ones.  No image is sampled, splined or differenced.
     """
     x = np.stack([state.position, state.velocity, state.velocity_dot / 2.0,
                   state.velocity_ddot / 6.0])
-    x2 = _sdot(x, x)
-    den = form.alpha_sq * x2 - 2.0 * np.vecdot(x, lower_index(form.alpha))[..., None]
-    den[0] += 1.0
-    dxbar = _sder(form.beta * _sdiv(x - x2 * form.alpha, den))
+    one = np.zeros(x.shape[:-1] + (1,))
+    one[0] = 1.0
+    Y = np.concatenate([one, x, _sdot(x, x)], axis=-1) @ m.cone[0][0].T
+    dxbar = _sder(_sdiv(Y[..., 1:5], Y[..., :1]))
     speed = _ssqrt(_sdot(dxbar, dxbar))
     u = _sdiv(dxbar, speed)
     a = _sdiv(_sder(u), speed)

@@ -363,3 +363,24 @@ def test_spline_pushforward_agrees_with_the_jets_on_the_suite_sampler():
         _, abar = _image_abraham_jets(form, wl.state(grid))
         stencil = image.state(image.tau[k], step=1e-3).velocity_dot
         assert np.max(np.abs(stencil - abar[k])) < 1e-6
+
+
+def test_jets_through_a_chain_with_a_frame_slot_agree_with_the_spline_pushforward():
+    # the abraham suite's sampler, with its form as the frame slot of a
+    # chain: the jets give wbar = 0 and, on the spline route that confvac
+    # abraham takes, w stays under the suite's 1e-5 in the image's interior
+    rng = np.random.default_rng(20250)
+    for i in range(4):
+        form, wl, grid, _ = suites._conditioned_abraham_sample(rng, hyperbolic=(i % 4 != 3))
+        chain = ConformalMap([form, Dilation(1.3), Translation(np.array([0.1, 0.0, -0.2, 0.05])),
+                              lorentz_boost([0.2, 0.0, 0.1])])
+        wbar, abar = _image_abraham_jets(chain, wl.state(grid))
+        assert np.max(np.linalg.norm(wbar, axis=1)) < 1e-13
+        image = pushforward_worldline(chain, wl, grid)
+        lo, hi = image.tau_range
+        margin = 2e-3 + 5 * float(np.max(np.diff(image.tau)))
+        interior = image.tau[(image.tau > lo + margin) & (image.tau < hi - margin)]
+        assert np.max(abraham_norms_on_grid(image, interior)) < 1e-5
+        k = len(grid) // 2
+        stencil = image.state(image.tau[k], step=1e-3).velocity_dot
+        assert np.max(np.abs(stencil - abar[k])) < 1e-6

@@ -21,13 +21,13 @@ from confvac.suites import CANDIDATE_BLOCK, SUITE_NAMES, SuiteConfig, run_suite
 
 # suite -> (samples, sha256 of the report at seed 7)
 DIGESTS = {
-    "interval-law": (500, "fc3c9b344ff0bb6765fd5643b0b1a0d6f6ec7612159ebd8c61b250b33d2fdd4f"),
-    "ricci-flat": (10, "d2f17b45a1a449fbb755420479c2d7e6983498879c7db091b362c2b81c414086"),
-    "abraham": (2, "b35b78bd068afef40c8085a06382b51f5358b06aaa1e7a351422adde4526e46f"),
-    "light-rays": (10, "16ec6df9b536f6635a826db717f28e85fdce175580be1760808c000227ec508d"),
-    "scalar-invariance": (100, "61346ab8d55bebc9309e600ddbf1f3d661f649effc30fbb7636abd35511ccdd0"),
-    "tetrad-identity": (100, "36c649a5a61cf6810d2ee235b781a6dcb8a4da813b664ebe75ce957e1457069f"),
-    "em-invariance": (10, "26cfd105bcf5c04db91410899ba0ca161382403ecf17f877b3f8c7cf8cd4e85b"),
+    "interval-law": (500, "50339b54c916e3971db35124741f7813178f6b1cfca6055f69ca8cde5c4cd60a"),
+    "ricci-flat": (10, "7353e826799330c20ac645eeedad62ddd7040789ff351e7016d450a38dca1261"),
+    "abraham": (2, "546e307049c0747793ffcb9b324292e921a00b60d46f584b050ab314948beaea"),
+    "light-rays": (10, "92ae1b2ba80c9fd6f99d968498f61d39b6a672b57e487e126d4d8ee34246f7c6"),
+    "scalar-invariance": (100, "80a8e7768c0e433b21e8f1da942317462dfa0e9ac4b4c315f6fd972bef8d2f96"),
+    "tetrad-identity": (100, "015f82296e4b6bb6cf2659425b42236e992eba407132bd6dcce80da6c5990edd"),
+    "em-invariance": (10, "bf3398b99c12afacc106afce0cc7d132024154372033a03cd9b800a6908c9a0f"),
     "fdr": (None, "8fb098f415d6b97843f047cb33544cee419ee47ba7cff5e1df6c0387864010e1"),
     "momentum-oracle": (None, "23dff9ebaf6894ca8f2f31835bf105af85ccfb18c02529ba36a98e48c8c31572"),
     "mirror-2d": (None, "7a24ae8d84c0b9e1d8130c326d09299c82b012c9ec91c719cd96b2ac4b401f81"),
@@ -47,7 +47,7 @@ def test_report_bytes_pinned(name):
 
 
 # interval-law past two candidate blocks, each drawn as arrays
-LONG_INTERVAL_LAW = (2500, "b4202078660ce38bb945d64bb0c2171bd2b39688a6393e1a74f227f2e3d2ca4b")
+LONG_INTERVAL_LAW = (2500, "cce7d0bee1df52dfaec4bf07cdf107f840f5a1fe4dd52a552ec422a407b29907")
 
 
 def test_interval_law_bytes_pinned_across_candidate_blocks():
@@ -67,7 +67,8 @@ def test_interval_law_bytes_pinned_across_candidate_blocks():
 
 # confvac transform: map -> (events, sha256 of the output CSV).  The chain has
 # all four kinds, and its last event lands on the light cone of its inversion
-# (translated to (1, 1, 0, 0)); the form map's events carry a tau column.
+# (translated to (1, 1, 0, 0)), where the map's Y^+ is 0; the form map's
+# events carry a tau column.
 EVENTS = np.random.default_rng(2024).uniform(-1.0, 1.0, (30, 4))
 TRANSFORMS = {
     "chain": ({"chain": [
@@ -77,9 +78,9 @@ TRANSFORMS = {
         {"kind": "lorentz", "matrix": boost_matrix([0.2, -0.1, 0.05]).tolist()},
         {"kind": "translation", "b": [-0.1, 0.3, 0.0, 0.2]}]},
         np.vstack([EVENTS, [0.5, 1.25, -0.125, 0.0]]), False,
-        "cd633075d1291030a7dea1f1cc62633987db02176fc90b8948652a851e1952e7"),
+        "bc843c0fdc49602dd0f9c84f762ed0591a6c7630dc5f00088b0362c2a00f4296"),
     "form": ({"alpha": [0.3, 0.1, -0.2, 0.05], "beta": 1.3}, EVENTS, True,
-             "31c84a853c8d30b777bcd495e9617db9b32830c3f95d9a65fd5f2dc4520d1d79"),
+             "0217e4ce07db0c3dae30eb31a351b74dde4e7a55c665ff6878cda35c023aa0de"),
 }
 
 

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from confvac import AcceleratedFrameForm, ConformalMap, Dilation, compose, map_to_dict
+from confvac import (AcceleratedFrameForm, ConformalMap, Dilation, compose, map_to_dict,
+                     minkowski_dot)
 from confvac.cli import main
 from confvac.suites import SUITE_NAMES, SuiteConfig, run_suite
 
@@ -146,7 +147,9 @@ def test_cli_transform_worked_example(tmp_path):
 
 
 def test_cli_transform_chain_singular_rows(tmp_path):
-    # (2,0,0,0) meets the first inversion's cone, (9,0,0,0) the second's
+    # (2,1,0,0) meets the first inversion's cone, where the chain is regular;
+    # (9,0,0,0) meets the second's, where it is not.  Every row reports Y^+,
+    # the product of the inversions' denominators
     chain = [{"kind": "translation", "b": [-1.0, 0, 0, 0]}, {"kind": "inversion", "beta": 1.0},
              {"kind": "dilation", "s": 2.0}, {"kind": "translation", "b": [0.5, 0.25, 0, 0]},
              {"kind": "inversion", "beta": 1.5}]
@@ -158,12 +161,20 @@ def test_cli_transform_chain_singular_rows(tmp_path):
     assert main(["transform", "--map", str(mapfile), "--input", str(infile),
                  "--out", str(outfile)]) == 0
     rows = list(csv.DictReader(outfile.read_text().splitlines()))
-    assert [r["status"] for r in rows] == ["ok", "singular", "singular"]
+    assert [r["status"] for r in rows] == ["ok", "ok", "singular"]
     assert [r["tau"] for r in rows] == ["0.0", "1.0", "2.0"]
-    assert rows[0]["singular_residual"] == "" and float(rows[0]["lambda"]) != 0.0
-    for r in rows[1:]:
-        assert [r[c] for c in ("tbar", "x1bar", "x2bar", "x3bar", "lambda")] == [""] * 5
-        assert r["singular_residual"] == "0.0"
+    # y = x - (1, 0, 0, 0), z = -2 y / y^2 + (0.5, 0.25, 0, 0): Y^+ = y^2 z^2
+    y = np.array([-0.5, 0.1, 0.0, 0.0])
+    z = -2.0 * y / minkowski_dot(y, y) + np.array([0.5, 0.25, 0.0, 0.0])
+    assert float(rows[0]["singular_residual"]) == pytest.approx(
+        minkowski_dot(y, y) * minkowski_dot(z, z), rel=1e-14)
+    # on the first cone y^2 z^2 = 4 - 4 y.(0.5, 0.25, 0, 0) = 3, and lambda is
+    # the scales' product 1 * 2 * 1.5 over it
+    assert float(rows[1]["singular_residual"]) == pytest.approx(3.0, rel=1e-14)
+    assert float(rows[1]["lambda"]) == pytest.approx(1.0, rel=1e-14)
+    r = rows[2]
+    assert [r[c] for c in ("tbar", "x1bar", "x2bar", "x3bar", "lambda")] == [""] * 5
+    assert r["singular_residual"] == "0.0"
 
 
 def test_cli_transform_rejects_nonfinite_row(tmp_path):
@@ -266,7 +277,7 @@ def test_cli_transform_identity_map(tmp_path):
 
 def test_cli_transform_chain_with_a_frame_slot(tmp_path):
     # compose output serializes with the frame slot as a chain entry; its
-    # rows are the map's own, with the chain's residual column
+    # rows are the map's own, with its Y^+ as the residual column
     form = AcceleratedFrameForm(np.array([0.3, 0.1, -0.2, 0.05]), 1.3)
     m = compose(ConformalMap([Dilation(0.5)]), form)
     mapfile = tmp_path / "map.json"
@@ -281,7 +292,7 @@ def test_cli_transform_chain_with_a_frame_slot(tmp_path):
     images = [[float(r[k]) for k in ("tbar", "x1bar", "x2bar", "x3bar")] for r in rows]
     assert images == m.apply(x).tolist()
     assert [float(r["lambda"]) for r in rows] == m.factor(x).tolist()
-    assert [r["singular_residual"] for r in rows] == ["", ""]
+    assert [float(r["singular_residual"]) for r in rows] == m.denominator(x).tolist()
 
 
 def test_cli_transform_parse_error_line_numbered(tmp_path):
