@@ -17,9 +17,12 @@ lambda^2 is fixed by the metric pullback: the sign, continuous from the
 identity on each side of the singular set Y^+ = 0, is what makes the
 light-ray sign law checkable.
 
+The terms of Y^+ cancel next to a singular set, so the slot matrices, M, X
+and Y = M X are extended precision (``EXTENDED``); Y is then rounded once.
+
 ``ConformalMap.evaluate`` is the one non-raising evaluation, over event
 rows (n, 4), row j through chain j mod m with the bits of that chain alone
-(each contraction with M is one ``@`` per matrix); ``apply``, ``factor``,
+(every contraction is ``np.vecdot``); ``apply``, ``factor``,
 ``pushforward`` and ``jacobian_tetrad`` take one event (a batch of one) or
 rows and raise ``SingularPointError`` for the first singular one.
 """
@@ -37,6 +40,9 @@ from .minkowski import ETA, SIGNATURE, as_event, interval, lower_index, minkowsk
 
 SINGULAR_RTOL = 1e-12   # a row is singular where |Y^+| < SINGULAR_RTOL (1 + |M^+_{x^2} x^2|)
 LORENTZ_TOL = 1e-9      # largest max |L^T eta L - eta| of a Lorentz matrix
+# x87 extended on x86-64; np.vecdot adds one product after another, so a row
+# rounds alike in any stack (in double, images missed by up to 4x a slot walk's)
+EXTENDED = np.longdouble
 
 
 def _checked(m, x, v=None):
@@ -51,12 +57,16 @@ def _checked(m, x, v=None):
     if not np.isfinite(rows).all():
         raise ValueError("event components must be finite")
     images, jv, lam, den, singular = m.evaluate(rows, v)
+    _raise_first_singular(rows, den, singular)
+    return (images[0], jv, float(lam[0])) if single else (images, jv, lam)
+
+
+def _raise_first_singular(rows, den, singular):
     if singular.any():
         i = int(np.argmax(singular))
         raise SingularPointError(
             f"event {rows[i]} lies on a singular set (denominator {den[i]:.3e})",
             residual=float(den[i]), point=rows[i], index=i)
-    return (images[0], jv, float(lam[0])) if single else (images, jv, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -163,12 +173,11 @@ class ConformalMap:
         self = object.__new__(cls)
         self.kinds, self._drawn = kinds, drawn
         for c, (k, values) in enumerate(zip(KINDS, drawn)):
-            at = np.argwhere(kinds == c)
             try:
-                if len(at):
+                if len(values) and len(values[0]):
                     k.primitive(*values)
             except ConstraintViolationError:
-                for j, (i, s) in enumerate(at):
+                for j, (i, s) in enumerate(np.argwhere(kinds == c)):
                     try:
                         k.primitive(*(np.asarray(v)[j] for v in values))
                     except ConstraintViolationError as exc:
@@ -189,10 +198,11 @@ class ConformalMap:
 
     @cached_property
     def cone(self):
-        """(M, s): each chain's matrix (m, 6, 6) on X = (1, x, x^2) and signed scale
-        (m,): the slot matrices, kind by kind, folded first to last, M <- M_slot @ M."""
+        """(M, s): each chain's matrix (m, 6, 6) on X = (1, x, x^2), in extended
+        precision, and signed scale (m,): the slot matrices, kind by kind,
+        folded first to last, M <- M_slot @ M."""
         m, slots = self.kinds.shape
-        mats, scales = np.zeros((m, slots, 6, 6)), np.ones((m, slots))
+        mats, scales = np.zeros((m, slots, 6, 6), EXTENDED), np.ones((m, slots))
         for c, (k, values) in enumerate(zip(KINDS, self._drawn)):
             if len(values) and len(values[0]):
                 at = self.kinds == c
@@ -201,7 +211,8 @@ class ConformalMap:
         M, s = mats[:, 0], scales[:, 0]
         for j in range(1, slots):
             at = np.flatnonzero(self.kinds[:, j] >= 0)
-            M[at] = mats[at, j] @ M[at]
+            # M_slot @ M
+            M[at] = np.vecdot(mats[at, j][:, :, None], np.swapaxes(M[at], 1, 2)[:, None])
             s = s * scales[:, j]
         return M, s
 
@@ -225,16 +236,28 @@ class ConformalMap:
                              f"take(i) gives chain i")
         return self._primitives(0)
 
-    def _lift(self, x):
-        """Event rows (n, 4) as blocks (n / m, m, 4), chain i's at [:, i], with x^2 and Y = M X."""
+    def _lift(self, x, k=5):
+        """Event rows (n, 4) as blocks (n / m, m, 4), chain i's at [:, i], with x^2
+        and the first k components of Y = M X (Y^+, then Y^mu), rounded once."""
         n, m = len(x), len(self.kinds)
         blocks = n // max(m, 1)
         if n != blocks * m:
             raise ValueError(f"{n} event rows are not whole blocks of the stack's {m} chains")
         x = np.asarray(x, dtype=float).reshape(blocks, m, 4)
-        x2 = minkowski_dot(x, x)
-        X = np.concatenate([np.ones(x2.shape + (1,)), x, x2[..., None]], axis=-1)
-        return x, x2, (self.cone[0] @ X[..., None])[..., 0]
+        X = np.empty(x.shape[:-1] + (6,), EXTENDED)
+        X[..., 0], X[..., 1:5] = 1.0, x
+        X[..., 5] = np.vecdot(X[..., 1:5], SIGNATURE * x)
+        Y = np.vecdot(self.cone[0][:, :k], X[..., None, :])
+        return x, X[..., 5].astype(float), Y.astype(float)
+
+    def _projected(self, x2, Y):
+        """(images, signed factors, Y^+, singular) of lifted blocks."""
+        den = Y[..., 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            images = Y[..., 1:5] / den[..., None]
+            lam = self.cone[1] / den
+        singular = np.abs(den) < SINGULAR_RTOL * (1.0 + np.abs(self.cone[0][:, 0, 5] * x2))
+        return images, lam, den, singular
 
     def evaluate(self, x, v=None):
         """(images, J v or None, signed factors, Y^+, singular) of event rows x
@@ -243,20 +266,16 @@ class ConformalMap:
         other values are meaningless.  J v = (dY - Y dY^+ / Y^+) / Y^+, dY = M (0, v, 2 x.v)."""
         n = len(x)
         y, x2, Y = self._lift(x)
-        M, s = self.cone
-        den = Y[..., 0]
+        images, lam, den, singular = self._projected(x2, Y)
         jv = None
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if v is not None:
-                v = np.broadcast_to(np.asarray(v, dtype=float), (n, 4)).reshape(y.shape)
-                dX = np.concatenate([np.zeros(x2.shape + (1,)), v,
-                                     2.0 * minkowski_dot(y, v)[..., None]], axis=-1)
-                dY = (M @ dX[..., None])[..., 0]
-                d = den[..., None]
+        if v is not None:
+            v = np.broadcast_to(np.asarray(v, dtype=float), (n, 4)).reshape(y.shape)
+            dX = np.zeros(Y.shape[:-1] + (6,), EXTENDED)
+            dX[..., 1:5], dX[..., 5] = v, 2.0 * _mdot(y, v)
+            dY = np.vecdot(self.cone[0][:, :5], dX[..., None, :]).astype(float)
+            d = Y[..., :1]
+            with np.errstate(divide="ignore", invalid="ignore"):
                 jv = ((dY[..., 1:5] - Y[..., 1:5] * (dY[..., :1] / d)) / d).reshape(n, 4)
-            images = Y[..., 1:5] / den[..., None]
-            lam = s / den
-        singular = np.abs(den) < SINGULAR_RTOL * (1.0 + np.abs(M[:, 0, 5] * x2))
         return images.reshape(n, 4), jv, lam.ravel(), den.ravel(), singular.ravel()
 
     def apply(self, x):
@@ -269,12 +288,12 @@ class ConformalMap:
         """Images and pushed tangents J v of rows x, v of shape (n, 4)."""
         return _checked(self, x, v)[:2]
 
-    def _closed(self, x, closed_form):
-        """``closed_form(x, Y)`` on the blocks of one event (4,) or of rows
-        (n, 4), back on the events of x (a scalar for one event's scalar)."""
+    def _closed(self, x, closed_form, k=1):
+        """``closed_form(x, Y)``, Y's first k components, on the blocks of one event
+        (4,) or of rows (n, 4), back on the events of x (a scalar for one's)."""
         x = np.asarray(x, dtype=float)
-        rows, _, Y = self._lift(x.reshape(-1, 4))
-        a = closed_form(rows, Y)
+        y, _, Y = self._lift(x.reshape(-1, 4), k)
+        a = closed_form(y, Y)
         return a.reshape(x.shape[:-1] + a.shape[2:])[()]
 
     def denominator(self, x):
@@ -282,17 +301,17 @@ class ConformalMap:
         return self._closed(x, lambda x, Y: Y[..., 0])
 
     def _phi(self, x, Y):
-        M = self.cone[0]
-        return -(M[:, 0, 1:5] + 2.0 * M[:, 0, 5, None] * lower_index(x)) / Y[..., :1]
+        M = self.cone[0][:, 0].astype(float)
+        return -(M[:, 1:5] + 2.0 * M[:, 5, None] * lower_index(x)) / Y[..., :1]
 
     def _phi2(self, x, Y):
         ph = self._phi(x, Y)
-        scale = 2.0 * self.cone[0][:, 0, 5] / Y[..., 0]
+        scale = 2.0 * self.cone[0][:, 0, 5].astype(float) / Y[..., 0]
         return ph[..., :, None] * ph[..., None, :] - scale[..., None, None] * ETA
 
     def _tetrad(self, x, Y):
-        M, s = self.cone
-        dY = M[:, 1:5, 1:5] + 2.0 * M[:, 1:5, 5, None] * lower_index(x)[..., None, :]
+        M, s = self.cone[0][:, 1:5].astype(float), self.cone[1]
+        dY = M[:, :, 1:5] + 2.0 * M[:, :, 5, None] * lower_index(x)[..., None, :]
         return (dY + Y[..., 1:5, None] * self._phi(x, Y)[..., None, :]) / s[:, None, None]
 
     def phi(self, x):
@@ -305,7 +324,7 @@ class ConformalMap:
 
     def tetrad(self, x):
         """f = J / lambda = (d_nu Y^mu + Y^mu phi_nu) / s, (4, 4) or (n, 4, 4)."""
-        return self._closed(x, self._tetrad)
+        return self._closed(x, self._tetrad, k=5)
 
     def inverse(self) -> "ConformalMap":
         """Each chain backwards, each slot inverted, its slots first again."""
@@ -346,10 +365,6 @@ class AcceleratedFrameForm(ConformalMap):
 
     apply = ConformalMap.apply    # in the form's own dict, where bench/test_bench.py traces it
 
-    @cached_property
-    def cone(self):     # each chain is one frame slot: its matrix and scale
-        return _frame(np.reshape(self.alpha, (-1, 4)), np.reshape(self.beta, -1))
-
 
 # ---------------------------------------------------------------------------
 # the kinds: matrices (k, 6, 6) and signed scales (k,) from k stacked
@@ -360,16 +375,21 @@ class AcceleratedFrameForm(ConformalMap):
 #   inversion beta   (x^2, -beta x, beta^2), scale beta
 
 def _blank(k):
-    """k zero matrices (k, 6, 6) and a view (k, 6) of their diagonals."""
-    M = np.zeros((k, 6, 6))
+    """k zero matrices (k, 6, 6), extended, and a view (k, 6) of their diagonals."""
+    M = np.zeros((k, 6, 6), EXTENDED)
     return M, M.reshape(k, 36)[:, ::7]
+
+
+def _mdot(a, b):
+    """a.b of rows (..., 4), in extended precision."""
+    return np.vecdot(a.astype(EXTENDED), SIGNATURE * b)
 
 
 def _translation(b):
     M, diagonal = _blank(len(b))
     diagonal[:] = 1.0
     M[:, 1:5, 0] = b
-    M[:, 5, 0] = minkowski_dot(b, b)
+    M[:, 5, 0] = _mdot(b, b)
     M[:, 5, 1:5] = 2.0 * lower_index(b)
     return M, 1.0
 
@@ -385,7 +405,7 @@ def _dilation(s):
     M, diagonal = _blank(len(s))
     diagonal[:, 0] = 1.0
     diagonal[:, 1:5] = s[:, None]
-    diagonal[:, 5] = s * s
+    diagonal[:, 5] = np.square(s.astype(EXTENDED))
     return M, s
 
 
@@ -393,7 +413,7 @@ def _inversion(beta):
     M, diagonal = _blank(len(beta))
     M[:, 0, 5] = 1.0
     diagonal[:, 1:5] = -beta[:, None]
-    M[:, 5, 0] = beta * beta
+    M[:, 5, 0] = np.square(beta.astype(EXTENDED))
     return M, beta
 
 
@@ -403,10 +423,10 @@ def _frame(alpha, beta):
     M, diagonal = _blank(len(beta))
     M[:, 0, 0] = 1.0
     M[:, 0, 1:5] = -2.0 * lower_index(alpha)
-    M[:, 0, 5] = minkowski_dot(alpha, alpha)
+    M[:, 0, 5] = _mdot(alpha, alpha)
     diagonal[:, 1:5] = beta[:, None]
-    M[:, 1:5, 5] = -beta[:, None] * alpha
-    M[:, 5, 5] = beta * beta
+    M[:, 1:5, 5] = -beta.astype(EXTENDED)[:, None] * alpha
+    M[:, 5, 5] = np.square(beta.astype(EXTENDED))
     return M, beta
 
 
@@ -434,9 +454,13 @@ def apply_map(m: ConformalMap, x) -> np.ndarray:
 
 def _frames(m: ConformalMap, rows):
     """(images (n, 4), signed factors (n,), Jacobians J = lambda f and
-    tetrads f (n, 4, 4)) of event rows, raising for the first singular one."""
-    images, _, lam = _checked(m, rows)
-    f = m.tetrad(rows)
+    tetrads f (n, 4, 4)) of event rows, raising for the first singular one;
+    all from one lift."""
+    y, x2, Y = m._lift(rows)
+    images, lam, den, singular = (a.reshape((len(rows),) + a.shape[2:])
+                                  for a in m._projected(x2, Y))
+    _raise_first_singular(rows, den, singular)
+    f = m._tetrad(y, Y).reshape(-1, 4, 4)
     return images, lam, lam[:, None, None] * f, f
 
 

@@ -217,7 +217,7 @@ def _image_abraham_jets(m: ConformalMap, state: KinematicState):
                   state.velocity_ddot / 6.0])
     one = np.zeros(x.shape[:-1] + (1,))
     one[0] = 1.0
-    Y = np.concatenate([one, x, _sdot(x, x)], axis=-1) @ m.cone[0][0].T
+    Y = np.concatenate([one, x, _sdot(x, x)], axis=-1) @ m.cone[0][0].astype(float).T
     dxbar = _sder(_sdiv(Y[..., 1:5], Y[..., :1]))
     speed = _ssqrt(_sdot(dxbar, dxbar))
     u = _sdiv(dxbar, speed)

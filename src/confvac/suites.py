@@ -13,7 +13,8 @@ up polynomially near the singular sets.
 Every sampler with a rejection rule draws numpy rows through one idiom,
 ``_rows_until``, which redraws only the rows its rule rejects.  interval-law,
 scalar-invariance and tetrad-identity draw a block of candidates as arrays,
-evaluate the whole block in one pass as one stack and keep the first n
+evaluate the whole block in one pass (interval-law: its forms as one stack,
+its chains as another) and keep the first n
 accepted in order; only the worst sample's map is taken out of the stack,
 for the report.  ricci-flat, light-rays, abraham and em-invariance draw a
 batch of one per sample, which is the one-at-a-time rejection loop, so
@@ -278,14 +279,14 @@ def _wrap(name, cfg, rng_consumer):
 
 
 def _interval_law_block(rng, k):
-    """k interval-law candidates, drawn as arrays, then evaluated as one
-    stack: (maps, points (k, 2, 4), values (5, k)).  Candidate i is the
-    chain ``maps.take(i)``: an accelerated-frame form (probability 0.7), one
-    frame slot, with two events in the unit ball off its singular set
-    (|denominator| >= 0.1), or a primitive chain with two events in the unit
-    ball.  values holds each candidate's residual, lhs, rhs, lambda and
-    lambda', NaN for a singular candidate.  Draw order: the kinds; the forms'
-    alpha, beta, x and x'; the chains, their x and x'."""
+    """k interval-law candidates, drawn as arrays, then evaluated as two
+    stacks, the forms' and the chains': (maps, points (k, 2, 4), values
+    (5, k)).  Candidate i is the chain ``maps.take(i)``: an accelerated-frame
+    form (probability 0.7), one frame slot, with two events in the unit ball
+    off its singular set (|denominator| >= 0.1), or a primitive chain with two
+    events in the unit ball.  values holds each candidate's residual, lhs,
+    rhs, lambda and lambda', NaN for a singular candidate.  Draw order: the
+    kinds; the forms' alpha, beta, x and x'; the chains, their x and x'."""
     is_form = rng.random(k) < 0.7
     at_form, at_chain = np.flatnonzero(is_form), np.flatnonzero(~is_form)
     forms = _form_rows(rng, len(at_form))
@@ -298,20 +299,21 @@ def _interval_law_block(rng, k):
     for j in range(2):
         points[at_chain, j] = _ball_rows(rng, 1.0, len(at_chain))
 
-    maps = ConformalMap.stack(kinds, [*drawn, (forms.alpha, forms.beta)])
-    rows = np.concatenate([points[:, 0], points[:, 1]])
-    images, _, lam, _, singular = maps.evaluate(rows)
-    rep = IntervalLawReport.from_images(rows, images, lam)
-    values = np.array([rep.residual, rep.lhs, rep.rhs, rep.lam, rep.lam_p])
-    values[:, singular[:k] | singular[k:]] = np.nan
-    return maps, points, values
+    values = np.empty((5, k))
+    for at, stack in ((at_form, forms), (at_chain, ConformalMap.stack(kinds[at_chain], drawn))):
+        rows = np.concatenate([points[at, 0], points[at, 1]])
+        images, _, lam, _, singular = stack.evaluate(rows)
+        rep = IntervalLawReport.from_images(rows, images, lam)
+        values[:, at] = [rep.residual, rep.lhs, rep.rhs, rep.lam, rep.lam_p]
+        values[:, at[singular[:len(at)] | singular[len(at):]]] = np.nan
+    return ConformalMap.stack(kinds, [*drawn, (forms.alpha, forms.beta)]), points, values
 
 
 def suite_interval_law(cfg: SuiteConfig) -> SuiteReport:
     """(xbar - xbar')^2 = lambda lambda' (x - x')^2 over random maps and pairs.
 
     Candidates are drawn in blocks as arrays, evaluated in one pass per
-    block (forms and chains as one stack) and kept
+    block (the forms as one stack, the chains as another) and kept
     in order while fewer than n are kept: a rejected candidate (singular, or
     |lambda| >= 1e3) only moves on to the next, so the draws do not depend
     on what is kept."""

@@ -21,13 +21,13 @@ from confvac.suites import CANDIDATE_BLOCK, SUITE_NAMES, SuiteConfig, run_suite
 
 # suite -> (samples, sha256 of the report at seed 7)
 DIGESTS = {
-    "interval-law": (500, "50339b54c916e3971db35124741f7813178f6b1cfca6055f69ca8cde5c4cd60a"),
-    "ricci-flat": (10, "7353e826799330c20ac645eeedad62ddd7040789ff351e7016d450a38dca1261"),
-    "abraham": (2, "546e307049c0747793ffcb9b324292e921a00b60d46f584b050ab314948beaea"),
-    "light-rays": (10, "92ae1b2ba80c9fd6f99d968498f61d39b6a672b57e487e126d4d8ee34246f7c6"),
-    "scalar-invariance": (100, "80a8e7768c0e433b21e8f1da942317462dfa0e9ac4b4c315f6fd972bef8d2f96"),
-    "tetrad-identity": (100, "015f82296e4b6bb6cf2659425b42236e992eba407132bd6dcce80da6c5990edd"),
-    "em-invariance": (10, "bf3398b99c12afacc106afce0cc7d132024154372033a03cd9b800a6908c9a0f"),
+    "interval-law": (500, "e6df3769552bf696843afc7696f31909e84ff9f6d885b4f218d0bc651a5bc709"),
+    "ricci-flat": (10, "0bdada3b96143d69b9327a02b3d3925e234644cfabf502c776d227ea4c3a7232"),
+    "abraham": (2, "376bdc63922c5369aee362ffaf4fc81288c7f1c69286ccdc1ff941362f9227b2"),
+    "light-rays": (10, "982e856c1dfcc29ab75d6930b99ace971722635c69d8690ab2aa0f26a20df23b"),
+    "scalar-invariance": (100, "084fd8f5cb8b8a5a5c97b2bbdce2c66f43366daebb59962ecc0d0beda4e5a4c9"),
+    "tetrad-identity": (100, "7b0aea8abb387de8ba764f9aaa3cc4be8664e9066e64d69892d04bb6be402d80"),
+    "em-invariance": (10, "db8d5317dfae8c383dbaa01c0ff184acee4f4ec5b30272ead38d69c43459f374"),
     "fdr": (None, "8fb098f415d6b97843f047cb33544cee419ee47ba7cff5e1df6c0387864010e1"),
     "momentum-oracle": (None, "23dff9ebaf6894ca8f2f31835bf105af85ccfb18c02529ba36a98e48c8c31572"),
     "mirror-2d": (None, "7a24ae8d84c0b9e1d8130c326d09299c82b012c9ec91c719cd96b2ac4b401f81"),
@@ -47,7 +47,7 @@ def test_report_bytes_pinned(name):
 
 
 # interval-law past two candidate blocks, each drawn as arrays
-LONG_INTERVAL_LAW = (2500, "cce7d0bee1df52dfaec4bf07cdf107f840f5a1fe4dd52a552ec422a407b29907")
+LONG_INTERVAL_LAW = (2500, "33da94a44ccc08b279238c473f11940dff713714d64a67e857a9891ea7d30ce9")
 
 
 def test_interval_law_bytes_pinned_across_candidate_blocks():
@@ -78,9 +78,9 @@ TRANSFORMS = {
         {"kind": "lorentz", "matrix": boost_matrix([0.2, -0.1, 0.05]).tolist()},
         {"kind": "translation", "b": [-0.1, 0.3, 0.0, 0.2]}]},
         np.vstack([EVENTS, [0.5, 1.25, -0.125, 0.0]]), False,
-        "bc843c0fdc49602dd0f9c84f762ed0591a6c7630dc5f00088b0362c2a00f4296"),
+        "7dff611cbaae52c71aa9d94de0ef405a4cdad3b69ba9f102dabbd7c72a8b253e"),
     "form": ({"alpha": [0.3, 0.1, -0.2, 0.05], "beta": 1.3}, EVENTS, True,
-             "0217e4ce07db0c3dae30eb31a351b74dde4e7a55c665ff6878cda35c023aa0de"),
+             "3fd8c6f874d54caae4c4bdb60b5234ba4ac2603fa710ede723bd857dae0e7a52"),
 }
 
 
