@@ -7,12 +7,13 @@ vdot.vdot = -a^2), and conformal maps preserve that property: the pushforward
 of a w = 0 worldline again has w = 0 in the image coordinates.
 
 Two routes lead to the image's w.  ``pushforward_worldline`` samples the
-image on a grid and fits a ``SampledWorldline`` (a quintic scipy spline),
-whose w comes from 5-point stencils at step 1e-3; ``confvac abraham`` takes
-that route for worldlines read from CSV, and its rounding floor is about
-1e-6.  The abraham suite takes the other: ``_image_abraham_jets`` pushes the
-source's order-3 Taylor jets through the map's matrix on the null cone as
-truncated power series, exact up to rounding, with no spline and no scipy.
+image on a grid and interpolates it as a ``SampledWorldline`` (local
+quintics), whose w comes from 5-point stencils at step 1e-3; ``confvac
+abraham`` takes that route for worldlines read from CSV, and its rounding
+floor is about 1e-6.  The abraham suite takes the other:
+``_image_abraham_jets`` pushes the source's order-3 Taylor jets through the
+map's matrix on the null cone as truncated power series, exact up to
+rounding, with no interpolation.
 """
 
 from __future__ import annotations

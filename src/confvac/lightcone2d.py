@@ -21,6 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConstraintViolationError, PoleError
+from .numdiff import local_quintic
 
 VERDICT_THRESHOLD = 1e-6   # max |Schwarzian| below this is a homography
 
@@ -120,8 +121,9 @@ def homography_invert(h: Homography2D) -> Homography2D:
 
 @dataclass(frozen=True, eq=False)
 class SampledRule:
-    """Strictly increasing map given by (u, f(u)) samples, interpolated by a
-    quintic spline (third derivatives enter the Schwarzian)."""
+    """Strictly increasing map given by (u, f(u)) samples, interpolated by
+    local quintics through six neighbouring samples (third derivatives enter
+    the Schwarzian)."""
 
     u: np.ndarray
     f: np.ndarray
@@ -135,8 +137,6 @@ class SampledRule:
             raise ConstraintViolationError("sampled rule must be strictly increasing")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "f", f)
-        from scipy.interpolate import make_interp_spline  # on first use: keeps scipy off import
-        object.__setattr__(self, "_spline", make_interp_spline(u, f, k=min(5, u.size - 1)))
 
     @classmethod
     def from_callable(cls, fn, lo, hi, n=2001):
@@ -154,11 +154,11 @@ class SampledRule:
         lo, hi = self.domain
         if np.any(u < lo) or np.any(u > hi):
             raise ValueError(f"argument outside sampled domain [{lo}, {hi}]")
-        out = self._spline(u)
+        out = local_quintic(self.u, self.f, u)[0]
         return float(out) if out.ndim == 0 else out
 
     def derivatives(self, u):
-        return (self._spline(u, 1), self._spline(u, 2), self._spline(u, 3))
+        return tuple(local_quintic(self.u, self.f, u, order=3)[1:])
 
     def inverse(self) -> "SampledRule":
         return SampledRule(self.f, self.u)

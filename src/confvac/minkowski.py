@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstraintViolationError
-from .numdiff import OFFSETS, W_D1, W_D2, W_D3
+from .numdiff import OFFSETS, W_D1, W_D2, W_D3, local_quintic
 
 SIGNATURE = np.array([1.0, -1.0, -1.0, -1.0])
 ETA = np.diag(SIGNATURE)
@@ -145,10 +145,10 @@ class HyperbolicWorldline:
 
 
 class SampledWorldline:
-    """Worldline given by (tau, event) samples, interpolated by one quintic
-    spline of the event vector, so that third derivatives of the position
-    (needed for the radiation-reaction combination) remain accurate; cubic
-    splines lose three orders of magnitude there.
+    """Worldline given by (tau, event) samples, interpolated by local quintics
+    of the event vector through six neighbouring samples, so that third
+    derivatives of the position (needed for the radiation-reaction
+    combination) remain accurate; cubics lose three orders of magnitude there.
     """
 
     def __init__(self, tau, events):
@@ -162,8 +162,6 @@ class SampledWorldline:
             raise ValueError("samples must be finite")
         self.tau = tau
         self.events = events
-        from scipy.interpolate import make_interp_spline  # on first use: keeps scipy off import
-        self._spline = make_interp_spline(tau, events, k=min(5, tau.size - 1))
 
     @property
     def tau_range(self):
@@ -174,7 +172,7 @@ class SampledWorldline:
         lo, hi = self.tau_range
         if np.any(tau < lo) or np.any(tau > hi):
             raise ValueError(f"tau outside sampled range [{lo}, {hi}]")
-        return self._spline(tau)
+        return local_quintic(self.tau, self.events, tau)[0]
 
     def state(self, tau, step=1e-3) -> KinematicState:
         """5-point stencil state at a proper time or an array of them.

@@ -3,6 +3,8 @@
 All first/second derivatives use 5-point stencils (4th order accurate);
 third derivatives use the 5-point stencil (2nd order accurate). Mixed
 second derivatives nest two first-derivative stencils (4th order).
+Sampled curves are interpolated, with their first three derivatives, by
+local quintics through six neighbouring samples (``local_quintic``).
 """
 
 from __future__ import annotations
@@ -39,3 +41,38 @@ def gradient_hessian(f, x, step=1e-3):
     H[mu, nu] = H[nu, mu] = np.vecdot(inner, W_D1) / step
     return np.vecdot(centred, W_D1) / step, H
 
+
+def local_quintic(nodes, values, x, order=0):
+    """Derivatives 0..order at ``x`` of the polynomial through the 6 samples
+    around each point: a quintic, so third derivatives keep O(h^3) accuracy.
+    With fewer than 6 samples it is the one polynomial through all of them.
+
+    ``nodes`` is strictly increasing with shape (n,) and ``values`` has shape
+    (n, ...).  Returns order + 1 arrays of shape x.shape + values.shape[1:].
+    A point's window runs from two samples left of its anchor (the sample at
+    or left of it) to three right, shifted to stay inside the samples.  It is
+    held as Newton divided differences with the anchor first, so at a node
+    the interpolant returns that sample exactly.  Only the windows of the
+    points asked for are built, as one (m, 6) array, with no loop over them.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    n = nodes.size
+    k = min(6, n)
+    anchor = np.clip(np.searchsorted(nodes, flat, side="right") - 1, 0, n - 1)
+    start = np.clip(anchor - 2, 0, n - k)[:, None]
+    cols = np.arange(k)
+    idx = np.where(cols == anchor[:, None] - start, start, start + cols)
+    idx[:, 0] = anchor
+    trail = (1,) * (values.ndim - 1)
+    t = nodes[idx].reshape(idx.shape + trail)
+    c = values[idx]
+    for j in range(1, k):
+        c[:, j:] = (c[:, j:] - c[:, j - 1:-1]) / (t[:, j:] - t[:, :-j])
+    d = flat.reshape((-1, 1) + trail) - t
+    p = [c[:, -1]] + [np.zeros_like(c[:, 0])] * order
+    for i in range(k - 2, -1, -1):
+        for r in range(order, 0, -1):
+            p[r] = p[r] * d[:, i] + r * p[r - 1]
+        p[0] = p[0] * d[:, i] + c[:, i]
+    return [q.reshape(x.shape + values.shape[1:]) for q in p]

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
 
 import confvac.numdiff as numdiff
 from confvac import suites
@@ -160,7 +159,10 @@ def walk_to_singular_set(form, x0, d, dens):
     """Events x0 + s d on the line's near side of the form's singular set,
     where the denominator takes the values dens (to rounding)."""
     g = lambda s: form.denominator(x0 + s * d)     # noqa: E731
-    s_star = brentq(g, 0.0, 3.0, xtol=1e-16)
+    lo, hi = 0.0, 3.0                               # bisect to adjacent doubles
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if np.sign(g(mid)) == np.sign(g(lo)) else (lo, mid)
+    s_star = lo
     slope = (g(s_star + 1e-6) - g(s_star - 1e-6)) / 2e-6
     return x0 + (s_star + np.asarray(dens)[:, None] / slope) * d
 

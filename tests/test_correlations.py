@@ -15,7 +15,7 @@ from confvac import (ETA, AcceleratedFrameForm, BoundaryError, ConvergenceError,
                      tetrad_contraction, thermal_spectra,
                      transformed_em_correlation, vacuum_spectra,
                      verify_em_invariance, verify_scalar_invariance)
-from confvac import suites
+from confvac import correlations, suites
 from confvac.correlations import LAST_TERM_MODES, _fd_field_tensor, _kernel_rows
 
 finite4 = st.lists(st.floats(-3, 3), min_size=4, max_size=4)
@@ -653,3 +653,43 @@ def test_momentum_oracle_convergence_error():
     with pytest.raises(ConvergenceError):
         momentum_space_oracle(np.array([0.3, 1.2, 0, 0.0]), np.zeros(4), 0.05,
                               cutoff=20.0)
+
+
+# spacelike, timelike and R = 0 separations x - x'
+ORACLE_PAIRS = [[0.3, 1.2, 0, 0], [0.1, 1.5, 0.3, 0], [1.4, 0.2, 0, 0],
+                [-1.2, 0.0, 0.3, 0.1], [1.7, 0.0, 0.0, 0.0], [-0.9, 0.0, 0.0, 0.0]]
+
+
+@pytest.mark.parametrize("x", ORACLE_PAIRS)
+def test_momentum_oracle_equals_the_t_minus_i_eps_kernel(x):
+    # int_0^inf sin(kR)/R e^{-(eps + i dt) k} dk = 1 / (R^2 + (eps + i dt)^2)
+    eps = 0.05
+    x = np.asarray(x, float)
+    exact = 1.0 / (2 * math.pi**2) / (np.sum(x[1:] ** 2) + complex(eps, x[0]) ** 2)
+    got = momentum_space_oracle(x, np.zeros(4), eps)
+    assert abs(got - exact) <= 1e-12 * abs(exact)
+
+
+def test_momentum_oracle_matches_adaptive_quad():
+    # independent reference: the same truncated integral by adaptive quadrature
+    eps = 0.05
+    for x in ORACLE_PAIRS:
+        dt, R = x[0], float(np.linalg.norm(x[1:]))
+        radial = (lambda k: math.sin(k * R) / R) if R > 0 else (lambda k: k)
+        re = quad(lambda k: radial(k) * math.exp(-eps * k) * math.cos(k * dt),
+                  0.0, 50.0 / eps, limit=800)[0]
+        im = quad(lambda k: -radial(k) * math.exp(-eps * k) * math.sin(k * dt),
+                  0.0, 50.0 / eps, limit=800)[0]
+        ref = complex(re, im) / (2 * math.pi**2)
+        assert abs(momentum_space_oracle(np.asarray(x, float), np.zeros(4), eps) - ref) \
+            <= 1e-8 * abs(ref)
+
+
+def test_momentum_oracle_raises_when_halved_panels_disagree(monkeypatch):
+    # a 2-node rule per panel is far from converged: the sums on n and 2n
+    # panels differ, and that difference alone exceeds 1e-6 of the value
+    monkeypatch.setattr(correlations, "GAUSS_NODES", 2)
+    with pytest.raises(ConvergenceError, match="quadrature error") as info:
+        momentum_space_oracle(np.array([0.3, 1.2, 0, 0.0]), np.zeros(4), 0.05)
+    tail, err, value = map(float, re.findall(r"\d\.\d{3}e[+-]\d+", str(info.value)))
+    assert tail < 1e-12 * value < 1e-6 * value < err

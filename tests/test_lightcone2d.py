@@ -148,6 +148,38 @@ def test_exponential_constant_schwarzian():
     np.testing.assert_allclose(vals, -0.5, atol=1e-4)
 
 
+def test_sampled_rule_reproduces_its_samples_exactly():
+    rule = SampledRule.from_callable(lambda u: u + 0.1 * np.sin(u), -2.5, 2.5, n=401)
+    assert np.array_equal(rule(rule.u), rule.f)
+    assert [rule(u) for u in rule.u[::50]] == rule.f[::50].tolist()
+    # fewer than six samples: the one polynomial through all of them
+    cubic = SampledRule(np.array([0.0, 0.4, 0.7, 1.0]), np.array([0.0, 0.4, 0.7, 1.0]) ** 3 + 1)
+    assert cubic(0.5) == pytest.approx(1.125, abs=1e-14)
+    d1, d2, d3 = cubic.derivatives(np.array([0.2, 0.9]))
+    np.testing.assert_allclose(d1, [0.12, 2.43], atol=1e-13)
+    np.testing.assert_allclose(d2, [1.2, 5.4], atol=1e-12)
+    np.testing.assert_allclose(d3, [6.0, 6.0], atol=1e-11)
+
+
+def test_sampled_homography_has_no_schwarzian():
+    # the samples' rounding enters S as u_ulp / h^3: 1e-6 near n = 2001 here
+    h = Homography2D(1.1, 0.05, -0.2, (1 + 0.05 * 0.2) / 1.1)
+    for n in (201, 401):
+        rule = SampledRule.from_callable(h, -1.0, 1.0, n=n)
+        assert is_homographic(rule, np.linspace(-0.95, 0.95, 801)).max_schwarzian < 1e-6
+
+
+def test_sampled_sine_rule_schwarzian_matches_closed_form():
+    # f = u + 0.1 sin u, sampled as in the mirror-2d suite:
+    # S[f] = -0.1 cos u / f' - 1.5 (0.1 sin u / f')^2, with |S| largest (1/11) at u = 0
+    rule = SampledRule.from_callable(lambda u: u + 0.1 * np.sin(u), -2.5, 2.5, n=4001)
+    g = np.linspace(-2.25, 2.25, 801)
+    d1 = 1 + 0.1 * np.cos(g)
+    closed = -0.1 * np.cos(g) / d1 - 1.5 * (0.1 * np.sin(g) / d1) ** 2
+    np.testing.assert_allclose(schwarzian(rule, g), closed, rtol=0, atol=1e-5)
+    assert is_homographic(rule, g).max_schwarzian == pytest.approx(1 / 11, rel=1e-6)
+
+
 def test_schwarzian_rejects_nonmonotone():
     with pytest.raises(ConstraintViolationError, match="increasing"):
         SampledRule(np.linspace(-1, 1, 100), np.sin(np.linspace(-4, 4, 100)))

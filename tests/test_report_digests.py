@@ -29,8 +29,8 @@ DIGESTS = {
     "tetrad-identity": (100, "7b0aea8abb387de8ba764f9aaa3cc4be8664e9066e64d69892d04bb6be402d80"),
     "em-invariance": (10, "db8d5317dfae8c383dbaa01c0ff184acee4f4ec5b30272ead38d69c43459f374"),
     "fdr": (None, "8fb098f415d6b97843f047cb33544cee419ee47ba7cff5e1df6c0387864010e1"),
-    "momentum-oracle": (None, "23dff9ebaf6894ca8f2f31835bf105af85ccfb18c02529ba36a98e48c8c31572"),
-    "mirror-2d": (None, "7a24ae8d84c0b9e1d8130c326d09299c82b012c9ec91c719cd96b2ac4b401f81"),
+    "momentum-oracle": (None, "1cedf788889f4f33231bd995bf26660406a6cb58897feb585e3ede594ebb0b62"),
+    "mirror-2d": (None, "ed2f0de89664ff60f69ee4aa3e8d565782352e2b9cb3757e98e15ff6132f746c"),
 }
 
 

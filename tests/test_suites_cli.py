@@ -322,6 +322,22 @@ def test_cli_abraham_classifies_hyperbolic(tmp_path, capsys):
     assert payload["sup_abraham_norm"] < 1e-5
 
 
+def test_cli_abraham_classifies_sinusoidal_rapidity_as_other(tmp_path, capsys):
+    # rapidity s = tau + 0.1 sin tau: w = s'' (sinh s, cosh s, 0, 0), |s''| <= 0.1
+    taus = np.arange(-1.5, 1.5 + 1e-12, 5e-4)
+    s = taus + 0.1 * np.sin(taus)
+    t, x = (np.concatenate([[0.0], np.cumsum(np.diff(taus) * (y[1:] + y[:-1]) / 2.0)])
+            for y in (np.cosh(s), np.sinh(s)))
+    infile = tmp_path / "wl.csv"
+    np.savetxt(infile, np.column_stack([taus, t, x, 0 * t, 0 * t]), delimiter=",",
+               header="tau,t,x1,x2,x3", comments="", fmt="%.17g")
+    assert main(["abraham", "--worldline", str(infile)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["classification"]["kind"] == "other"
+    s_max = taus[-1] + 0.1 * np.sin(taus[-1])
+    assert 0.3 < payload["sup_abraham_norm"] < 0.1 * np.hypot(np.sinh(s_max), np.cosh(s_max))
+
+
 def test_cli_corr_outputs_kernel(capsys):
     rc = main(["corr", "--x", "2,0,0,0", "--xp", "0,0,0,0",
                "--epsilon", "0.01"])
