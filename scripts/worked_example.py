@@ -3,7 +3,7 @@
 
 The map with alpha = (0.5, 0, 0, 0), beta = 1 sends (1,0,0,0) to (2,0,0,0)
 with scale factor 4; this script walks through the scale factor, the image,
-the interval law, the scalar-kernel invariance, a pushforward of rest into
+the interval law, the scalar-kernel invariance, the image of rest as
 hyperbolic motion, and the 2D mirror verdicts.
 """
 
@@ -31,12 +31,9 @@ def main():
     print("\n== rest seen from the conformal frame ==")
     spatial = cv.AcceleratedFrameForm(np.array([0.0, 0.5, 0.0, 0.0]), 1.0)
     grid = np.arange(-0.5, 0.5 + 1e-12, 1e-3)
-    image = cv.pushforward_worldline(spatial, cv.rest_worldline(), grid)
-    lo, hi = image.tau_range
-    margin = 2e-3 + 5 * float(np.max(np.diff(image.tau)))
-    taus = image.tau[(image.tau > lo + margin) & (image.tau < hi - margin)]
-    sup_w = float(np.max(cv.abraham_norms_on_grid(image, taus)))
-    cls = cv.classify_motion(image, taus[::40], tol=1e-4)
+    image = cv.image_state(spatial, cv.rest_worldline().state(grid))
+    sup_w = float(np.max(cv.abraham_vector(image).residual_norm))
+    cls = cv.classify_motion(image)
     print(f"image of rest: sup |w| = {sup_w:.2e}, classified {cls.kind} "
           f"(a = {cls.accel:.4f})")
 

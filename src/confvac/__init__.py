@@ -5,7 +5,7 @@ Modules
 -------
 minkowski     four-vector algebra, worldlines, kinematic states
 conformal     conformal maps, scale factors, tetrads, light rays, Ricci check
-kinematics    Abraham vector, motion classification, pushforwards
+kinematics    Abraham vector, motion classification, images of kinematic states
 correlations  vacuum/thermal two-point functions and invariance checks
 lightcone2d   2D light-cone maps, homographies, mirror scattering
 suites        randomized verification sweeps
@@ -26,9 +26,8 @@ from .correlations import (SpectralPoint, em_potential_correlation,
                            verify_scalar_invariance)
 from .errors import (BoundaryError, ConstraintViolationError, ConvergenceError,
                      InternalConsistencyError, PoleError, SingularPointError)
-from .kinematics import (AbrahamVector, MotionClass, abraham_norms_on_grid,
-                         abraham_vector, classify_motion, pushforward_worldline,
-                         transform_abraham)
+from .kinematics import (AbrahamVector, MotionClass, abraham_vector, classify_motion,
+                         image_state, transform_abraham)
 from .lightcone2d import (Homography2D, MirrorVerdict, RayMap2D, SampledRule,
                           accelerated_frame_maps_2d, cross_ratio, from_lightcone,
                           homography_compose, homography_invert, is_homographic,

@@ -20,8 +20,8 @@ import numpy as np
 from . import correlations as corrmod
 from . import lightcone2d as lc2
 from .conformal import map_from_dict
-from .errors import PoleError
-from .kinematics import abraham_norms_on_grid, classify_motion
+from .errors import ConstraintViolationError, PoleError
+from .kinematics import abraham_vector, classify_motion
 from .minkowski import SampledWorldline
 from .suites import SUITE_NAMES, SuiteConfig, run_suite
 
@@ -159,18 +159,34 @@ def cmd_transform(args) -> int:
     return 0
 
 
+def _positive(command, name, value, default):
+    """A flag's value, or its default when it was not given; positive and finite."""
+    value = default if value is None else value
+    if not 0 < value < math.inf:
+        raise SystemExit(f"{command}: {name} must be positive and finite, got {value}")
+    return value
+
+
 def cmd_abraham(args) -> int:
     taus, events = _read_events_csv(args.worldline)
     if taus is None:
         raise SystemExit("worldline CSV needs a tau column")
-    step = args.step or 1e-3
-    wl = SampledWorldline(taus, events)
+    step = _positive("abraham", "step", args.step, 1e-3)
+    tol = _positive("abraham", "tol", args.tol, 1e-5)
+    try:
+        wl = SampledWorldline(taus, events)
+    except ValueError as exc:
+        raise SystemExit(f"abraham: {exc}")
+    # each stencil, and the six samples of each quintic it meets, inside the samples
     lo, hi = wl.tau_range
-    margin = 2 * step + 5 * float(np.max(np.diff(taus)))
+    margin = 2 * step + 5 * float(np.max(np.diff(taus), initial=0.0))
     interior = taus[(taus > lo + margin) & (taus < hi - margin)]
-    norms = abraham_norms_on_grid(wl, interior, step=step)
-    tol = args.tol or 1e-5
-    cls = classify_motion(wl, interior, step=step, tol=tol)
+    if not interior.size:
+        raise SystemExit(f"abraham: no sample lies {margin:g} inside the sampled range "
+                         f"[{lo}, {hi}]; need more samples or a smaller step")
+    state = wl.state(interior, step=step)
+    norms = abraham_vector(state).residual_norm
+    cls = classify_motion(state, tol=tol)
     payload = {
         "classification": {"kind": cls.kind, "accel": cls.accel, "tol": cls.tol},
         "sup_abraham_norm": float(np.max(norms)),
@@ -185,7 +201,7 @@ def cmd_abraham(args) -> int:
 def cmd_corr(args) -> int:
     x = _parse_vector(args.x, 4)
     xp = _parse_vector(args.xp, 4)
-    eps = args.epsilon or 1e-6
+    eps = _positive("corr", "epsilon", args.epsilon, 1e-6)
     try:
         c = corrmod.scalar_vacuum_correlation(x, xp, eps)
     except PoleError as exc:
@@ -203,7 +219,10 @@ def cmd_corr(args) -> int:
 
 def cmd_ray2d(args) -> int:
     alpha = _parse_vector(args.alpha, 2)
-    frame = lc2.accelerated_frame_maps_2d(alpha, args.beta)
+    try:
+        frame = lc2.accelerated_frame_maps_2d(alpha, args.beta)
+    except ConstraintViolationError as exc:
+        raise SystemExit(f"ray2d: {exc}")
     payload = {"frame": lc2.raymap_to_dict(frame)}
     if args.mirror:
         composite = lc2.mirror_scattering_map(frame)

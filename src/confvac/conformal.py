@@ -228,12 +228,16 @@ class ConformalMap:
         """Chain i as a stack of one."""
         return ConformalMap(self._primitives(i))
 
-    @property
-    def chain(self):
-        """The primitives of a stack of one, first to last."""
+    def _one_chain(self):
+        """Raise unless this is a stack of one."""
         if len(self.kinds) != 1:
             raise ValueError(f"a stack of {len(self.kinds)} chains is not one chain; "
                              f"take(i) gives chain i")
+
+    @property
+    def chain(self):
+        """The primitives of a stack of one, first to last."""
+        self._one_chain()
         return self._primitives(0)
 
     def _lift(self, x, k=5):

@@ -60,7 +60,7 @@ class Homography2D:
 
     def __post_init__(self):
         det = self.a * self.d - self.b * self.c
-        if det <= 0:
+        if not det > 0:     # a NaN determinant is rejected too
             raise ConstraintViolationError(
                 f"determinant {det} must be positive (increasing map)")
         s = 1.0 / np.sqrt(det)
@@ -225,9 +225,9 @@ def accelerated_frame_maps_2d(alpha, beta) -> RayMap2D:
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (2,):
         raise ValueError("alpha must be a 2-vector (time, space)")
-    if beta <= 0:
+    if not beta > 0:
         raise ConstraintViolationError(
-            "beta must be positive: negative scales reverse light-cone order")
+            f"beta must be positive (a negative scale reverses light-cone order), got {beta}")
     a_plus = alpha[0] + alpha[1]
     a_minus = alpha[0] - alpha[1]
     rb = np.sqrt(beta)

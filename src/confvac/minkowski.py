@@ -156,6 +156,8 @@ class SampledWorldline:
         events = np.asarray(events, dtype=float)
         if tau.ndim != 1 or events.shape != (tau.size, 4):
             raise ValueError("expected tau of shape (n,) and events of shape (n, 4)")
+        if not tau.size:
+            raise ValueError("a sampled worldline needs at least one sample")
         if np.any(np.diff(tau) <= 0):
             raise ConstraintViolationError("sample proper times must be strictly increasing")
         if not (np.all(np.isfinite(tau)) and np.all(np.isfinite(events))):
@@ -197,15 +199,12 @@ class SampledWorldline:
         # (5,) @ (..., 5, 4): one stencil per proper time
         pts = self.position(np.add.outer(tau, OFFSETS * step))
         return KinematicState(
-            position=self.position(tau),
+            position=pts[..., 2, :],     # OFFSETS[2] == 0: the stencil's centre is tau
             velocity=W_D1 @ pts / step,
             velocity_dot=W_D2 @ pts / step**2,
             velocity_ddot=W_D3 @ pts / step**3,
             tau=tau,
         )
-
-
-Worldline = HyperbolicWorldline | SampledWorldline
 
 
 def rest_worldline(x0=None) -> HyperbolicWorldline:

@@ -39,7 +39,7 @@ from .conformal import (FRAME, AcceleratedFrameForm, ConformalMap, IntervalLawRe
                         LightRay, boost_matrix, map_to_dict, ricci_conformal,
                         transform_light_ray)
 from .errors import SingularPointError
-from .kinematics import _image_abraham_jets, transform_abraham
+from .kinematics import abraham_vector, image_state, transform_abraham
 from .minkowski import HyperbolicWorldline, interval, minkowski_dot, rest_worldline
 from .numdiff import gradient_hessian
 
@@ -373,7 +373,7 @@ def suite_ricci_flat(cfg: SuiteConfig) -> SuiteReport:
 def _conditioned_abraham_sample(rng, hyperbolic=True):
     """Map + worldline pair whose image stays tame: denominator >= 0.5 along
     the trajectory and image proper acceleration of order one at mid-grid;
-    with the grid and the image Abraham vector on it, from exact jets."""
+    with the grid and the image state on it, from exact jets."""
     while True:
         form = random_form(rng, alpha_max=0.25)
         wl = random_hyperbolic(rng) if hyperbolic else rest_worldline(
@@ -383,11 +383,11 @@ def _conditioned_abraham_sample(rng, hyperbolic=True):
         den = form.denominator(st.position)
         if np.min(np.abs(den)) < 0.5 or np.min(den) * np.max(den) < 0:
             continue
-        wbar, abar = _image_abraham_jets(form, st)
-        k = len(grid) // 2
-        if np.sqrt(abs(minkowski_dot(abar[k], abar[k]))) > 1.0:
+        image = image_state(form, st)
+        abar = image.velocity_dot[len(grid) // 2]
+        if np.sqrt(abs(minkowski_dot(abar, abar))) > 1.0:
             continue
-        return form, wl, grid, wbar
+        return form, wl, grid, image
 
 
 def suite_abraham(cfg: SuiteConfig) -> SuiteReport:
@@ -401,8 +401,8 @@ def suite_abraham(cfg: SuiteConfig) -> SuiteReport:
         sup_w = np.empty(n)
         hill = np.empty(n)
         for i in range(n):
-            form, wl, _, wbar = _conditioned_abraham_sample(rng, hyperbolic=(i % 4 != 3))
-            sup_w[i] = float(np.max(np.linalg.norm(wbar, axis=-1)))
+            form, wl, _, image = _conditioned_abraham_sample(rng, hyperbolic=(i % 4 != 3))
+            sup_w[i] = float(np.max(abraham_vector(image).residual_norm))
             # transformation law at a random interior proper time of the source
             st = wl.state(rng.uniform(-0.5, 0.5))
             res = transform_abraham(form, st)
@@ -429,53 +429,52 @@ def suite_light_rays(cfg: SuiteConfig) -> SuiteReport:
     def run(rng):
         col = np.empty(n)
         tfr = np.empty(n)
-        crossing_checked = 0
-        crossing_ok = 0
-        i = 0
-        while i < n:
+        crossings = [0, 0]    # rays with one sign crossing; of them, obeying the sign law
+
+        def ray_report(min_residual, span, aimed=None):
+            """Draw a form and a null ray from an event off its singular set and
+            transform the ray, tallying a single sign crossing: its report, or
+            None if ``aimed(form, origin, v)`` turns the ray down or it meets a
+            singular set."""
             form = random_form(rng)
-            origin = _off_singular_rows(rng, form, 0.2, 1)[0]
-            nvec = rng.normal(size=3)
-            nvec /= np.linalg.norm(nvec)
-            ray = LightRay(origin, np.array([1.0, *nvec]), span=(-0.6, 0.6))
-            try:
-                _, rep = transform_light_ray(form, ray)
-            except SingularPointError:
-                continue
-            col[i] = rep.collinearity_residual
-            tfr[i] = rep.time_formula_residual
-            if len(rep.sign_crossings) == 1:
-                crossing_checked += 1
-                if rep.sign_law_ok and rep.global_sign == np.sign(form.beta):
-                    crossing_ok += 1
-            i += 1
-        # dedicated crossing rays: the denominator is affine along a null ray,
-        # so the single root can be placed inside the span by construction
-        attempts = 0
-        while crossing_checked < 5 and attempts < 2000:
-            attempts += 1
-            form = random_form(rng)
-            origin = _off_singular_rows(rng, form, 0.05, 1)[0]
+            origin = _off_singular_rows(rng, form, min_residual, 1)[0]
             nvec = rng.normal(size=3)
             nvec /= np.linalg.norm(nvec)
             v = np.array([1.0, *nvec])
+            if aimed is not None and not aimed(form, origin, v):
+                return None
+            try:
+                _, rep = transform_light_ray(form, LightRay(origin, v, span=span))
+            except SingularPointError:
+                return None
+            if len(rep.sign_crossings) == 1:
+                crossings[0] += 1
+                if rep.sign_law_ok and rep.global_sign == np.sign(form.beta):
+                    crossings[1] += 1
+            return rep
+
+        def crosses_inside(form, origin, v):
+            # the denominator is affine along a null ray, so the single root
+            # can be placed inside the span by construction
             slope = (minkowski_dot(form.alpha, v)
                      - form.alpha_sq * minkowski_dot(origin, v))
-            if abs(slope) < 1e-6:
+            return (abs(slope) >= 1e-6
+                    and 0.15 < abs(form.denominator(origin) / (2.0 * slope)) < 1.2)
+
+        i = 0
+        while i < n:
+            rep = ray_report(0.2, (-0.6, 0.6))
+            if rep is None:
                 continue
-            dstar = form.denominator(origin) / (2.0 * slope)
-            if not 0.15 < abs(dstar) < 1.2:
-                continue
-            ray = LightRay(origin, v, span=(-1.5, 1.5))
-            try:
-                _, rep = transform_light_ray(form, ray)
-            except SingularPointError:
-                continue
-            if len(rep.sign_crossings) != 1:
-                continue
-            crossing_checked += 1
-            if rep.sign_law_ok and rep.global_sign == np.sign(form.beta):
-                crossing_ok += 1
+            col[i] = rep.collinearity_residual
+            tfr[i] = rep.time_formula_residual
+            i += 1
+        # dedicated crossing rays
+        attempts = 0
+        while crossings[0] < 5 and attempts < 2000:
+            attempts += 1
+            ray_report(0.05, (-1.5, 1.5), crosses_inside)
+        crossing_checked, crossing_ok = crossings
         # failures, plus a shortfall penalty so the check cannot pass vacuously
         sign_failures = (crossing_checked - crossing_ok) + max(0, 5 - crossing_checked)
         checks = [

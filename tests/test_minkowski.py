@@ -139,6 +139,9 @@ def test_sampled_state_convergence_order():
 def test_sampled_positions_reproduce_the_samples_exactly():
     sampled = _sampled_copy(HyperbolicWorldline([1, 0, 0, 0], [0, 1, 0, 0], 1.0), h=1e-2)
     assert np.array_equal(sampled.position(sampled.tau), sampled.events)
+    # a state's position is its stencil's centre: the interpolant at tau itself
+    taus = np.linspace(-0.9, 0.9, 37)
+    assert np.array_equal(sampled.state(taus, step=1e-3).position, sampled.position(taus))
 
 
 def test_sampled_domain_and_step_errors():
@@ -155,6 +158,8 @@ def test_sampled_domain_and_step_errors():
 def test_sampled_requires_increasing_tau():
     with pytest.raises(ConstraintViolationError, match="strictly increasing"):
         SampledWorldline(np.array([0.0, 0.0, 1.0, 2.0]), np.zeros((4, 4)))
+    with pytest.raises(ValueError, match="at least one sample"):
+        SampledWorldline(np.zeros(0), np.zeros((0, 4)))
 
 
 def test_state_is_frozen_record():

@@ -338,6 +338,58 @@ def test_cli_abraham_classifies_sinusoidal_rapidity_as_other(tmp_path, capsys):
     assert 0.3 < payload["sup_abraham_norm"] < 0.1 * np.hypot(np.sinh(s_max), np.cosh(s_max))
 
 
+def _hyperbolic_rows(n):
+    """tau,t,x1,x2,x3 rows of a = 1 hyperbolic motion at spacing 1e-3."""
+    taus = np.arange(n) * 1e-3
+    return np.column_stack([taus, np.sinh(taus), np.cosh(taus) - 1.0, 0 * taus, 0 * taus])
+
+
+def _rows_csv(path, rows):
+    np.savetxt(path, rows, delimiter=",", header="tau,t,x1,x2,x3", comments="", fmt="%.17g")
+    return str(path)
+
+
+def _repeated_tau(rows):
+    rows[10, 0] = rows[9, 0]
+    return rows
+
+
+@pytest.mark.parametrize("argv, message", [
+    # too few rows to leave an interior point, or none at all
+    (lambda d: ["abraham", "--worldline", _rows_csv(d / "wl.csv", _hyperbolic_rows(3))],
+     r"^abraham: no sample lies 0\.007 inside the sampled range \[0\.0, 0\.002\]; "
+     r"need more samples or a smaller step$"),
+    (lambda d: ["abraham", "--worldline", _rows_csv(d / "wl.csv", _hyperbolic_rows(0))],
+     r"^abraham: a sampled worldline needs at least one sample$"),
+    (lambda d: ["abraham", "--worldline",
+                _rows_csv(d / "wl.csv", _repeated_tau(_hyperbolic_rows(50)))],
+     r"^abraham: sample proper times must be strictly increasing$"),
+    (lambda d: ["abraham", "--worldline", _rows_csv(d / "wl.csv", _hyperbolic_rows(200)),
+                "--step", "-1"],
+     r"^abraham: step must be positive and finite, got -1\.0$"),
+    (lambda d: ["abraham", "--worldline", _rows_csv(d / "wl.csv", _hyperbolic_rows(200)),
+                "--tol", "nan"],
+     r"^abraham: tol must be positive and finite, got nan$"),
+    (lambda d: ["ray2d", "--alpha", "0.1,0.3", "--beta=-1"],
+     r"^ray2d: beta must be positive \(a negative scale reverses light-cone order\), "
+     r"got -1\.0$"),
+    (lambda d: ["ray2d", "--alpha", "0.1,0.3", "--beta", "nan"],
+     r"^ray2d: beta must be positive \(a negative scale reverses light-cone order\), "
+     r"got nan$"),
+    (lambda d: ["corr", "--x", "2,0,0,0", "--xp", "0,0,0,0", "--epsilon=-1"],
+     r"^corr: epsilon must be positive and finite, got -1\.0$"),
+    (lambda d: ["corr", "--x", "2,0,0,0", "--xp", "0,0,0,0", "--epsilon", "0"],
+     r"^corr: epsilon must be positive and finite, got 0\.0$"),
+], ids=["abraham-few-rows", "abraham-no-rows", "abraham-repeated-tau", "abraham-negative-step",
+        "abraham-nan-tol", "ray2d-negative-beta", "ray2d-nan-beta", "corr-negative-epsilon",
+        "corr-zero-epsilon"])
+def test_cli_malformed_input_exits_with_one_line(argv, message, tmp_path, capsys):
+    with pytest.raises(SystemExit, match=message) as info:
+        main(argv(tmp_path))
+    assert info.value.code not in (0, None)
+    assert capsys.readouterr().out == ""
+
+
 def test_cli_corr_outputs_kernel(capsys):
     rc = main(["corr", "--x", "2,0,0,0", "--xp", "0,0,0,0",
                "--epsilon", "0.01"])
