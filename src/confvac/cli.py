@@ -26,10 +26,14 @@ from .minkowski import SampledWorldline
 from .suites import SUITE_NAMES, SuiteConfig, run_suite
 
 
-def _parse_vector(text, n):
-    parts = [float(p) for p in text.replace(",", " ").split()]
-    if len(parts) != n:
-        raise argparse.ArgumentTypeError(f"expected {n} components, got {len(parts)}")
+def _parse_vector(command, name, text, n):
+    """The n finite components of a flag's comma- or space-separated value."""
+    try:
+        parts = [float(p) for p in text.replace(",", " ").split()]
+    except ValueError:
+        parts = []
+    if len(parts) != n or not all(map(math.isfinite, parts)):
+        raise SystemExit(f"{command}: {name} must be {n} finite numbers, got {text!r}")
     return np.asarray(parts)
 
 
@@ -111,27 +115,43 @@ def cmd_suite(args) -> int:
     return 1 if failures else 0
 
 
+def _first_bad_row(rows, lines, idx):
+    """The message for the first row, in file order, whose columns idx do not
+    parse to finite values; None if every row does."""
+    for row, ln in zip(rows, lines):
+        try:
+            values = [float(row[i]) for i in idx]
+        except (ValueError, IndexError) as exc:
+            return f"line {ln}: cannot parse row {row!r}: {exc}"
+        if not all(map(math.isfinite, values)):
+            return f"line {ln}: non-finite value in row {row!r}"
+    return None
+
+
 def _read_events_csv(path):
+    """(taus or None, events) of a CSV with columns t,x1,x2,x3 and optionally tau,
+    in any order; blank rows are skipped, and an error names the file's line."""
     with open(path) as fh:
         reader = csv.reader(fh)
-        header = [h.strip().lower() for h in next(reader)]
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+        header = [h.strip().lower() for h in next(reader, [])]
+        rows, lines = [], []
+        for row in reader:
+            if any(map(str.strip, row)):
+                rows.append(row)
+                lines.append(reader.line_num)
     cols = {name: i for i, name in enumerate(header)}
     required = ("t", "x1", "x2", "x3")
     if not set(required) <= cols.keys():
         raise SystemExit(f"input CSV must have columns t,x1,x2,x3 "
                          f"(optionally tau); got {header}")
     names = required + (("tau",) if "tau" in cols else ())
-    table = []
-    for ln, row in enumerate(rows, start=2):
-        try:
-            values = [float(row[cols[c]]) for c in names]
-        except (ValueError, IndexError) as exc:
-            raise SystemExit(f"line {ln}: cannot parse row {row!r}: {exc}")
-        if not all(map(math.isfinite, values)):
-            raise SystemExit(f"line {ln}: non-finite value in row {row!r}")
-        table.append(values)
-    table = np.asarray(table, dtype=float).reshape(-1, len(names))
+    idx = [cols[c] for c in names]
+    try:
+        table = np.array([float(row[i]) for row in rows for i in idx]).reshape(-1, len(idx))
+    except (ValueError, IndexError):
+        table = None
+    if table is None or not np.isfinite(table).all():
+        raise SystemExit(_first_bad_row(rows, lines, idx))
     return (table[:, 4] if "tau" in cols else None), table[:, :4]
 
 
@@ -146,14 +166,17 @@ def cmd_transform(args) -> int:
     images, _, lams, den, singular = m.evaluate(events)
     lead = [] if taus is None else [taus]
     values = np.column_stack([*lead, events, images, lams, den])
-    cells = np.array(list(map(repr, values.ravel().tolist())), dtype=object).reshape(values.shape)
-    cells[singular, len(lead) + 4:-1] = ""
-    status = np.where(singular, "singular", "ok").astype(object)[:, None]
     header = (["tau"] if lead else []) + \
         ["t", "x1", "x2", "x3", "tbar", "x1bar", "x2bar", "x3bar",
          "lambda", "singular_residual", "status"]
+    # the rows csv.writer makes of repr cells: no float's repr needs quoting; a
+    # singular row keeps its source and Y^+ and blanks its image and lambda
+    k = len(lead) + 4
     out = sys.stdout if args.out is None else open(args.out, "w", newline="")
-    csv.writer(out).writerows([header, *np.hstack([cells, status]).tolist()])
+    out.write(",".join(header) + "\r\n")
+    out.writelines(",".join(map(repr, row[:k])) + ",,,,,," + repr(row[-1]) + ",singular\r\n"
+                   if bad else ",".join(map(repr, row)) + ",ok\r\n"
+                   for row, bad in zip(values.tolist(), singular.tolist()))
     if args.out is not None:
         out.close()
     return 0
@@ -199,8 +222,8 @@ def cmd_abraham(args) -> int:
 
 
 def cmd_corr(args) -> int:
-    x = _parse_vector(args.x, 4)
-    xp = _parse_vector(args.xp, 4)
+    x = _parse_vector("corr", "x", args.x, 4)
+    xp = _parse_vector("corr", "xp", args.xp, 4)
     eps = _positive("corr", "epsilon", args.epsilon, 1e-6)
     try:
         c = corrmod.scalar_vacuum_correlation(x, xp, eps)
@@ -218,7 +241,9 @@ def cmd_corr(args) -> int:
 
 
 def cmd_ray2d(args) -> int:
-    alpha = _parse_vector(args.alpha, 2)
+    alpha = _parse_vector("ray2d", "alpha", args.alpha, 2)
+    if args.beta == math.inf:
+        raise SystemExit(f"ray2d: beta must be finite, got {args.beta}")
     try:
         frame = lc2.accelerated_frame_maps_2d(alpha, args.beta)
     except ConstraintViolationError as exc:
@@ -281,7 +306,11 @@ def build_parser():
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        raise SystemExit(f"{args.command}: {exc.filename}: {exc.strerror}"
+                         if exc.filename else f"{args.command}: {exc}")
 
 
 if __name__ == "__main__":

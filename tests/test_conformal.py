@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import confvac.numdiff as numdiff
@@ -1078,18 +1078,30 @@ def test_compose_is_associative_bit_for_bit(seed, with_tangents):
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 12))
+@example(922, 8)      # row 1: x^2 ~ 9e-5 next to an inversion's cone, lambda ~ 3e4
+@example(176, 12)     # misses 1e-12 by 4.1e-12 on a row next to a cone too
 @settings(max_examples=40, deadline=None)
 def test_inverse_undoes_a_chain_stack(seed, m):
-    # to 1e-12 on every row that is regular there and back, next to the
-    # light cones its chain inverts in too
+    # on every row that is regular there and back, next to the light cones
+    # its chain inverts in too: to 1e-12, or to what the rounding of the image
+    # allows where the inverse stretches it more.  The image Y^mu / Y^+ is
+    # rounded three times (Y^mu and Y^+ to double, then the quotient), so each
+    # component is off by up to 3 u |image|, u = 2^-53; the inverse carries that
+    # into x by its Jacobian J = lambda f, and into ln|lambda| by phi
     rng = np.random.default_rng(seed)
     stack = suites._chain_stack(rng, m)
     x = rng.uniform(-1.0, 1.0, (3 * m, 4))
     images, _, lam, _, singular = stack.evaluate(x)
-    back, _, lam_back, _, singular_back = stack.inverse().evaluate(images)
+    inverse = stack.inverse()
+    back, _, lam_back, _, singular_back = inverse.evaluate(images)
     kept = ~singular & ~singular_back
-    assert (np.abs(back - x)[kept] <= 1e-12).all()
-    assert (np.abs(lam_back * lam - 1.0)[kept] <= 1e-12).all()
+    with np.errstate(all="ignore"):           # the singular rows' values
+        rounding = 3.0 * 2.0**-53 * np.abs(images)
+        stretch = np.abs(lam_back[:, None, None] * inverse.tetrad(images))
+        tol = np.maximum(1e-12, np.vecdot(stretch, rounding[:, None, :]))
+        tol_lam = np.maximum(1e-12, np.vecdot(np.abs(inverse.phi(images)), rounding))
+    assert (np.abs(back - x) <= tol)[kept].all()
+    assert (np.abs(lam_back * lam - 1.0) <= tol_lam)[kept].all()
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 12))

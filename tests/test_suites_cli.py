@@ -1,12 +1,13 @@
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
-from confvac import (AcceleratedFrameForm, ConformalMap, Dilation, compose, map_to_dict,
-                     minkowski_dot)
-from confvac.cli import main
+from confvac import (AcceleratedFrameForm, ConformalMap, Dilation, compose, map_from_dict,
+                     map_to_dict, minkowski_dot)
+from confvac.cli import _read_events_csv, main
 from confvac.suites import SUITE_NAMES, SuiteConfig, run_suite
 
 
@@ -304,6 +305,116 @@ def test_cli_transform_parse_error_line_numbered(tmp_path):
         main(["transform", "--map", str(mapfile), "--input", str(infile)])
 
 
+@pytest.mark.parametrize("text, message", [
+    ("t,x1,x2,x3\n\n\n1,0,0,0\n\nnan,0,0,0\n",
+     r"^line 6: non-finite value in row \['nan', '0', '0', '0'\]$"),
+    ("t,x1,x2,x3\n  \n1,0,0,0\n , ,\n\t\n1,0,x,0\n",
+     r"^line 6: cannot parse row \['1', '0', 'x', '0'\]: could not convert string to float: 'x'$"),
+    ("t,x1,x2,x3\r\n\r\n1,0,0,0\r\n1,0,0\r\n",
+     r"^line 4: cannot parse row \['1', '0', '0'\]: list index out of range$"),
+    # the first bad row in file order, whatever its fault
+    ("t,x1,x2,x3\n\ninf,0,0,0\n1,0,0,zero\n",
+     r"^line 3: non-finite value in row \['inf', '0', '0', '0'\]$"),
+], ids=["non-finite-after-blank-rows", "parse-after-whitespace-rows", "short-row-crlf",
+        "first-bad-row"])
+def test_cli_transform_error_names_the_file_line(tmp_path, text, message):
+    infile = tmp_path / "bad.csv"
+    infile.write_bytes(text.encode())
+    with pytest.raises(SystemExit, match=message):
+        main(["transform", "--map", _identity_map(tmp_path), "--input", str(infile)])
+
+
+def _events_file(path, header, rows):
+    path.write_text("\n".join([header, *rows, ""]))
+    return str(path)
+
+
+def test_cli_read_events_csv_spellings(tmp_path):
+    # a quoted cell, CRLF line ends, tau after x3, header case and blanks, and
+    # float spellings that Python accepts (underscores, blanks around a number)
+    text = ' T ,x1,X2,x3,Tau\r\n"1.5",0,1_0,-2e-1,0.25\r\n\r\n 2 ,+.5,0,1E3,1_000.5\r\n'
+    infile = tmp_path / "ev.csv"
+    infile.write_bytes(text.encode())
+    taus, events = _read_events_csv(str(infile))
+    assert taus.tolist() == [0.25, 1000.5]
+    assert events.tolist() == [[1.5, 0.0, 10.0, -0.2], [2.0, 0.5, 0.0, 1000.0]]
+    taus, events = _read_events_csv(_events_file(tmp_path / "no_tau.csv", "t,x1,x2,x3", []))
+    assert taus is None and events.shape == (0, 4)
+
+
+def _reference_transform_csv(m, events, taus=None):
+    """The transform output as csv.writer writes repr cells, blanking the
+    image and lambda of singular rows."""
+    images, _, lams, den, singular = m.evaluate(events)
+    lead = [] if taus is None else [taus]
+    header = ["tau"] * len(lead) + ["t", "x1", "x2", "x3", "tbar", "x1bar", "x2bar",
+                                    "x3bar", "lambda", "singular_residual", "status"]
+    rows = []
+    for i, values in enumerate(np.column_stack([*lead, events, images, lams, den]).tolist()):
+        cells = [repr(v) for v in values]
+        if singular[i]:
+            cells[len(lead) + 4:-1] = [""] * 5
+        rows.append(cells + ["singular" if singular[i] else "ok"])
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows([header, *rows])
+    return buf.getvalue()
+
+
+# rows at repr's notation switches, with singular rows (on the inversion's
+# cone; 5e-324 squares to 0) among them
+SWITCH_ROWS = np.array([
+    [1e16, 0.0, 0.0, 0.0], [9999999999999998.0, 1e-4, 1e-5, -0.0],
+    [1.0, 1.0, 0.0, 0.0], [1e-4, 1e-5, -0.0, 5e-324], [5e-324, 0.0, 0.0, 0.0],
+    [0.5, -0.25, 1e16, 1e-5], [2.0, 0.0, -2.0, 0.0], [0.1, 0.2, 0.3, 0.4]])
+
+
+@pytest.mark.parametrize("chain", [
+    [{"kind": "dilation", "s": 1.0}],
+    [{"kind": "inversion", "beta": 1.0}, {"kind": "dilation", "s": 0.5}]],
+    ids=["identity", "inversion"])
+@pytest.mark.parametrize("with_tau", [False, True])
+def test_cli_transform_bytes_match_csv_writer_of_repr_cells(tmp_path, chain, with_tau):
+    m = map_from_dict({"chain": chain})
+    taus = np.array([-0.0, 1e-5, 1e16, 0.5, 1e-4, 5e-324, 9999999999999998.0, 3.0])
+    header = "tau,t,x1,x2,x3" if with_tau else "t,x1,x2,x3"
+    lead = taus[:, None] if with_tau else np.empty((len(SWITCH_ROWS), 0))
+    infile = _events_file(tmp_path / "ev.csv", header,
+                          [",".join(map(repr, r)) for r in np.hstack([lead, SWITCH_ROWS]).tolist()])
+    outfile = tmp_path / "out.csv"
+    mapfile = tmp_path / "map.json"
+    mapfile.write_text(json.dumps({"chain": chain}))
+    assert main(["transform", "--map", str(mapfile), "--input", infile,
+                 "--out", str(outfile)]) == 0
+    expected = _reference_transform_csv(m, SWITCH_ROWS, taus if with_tau else None)
+    if chain[0]["kind"] == "inversion":
+        assert expected.count(",singular\r\n") == 3
+    assert outfile.read_bytes() == expected.encode()
+
+
+def test_cli_transform_stdout_bytes_equal_out_file(tmp_path, capsys):
+    mapfile = tmp_path / "map.json"
+    mapfile.write_text(json.dumps({"chain": [{"kind": "inversion", "beta": 1.0}]}))
+    infile = _events_file(tmp_path / "ev.csv", "t,x1,x2,x3",
+                          [",".join(map(repr, r)) for r in SWITCH_ROWS.tolist()])
+    outfile = tmp_path / "out.csv"
+    assert main(["transform", "--map", str(mapfile), "--input", infile,
+                 "--out", str(outfile)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["transform", "--map", str(mapfile), "--input", infile]) == 0
+    assert capsys.readouterr().out.encode() == outfile.read_bytes()
+
+
+def test_cli_abraham_skips_blank_rows(tmp_path, capsys):
+    rows = [",".join(map(repr, r)) for r in _hyperbolic_rows(200).tolist()]
+    dense = _events_file(tmp_path / "dense.csv", "tau,t,x1,x2,x3", rows)
+    spaced = _events_file(tmp_path / "spaced.csv", "tau,t,x1,x2,x3",
+                          ["", *rows[:50], "", " ", *rows[50:120], ",,,,", *rows[120:], ""])
+    assert main(["abraham", "--worldline", dense]) == 0
+    expected = capsys.readouterr().out
+    assert main(["abraham", "--worldline", spaced]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_cli_abraham_classifies_hyperbolic(tmp_path, capsys):
     from confvac import HyperbolicWorldline
     wl = HyperbolicWorldline([1, 0, 0, 0], [0, 1, 0, 0], 1.0)
@@ -349,6 +460,11 @@ def _rows_csv(path, rows):
     return str(path)
 
 
+def _identity_map(d):
+    (d / "map.json").write_text(json.dumps({"chain": [{"kind": "dilation", "s": 1.0}]}))
+    return str(d / "map.json")
+
+
 def _repeated_tau(rows):
     rows[10, 0] = rows[9, 0]
     return rows
@@ -380,9 +496,29 @@ def _repeated_tau(rows):
      r"^corr: epsilon must be positive and finite, got -1\.0$"),
     (lambda d: ["corr", "--x", "2,0,0,0", "--xp", "0,0,0,0", "--epsilon", "0"],
      r"^corr: epsilon must be positive and finite, got 0\.0$"),
+    (lambda d: ["corr", "--x", "nan,0,0,0", "--xp", "0,0,0,0"],
+     r"^corr: x must be 4 finite numbers, got 'nan,0,0,0'$"),
+    (lambda d: ["corr", "--x", "1,0,0", "--xp", "0,0,0,0"],
+     r"^corr: x must be 4 finite numbers, got '1,0,0'$"),
+    (lambda d: ["corr", "--x", "2,0,0,0", "--xp", "0,zero,0,0"],
+     r"^corr: xp must be 4 finite numbers, got '0,zero,0,0'$"),
+    (lambda d: ["ray2d", "--alpha", "1"],
+     r"^ray2d: alpha must be 2 finite numbers, got '1'$"),
+    (lambda d: ["ray2d", "--alpha", "0.1,0.3", "--beta", "inf"],
+     r"^ray2d: beta must be finite, got inf$"),
+    (lambda d: ["transform", "--map", str(d / "missing.json"), "--input", str(d / "ev.csv")],
+     r"^transform: \S*missing\.json: No such file or directory$"),
+    (lambda d: ["transform", "--map", _identity_map(d), "--input", str(d / "missing.csv")],
+     r"^transform: \S*missing\.csv: No such file or directory$"),
+    (lambda d: ["abraham", "--worldline", str(d / "missing.csv")],
+     r"^abraham: \S*missing\.csv: No such file or directory$"),
+    (lambda d: ["suite", "fdr", "--config", str(d / "missing.json")],
+     r"^suite: \S*missing\.json: No such file or directory$"),
 ], ids=["abraham-few-rows", "abraham-no-rows", "abraham-repeated-tau", "abraham-negative-step",
         "abraham-nan-tol", "ray2d-negative-beta", "ray2d-nan-beta", "corr-negative-epsilon",
-        "corr-zero-epsilon"])
+        "corr-zero-epsilon", "corr-nan-event", "corr-short-event", "corr-unparsed-event",
+        "ray2d-short-alpha", "ray2d-inf-beta", "transform-missing-map",
+        "transform-missing-input", "abraham-missing-worldline", "suite-missing-config"])
 def test_cli_malformed_input_exits_with_one_line(argv, message, tmp_path, capsys):
     with pytest.raises(SystemExit, match=message) as info:
         main(argv(tmp_path))
