@@ -170,10 +170,6 @@ class SampledWorldline:
         return float(self.tau[0]), float(self.tau[-1])
 
     def position(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        lo, hi = self.tau_range
-        if np.any(tau < lo) or np.any(tau > hi):
-            raise ValueError(f"tau outside sampled range [{lo}, {hi}]")
         return local_quintic(self.tau, self.events, tau)[0]
 
     def state(self, tau, step=1e-3) -> KinematicState:

@@ -54,12 +54,18 @@ def local_quintic(nodes, values, x, order=0):
     held as Newton divided differences with the anchor first, so at a node
     the interpolant returns that sample exactly.  Only the windows of the
     points asked for are built, as one (m, 6) array, with no loop over them.
+    A point outside [nodes[0], nodes[-1]] raises ValueError naming the first
+    such point: values and derivatives are interpolated, never extrapolated.
     """
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
+    lo, hi = float(nodes[0]), float(nodes[-1])
+    outside = (flat < lo) | (flat > hi)
+    if outside.any():
+        raise ValueError(f"{flat[outside][0]} outside sampled range [{lo}, {hi}]")
     n = nodes.size
     k = min(6, n)
-    anchor = np.clip(np.searchsorted(nodes, flat, side="right") - 1, 0, n - 1)
+    anchor = np.searchsorted(nodes, flat, side="right") - 1   # in [0, n - 1]: no point outside
     start = np.clip(anchor - 2, 0, n - k)[:, None]
     cols = np.arange(k)
     idx = np.where(cols == anchor[:, None] - start, start, start + cols)

@@ -1,8 +1,10 @@
 """Named verification sweeps over randomized maps, events and worldlines.
 
-Each suite checks one invariance property at desk scale and reports residual
-statistics; a suite passes iff every check meets its tolerance.  Reports are
-deterministic given (config, seed) apart from the wall-time field.
+Each suite checks one invariance property at desk scale: it is a function
+of (config, rng) that returns its checks, and ``run_suite`` seeds the
+generator, times the call and builds the report.  A suite passes iff every
+check meets its tolerance.  Reports are deterministic given (config, seed)
+apart from the wall-time field.
 
 Sampling is kept well-conditioned on purpose: maps with |alpha| <= 0.5,
 events inside the unit ball with singular-set residual bounded away from
@@ -88,6 +90,15 @@ class CheckResult:
     comparator: str = "<"          # statistic must be < or > tolerance
     mean: float | None = None
     extra: dict = field(default_factory=dict)
+    values: np.ndarray | tuple = field(default=(), repr=False, compare=False)  # CSV rows
+
+    @classmethod
+    def over(cls, name, values, tolerance, **extra):
+        """The '<' check of per-sample residuals: statistic their max, mean
+        their mean, and the residuals themselves its CSV rows."""
+        values = np.asarray(values, dtype=float)
+        return cls(name, float(values.max()), tolerance, mean=float(values.mean()),
+                   extra=extra, values=values)
 
     @property
     def passed(self) -> bool:
@@ -112,7 +123,6 @@ class SuiteReport:
     config: dict
     seed: int
     wall_time_s: float = 0.0
-    sample_residuals: dict = field(default_factory=dict, repr=False)
 
     @property
     def passed(self) -> bool:
@@ -135,10 +145,10 @@ class SuiteReport:
                           indent=2, sort_keys=True, default=_json_plain)
 
     def residual_rows(self):
+        """The CSV rows: a header, then each check's values, in check order."""
         rows = [("suite", "check", "index", "residual")]
-        for name, vals in self.sample_residuals.items():
-            for i, v in enumerate(vals):
-                rows.append((self.suite, name, i, repr(float(v))))
+        for c in self.checks:
+            rows.extend((self.suite, c.name, i, repr(float(v))) for i, v in enumerate(c.values))
         return rows
 
 
@@ -261,22 +271,7 @@ def random_hyperbolic(rng):
 
 
 # ---------------------------------------------------------------------------
-# suites
-
-def _wrap(name, cfg, rng_consumer):
-    rng = np.random.default_rng(cfg.seed)
-    t0 = time.perf_counter()
-    checks, residuals = rng_consumer(rng)
-    report = SuiteReport(
-        suite=name,
-        checks=checks,
-        config={k: v for k, v in dataclasses.asdict(cfg).items() if v is not None},
-        seed=cfg.seed,
-        wall_time_s=time.perf_counter() - t0,
-        sample_residuals=residuals,
-    )
-    return report
-
+# suites: each is a function (config, rng) -> checks
 
 def _interval_law_block(rng, k):
     """k interval-law candidates, drawn as arrays, then evaluated as two
@@ -309,7 +304,7 @@ def _interval_law_block(rng, k):
     return ConformalMap.stack(kinds, [*drawn, (forms.alpha, forms.beta)]), points, values
 
 
-def suite_interval_law(cfg: SuiteConfig) -> SuiteReport:
+def suite_interval_law(cfg: SuiteConfig, rng) -> list[CheckResult]:
     """(xbar - xbar')^2 = lambda lambda' (x - x')^2 over random maps and pairs.
 
     Candidates are drawn in blocks as arrays, evaluated in one pass per
@@ -318,56 +313,40 @@ def suite_interval_law(cfg: SuiteConfig) -> SuiteReport:
     |lambda| >= 1e3) only moves on to the next, so the draws do not depend
     on what is kept."""
     n = cfg.samples or 10_000
-    tol = cfg.tol or 1e-9
-
-    def run(rng):
-        residuals = np.empty(n)
-        worst = None
-        kept = 0
-        while kept < n:
-            maps, points, (res, lhs, rhs, lam, lam_p) = _interval_law_block(
-                rng, min(CANDIDATE_BLOCK, n - kept))
-            accepted = np.flatnonzero((np.abs(lam) < 1e3) & (np.abs(lam_p) < 1e3))
-            residuals[kept:kept + len(accepted)] = res[accepted]
-            kept += len(accepted)
-            if not len(accepted):
-                continue
-            i = accepted[np.argmax(res[accepted])]   # the first maximum
-            if worst is None or res[i] > worst[0]:
-                worst = (float(res[i]), map_to_dict(maps.take(i)), points[i].tolist(),
-                         float(lhs[i]), float(rhs[i]))
-        check = CheckResult(
-            name="interval-law-residual", statistic=float(residuals.max()),
-            tolerance=tol, mean=float(residuals.mean()),
-            extra={"samples": n,
-                   "worst": {"residual": worst[0], "map": worst[1],
-                             "points": worst[2], "lhs": worst[3], "rhs": worst[4]}})
-        return [check], {"interval-law-residual": residuals.tolist()}
-
-    return _wrap("interval-law", cfg, run)
+    residuals = np.empty(n)
+    worst = None
+    kept = 0
+    while kept < n:
+        maps, points, (res, lhs, rhs, lam, lam_p) = _interval_law_block(
+            rng, min(CANDIDATE_BLOCK, n - kept))
+        accepted = np.flatnonzero((np.abs(lam) < 1e3) & (np.abs(lam_p) < 1e3))
+        residuals[kept:kept + len(accepted)] = res[accepted]
+        kept += len(accepted)
+        if not len(accepted):
+            continue
+        i = accepted[np.argmax(res[accepted])]   # the first maximum
+        if worst is None or res[i] > worst["residual"]:
+            worst = {"residual": float(res[i]), "map": map_to_dict(maps.take(i)),
+                     "points": points[i].tolist(), "lhs": float(lhs[i]),
+                     "rhs": float(rhs[i])}
+    return [CheckResult.over("interval-law-residual", residuals, cfg.tol or 1e-9,
+                             samples=n, worst=worst)]
 
 
-def suite_ricci_flat(cfg: SuiteConfig) -> SuiteReport:
+def suite_ricci_flat(cfg: SuiteConfig, rng) -> list[CheckResult]:
     """Ricci tensor of random accelerated-frame factors vanishes, with the
     log-gradient fields obtained by finite differences of lambda alone: all
     170 stencil events of a sample go through the map in one batch."""
     n = cfg.samples or 50
-    tol = cfg.tol or 1e-7
     step = cfg.step or 1e-3
-
-    def run(rng):
-        vals = np.empty(n)
-        for i in range(n):
-            form = random_form(rng)
-            x = _off_singular_rows(rng, form, 0.3, 1)[0]
-            phi, phi2 = gradient_hessian(lambda r: np.log(np.abs(form.factor(r))), x, step)
-            vals[i] = np.max(np.abs(ricci_conformal(phi, phi2)))
-        check = CheckResult(name="ricci-max-component", statistic=float(vals.max()),
-                            tolerance=tol, mean=float(vals.mean()),
-                            extra={"samples": n, "fd_step": step})
-        return [check], {"ricci-max-component": vals.tolist()}
-
-    return _wrap("ricci-flat", cfg, run)
+    vals = np.empty(n)
+    for i in range(n):
+        form = random_form(rng)
+        x = _off_singular_rows(rng, form, 0.3, 1)[0]
+        phi, phi2 = gradient_hessian(lambda r: np.log(np.abs(form.factor(r))), x, step)
+        vals[i] = np.max(np.abs(ricci_conformal(phi, phi2)))
+    return [CheckResult.over("ricci-max-component", vals, cfg.tol or 1e-7,
+                             samples=n, fd_step=step)]
 
 
 def _conditioned_abraham_sample(rng, hyperbolic=True):
@@ -390,156 +369,116 @@ def _conditioned_abraham_sample(rng, hyperbolic=True):
         return form, wl, grid, image
 
 
-def suite_abraham(cfg: SuiteConfig) -> SuiteReport:
+def suite_abraham(cfg: SuiteConfig, rng) -> list[CheckResult]:
     """Images of uniformly accelerated / rest worldlines keep w = 0, and the
     two transformation laws of w agree for flat conformal factors."""
     n = cfg.samples or 20
-    tol = cfg.tol or 1e-5
-    hill_tol = 1e-8
-
-    def run(rng):
-        sup_w = np.empty(n)
-        hill = np.empty(n)
-        for i in range(n):
-            form, wl, _, image = _conditioned_abraham_sample(rng, hyperbolic=(i % 4 != 3))
-            sup_w[i] = float(np.max(abraham_vector(image).residual_norm))
-            # transformation law at a random interior proper time of the source
-            st = wl.state(rng.uniform(-0.5, 0.5))
-            res = transform_abraham(form, st)
-            hill[i] = res.disagreement
-        checks = [
-            CheckResult(name="image-abraham-sup", statistic=float(sup_w.max()),
-                        tolerance=tol, mean=float(sup_w.mean()),
-                        extra={"samples": n}),
-            CheckResult(name="hill-general-vs-reduced", statistic=float(hill.max()),
-                        tolerance=hill_tol, mean=float(hill.mean())),
-        ]
-        return checks, {"image-abraham-sup": sup_w.tolist(),
-                        "hill-general-vs-reduced": hill.tolist()}
-
-    return _wrap("abraham", cfg, run)
+    sup_w = np.empty(n)
+    hill = np.empty(n)
+    for i in range(n):
+        form, wl, _, image = _conditioned_abraham_sample(rng, hyperbolic=(i % 4 != 3))
+        sup_w[i] = float(np.max(abraham_vector(image).residual_norm))
+        # transformation law at a random interior proper time of the source
+        st = wl.state(rng.uniform(-0.5, 0.5))
+        res = transform_abraham(form, st)
+        hill[i] = res.disagreement
+    return [CheckResult.over("image-abraham-sup", sup_w, cfg.tol or 1e-5, samples=n),
+            CheckResult.over("hill-general-vs-reduced", hill, 1e-8)]
 
 
-def suite_light_rays(cfg: SuiteConfig) -> SuiteReport:
+def suite_light_rays(cfg: SuiteConfig, rng) -> list[CheckResult]:
     """Straight null rays map to straight null rays; coordinate-time spans
     transform homographically with the stated sign law across singular sets."""
     n = cfg.samples or 50
     tol = cfg.tol or 1e-9
+    col = np.empty(n)
+    tfr = np.empty(n)
+    crossings = [0, 0]    # rays with one sign crossing; of them, obeying the sign law
 
-    def run(rng):
-        col = np.empty(n)
-        tfr = np.empty(n)
-        crossings = [0, 0]    # rays with one sign crossing; of them, obeying the sign law
+    def ray_report(min_residual, span, aimed=None):
+        """Draw a form and a null ray from an event off its singular set and
+        transform the ray, tallying a single sign crossing: its report, or
+        None if ``aimed(form, origin, v)`` turns the ray down or it meets a
+        singular set."""
+        form = random_form(rng)
+        origin = _off_singular_rows(rng, form, min_residual, 1)[0]
+        nvec = rng.normal(size=3)
+        nvec /= np.linalg.norm(nvec)
+        v = np.array([1.0, *nvec])
+        if aimed is not None and not aimed(form, origin, v):
+            return None
+        try:
+            _, rep = transform_light_ray(form, LightRay(origin, v, span=span))
+        except SingularPointError:
+            return None
+        if len(rep.sign_crossings) == 1:
+            crossings[0] += 1
+            if rep.sign_law_ok and rep.global_sign == np.sign(form.beta):
+                crossings[1] += 1
+        return rep
 
-        def ray_report(min_residual, span, aimed=None):
-            """Draw a form and a null ray from an event off its singular set and
-            transform the ray, tallying a single sign crossing: its report, or
-            None if ``aimed(form, origin, v)`` turns the ray down or it meets a
-            singular set."""
-            form = random_form(rng)
-            origin = _off_singular_rows(rng, form, min_residual, 1)[0]
-            nvec = rng.normal(size=3)
-            nvec /= np.linalg.norm(nvec)
-            v = np.array([1.0, *nvec])
-            if aimed is not None and not aimed(form, origin, v):
-                return None
-            try:
-                _, rep = transform_light_ray(form, LightRay(origin, v, span=span))
-            except SingularPointError:
-                return None
-            if len(rep.sign_crossings) == 1:
-                crossings[0] += 1
-                if rep.sign_law_ok and rep.global_sign == np.sign(form.beta):
-                    crossings[1] += 1
-            return rep
+    def crosses_inside(form, origin, v):
+        # the denominator is affine along a null ray, so the single root
+        # can be placed inside the span by construction
+        slope = (minkowski_dot(form.alpha, v)
+                 - form.alpha_sq * minkowski_dot(origin, v))
+        return (abs(slope) >= 1e-6
+                and 0.15 < abs(form.denominator(origin) / (2.0 * slope)) < 1.2)
 
-        def crosses_inside(form, origin, v):
-            # the denominator is affine along a null ray, so the single root
-            # can be placed inside the span by construction
-            slope = (minkowski_dot(form.alpha, v)
-                     - form.alpha_sq * minkowski_dot(origin, v))
-            return (abs(slope) >= 1e-6
-                    and 0.15 < abs(form.denominator(origin) / (2.0 * slope)) < 1.2)
-
-        i = 0
-        while i < n:
-            rep = ray_report(0.2, (-0.6, 0.6))
-            if rep is None:
-                continue
-            col[i] = rep.collinearity_residual
-            tfr[i] = rep.time_formula_residual
-            i += 1
-        # dedicated crossing rays
-        attempts = 0
-        while crossings[0] < 5 and attempts < 2000:
-            attempts += 1
-            ray_report(0.05, (-1.5, 1.5), crosses_inside)
-        crossing_checked, crossing_ok = crossings
-        # failures, plus a shortfall penalty so the check cannot pass vacuously
-        sign_failures = (crossing_checked - crossing_ok) + max(0, 5 - crossing_checked)
-        checks = [
-            CheckResult(name="image-collinearity", statistic=float(col.max()),
-                        tolerance=tol, mean=float(col.mean()),
-                        extra={"samples": n}),
-            CheckResult(name="time-transform-formula", statistic=float(tfr.max()),
-                        tolerance=tol, mean=float(tfr.mean())),
-            CheckResult(name="sign-law-on-crossing-rays",
-                        statistic=float(sign_failures),
-                        tolerance=0.5, comparator="<",
-                        extra={"rays_with_one_crossing": crossing_checked}),
-        ]
-        return checks, {"image-collinearity": col.tolist(),
-                        "time-transform-formula": tfr.tolist()}
-
-    return _wrap("light-rays", cfg, run)
+    i = 0
+    while i < n:
+        rep = ray_report(0.2, (-0.6, 0.6))
+        if rep is None:
+            continue
+        col[i] = rep.collinearity_residual
+        tfr[i] = rep.time_formula_residual
+        i += 1
+    # dedicated crossing rays
+    attempts = 0
+    while crossings[0] < 5 and attempts < 2000:
+        attempts += 1
+        ray_report(0.05, (-1.5, 1.5), crosses_inside)
+    crossing_checked, crossing_ok = crossings
+    # failures, plus a shortfall penalty so the check cannot pass vacuously
+    sign_failures = (crossing_checked - crossing_ok) + max(0, 5 - crossing_checked)
+    return [
+        CheckResult.over("image-collinearity", col, tol, samples=n),
+        CheckResult.over("time-transform-formula", tfr, tol),
+        CheckResult(name="sign-law-on-crossing-rays",
+                    statistic=float(sign_failures),
+                    tolerance=0.5, comparator="<",
+                    extra={"rays_with_one_crossing": crossing_checked}),
+    ]
 
 
-def suite_scalar_invariance(cfg: SuiteConfig) -> SuiteReport:
+def suite_scalar_invariance(cfg: SuiteConfig, rng) -> list[CheckResult]:
     """lambda lambda' c_image = c, extrapolated eps -> 0, over random maps and
     same-side pairs, drawn in blocks and evaluated one block at a time."""
     n = cfg.samples or 1000
-    tol = cfg.tol or 1e-8
     eps = cfg.epsilon or 1e-6
-
-    def run(rng):
-        residuals = np.empty(n)
-        worst = None
-        kept = 0
-        for form, x, xp in _same_side_blocks(rng, n, min_interval=0.05):
-            rep = corr.verify_scalar_invariance(form, x, xp, eps)
-            residuals[kept:kept + len(x)] = rep.residual
-            kept += len(x)
-            i = int(np.argmax(rep.residual))   # the first maximum
-            if worst is None or rep.residual[i] > worst[0]:
-                worst = (float(rep.residual[i]),
-                         map_to_dict(form.take(i)),
-                         [x[i].tolist(), xp[i].tolist()],
-                         [float(rep.lhs[i].real), float(rep.lhs[i].imag)],
-                         [float(rep.rhs[i].real), float(rep.rhs[i].imag)])
-        check = CheckResult(
-            name="scalar-invariance-residual", statistic=float(residuals.max()),
-            tolerance=tol, mean=float(residuals.mean()),
-            extra={"samples": n, "epsilon": eps,
-                   "worst": {"residual": worst[0], "map": worst[1],
-                             "points": worst[2], "lhs": worst[3], "rhs": worst[4]}})
-        return [check], {"scalar-invariance-residual": residuals.tolist()}
-
-    return _wrap("scalar-invariance", cfg, run)
+    residuals = np.empty(n)
+    worst = None
+    kept = 0
+    for form, x, xp in _same_side_blocks(rng, n, min_interval=0.05):
+        rep = corr.verify_scalar_invariance(form, x, xp, eps)
+        residuals[kept:kept + len(x)] = rep.residual
+        kept += len(x)
+        i = int(np.argmax(rep.residual))   # the first maximum
+        if worst is None or rep.residual[i] > worst["residual"]:
+            worst = {"residual": float(rep.residual[i]), "map": map_to_dict(form.take(i)),
+                     "points": [x[i].tolist(), xp[i].tolist()],
+                     "lhs": [float(rep.lhs[i].real), float(rep.lhs[i].imag)],
+                     "rhs": [float(rep.rhs[i].real), float(rep.rhs[i].imag)]}
+    return [CheckResult.over("scalar-invariance-residual", residuals, cfg.tol or 1e-8,
+                             samples=n, epsilon=eps, worst=worst)]
 
 
-def suite_tetrad_identity(cfg: SuiteConfig) -> SuiteReport:
+def suite_tetrad_identity(cfg: SuiteConfig, rng) -> list[CheckResult]:
     n = cfg.samples or 1000
-    tol = cfg.tol or 1e-10
-
-    def run(rng):
-        residuals = np.concatenate([corr.tetrad_contraction(form, x, xp).residual
-                                    for form, x, xp in _same_side_blocks(rng, n, 0.0)])
-        check = CheckResult(name="tetrad-contraction-residual",
-                            statistic=float(residuals.max()), tolerance=tol,
-                            mean=float(residuals.mean()), extra={"samples": n})
-        return [check], {"tetrad-contraction-residual": residuals.tolist()}
-
-    return _wrap("tetrad-identity", cfg, run)
+    residuals = np.concatenate([corr.tetrad_contraction(form, x, xp).residual
+                                for form, x, xp in _same_side_blocks(rng, n, 0.0)])
+    return [CheckResult.over("tetrad-contraction-residual", residuals, cfg.tol or 1e-10,
+                             samples=n)]
 
 
 def _em_sample(rng):
@@ -553,7 +492,7 @@ def _em_sample(rng):
     return form.alpha, form.beta, x, xp
 
 
-def suite_em_invariance(cfg: SuiteConfig) -> SuiteReport:
+def suite_em_invariance(cfg: SuiteConfig, rng) -> list[CheckResult]:
     """Field-tensor correlations from the transformed potential correlator
     match the Minkowski ones; the phi phi' term is required for transport
     consistency (ablation run fails the same threshold)."""
@@ -561,159 +500,134 @@ def suite_em_invariance(cfg: SuiteConfig) -> SuiteReport:
     tol = cfg.tol or 1e-4
     eps = cfg.epsilon or 1e-2
     h = cfg.h or 1e-4
+    alpha, beta, x, xp = (np.array(col) for col in zip(*(_em_sample(rng) for _ in range(n))))
 
-    def run(rng):
-        alpha, beta, x, xp = (np.array(col) for col in zip(*(_em_sample(rng) for _ in range(n))))
+    def first(k, **kw):
+        return corr.verify_em_invariance(AcceleratedFrameForm(alpha[:k], beta[:k]),
+                                         x[:k], xp[:k], epsilon=eps, **kw)
 
-        def first(k, **kw):
-            return corr.verify_em_invariance(AcceleratedFrameForm(alpha[:k], beta[:k]),
-                                             x[:k], xp[:k], epsilon=eps, **kw)
-
-        rep = first(n, h=h)
-        field_res, transport_res = rep.field_residual, rep.transport_residual
-        n_h = min(10, n)
-        halved = first(n_h, h=h / 2).field_residual
-        ablated = first(min(20, n), h=h, last_term="omit").transport_residual
-        checks = [
-            CheckResult(name="field-tensor-invariance", statistic=float(field_res.max()),
-                        tolerance=tol, mean=float(field_res.mean()),
-                        extra={"samples": n, "epsilon": eps, "h": h}),
-            CheckResult(name="transport-consistency",
-                        statistic=float(transport_res.max()), tolerance=tol,
-                        mean=float(transport_res.mean())),
-            CheckResult(name="residual-decreases-at-half-h",
-                        statistic=float(halved.max()),
-                        tolerance=float(field_res[:n_h].max()) * 1.05 + 1e-12,
-                        extra={"h_halved": h / 2, "samples": n_h}),
-            CheckResult(name="ablation-run-fails-threshold",
-                        statistic=float(ablated.min()), tolerance=tol,
-                        comparator=">",
-                        extra={"dropped_term": "phi(x) phi(x') / 2",
-                               "samples": int(ablated.size)}),
-        ]
-        return checks, {"field-tensor-invariance": field_res.tolist(),
-                        "transport-consistency": transport_res.tolist(),
-                        "ablation-transport-residual": ablated.tolist()}
-
-    return _wrap("em-invariance", cfg, run)
+    rep = first(n, h=h)
+    field_res, transport_res = rep.field_residual, rep.transport_residual
+    n_h = min(10, n)
+    halved = first(n_h, h=h / 2).field_residual
+    ablated = first(min(20, n), h=h, last_term="omit").transport_residual
+    return [
+        CheckResult.over("field-tensor-invariance", field_res, tol,
+                         samples=n, epsilon=eps, h=h),
+        CheckResult.over("transport-consistency", transport_res, tol),
+        CheckResult(name="residual-decreases-at-half-h",
+                    statistic=float(halved.max()),
+                    tolerance=float(field_res[:n_h].max()) * 1.05 + 1e-12,
+                    extra={"h_halved": h / 2, "samples": n_h}),
+        CheckResult(name="ablation-run-fails-threshold",
+                    statistic=float(ablated.min()), tolerance=tol,
+                    comparator=">",
+                    extra={"dropped_term": "phi(x) phi(x') / 2",
+                           "samples": int(ablated.size)},
+                    values=ablated),
+    ]
 
 
-def suite_fdr(cfg: SuiteConfig) -> SuiteReport:
+def suite_fdr(cfg: SuiteConfig, rng) -> list[CheckResult]:
     """Thermal spectra converge monotonically to the vacuum limit as T -> 0;
     negative frequencies carry exactly zero vacuum fluctuations."""
     xi = 0.7
     temps = [10.0 ** (-k) for k in range(1, 7)]
-
-    def run(rng):
-        max_final = 0.0
-        monotone = True
-        for hw in (1.0, -1.0, 2.0, -2.0):
-            vac = corr.vacuum_spectra(xi, hw)
-            devs = []
-            for T in temps:
-                pt = corr.thermal_spectra(xi, hw, T)
-                devs.append(abs(pt.C - vac.C) + abs(pt.sigma - vac.sigma))
-            if any(devs[k + 1] > devs[k] + 1e-15 for k in range(len(devs) - 1)):
-                monotone = False
-            max_final = max(max_final, devs[-1])
-        neg_vac = corr.vacuum_spectra(xi, -1.0)
-        checks = [
-            CheckResult(name="vacuum-limit-deviation", statistic=max_final,
-                        tolerance=1e-12,
-                        extra={"temperatures": temps, "hbar_omega": [1, -1, 2, -2]}),
-            CheckResult(name="monotone-in-temperature",
-                        statistic=0.0 if monotone else 1.0, tolerance=0.5),
-            CheckResult(name="zero-fluctuations-negative-frequency",
-                        statistic=abs(neg_vac.C), tolerance=1e-300,
-                        extra={"C": neg_vac.C}),
-        ]
-        return checks, {}
-
-    return _wrap("fdr", cfg, run)
+    max_final = 0.0
+    monotone = True
+    for hw in (1.0, -1.0, 2.0, -2.0):
+        vac = corr.vacuum_spectra(xi, hw)
+        devs = []
+        for T in temps:
+            pt = corr.thermal_spectra(xi, hw, T)
+            devs.append(abs(pt.C - vac.C) + abs(pt.sigma - vac.sigma))
+        if any(devs[k + 1] > devs[k] + 1e-15 for k in range(len(devs) - 1)):
+            monotone = False
+        max_final = max(max_final, devs[-1])
+    neg_vac = corr.vacuum_spectra(xi, -1.0)
+    return [
+        CheckResult(name="vacuum-limit-deviation", statistic=max_final,
+                    tolerance=1e-12,
+                    extra={"temperatures": temps, "hbar_omega": [1, -1, 2, -2]}),
+        CheckResult(name="monotone-in-temperature",
+                    statistic=0.0 if monotone else 1.0, tolerance=0.5),
+        CheckResult(name="zero-fluctuations-negative-frequency",
+                    statistic=abs(neg_vac.C), tolerance=1e-300,
+                    extra={"C": neg_vac.C}),
+    ]
 
 
-def suite_momentum_oracle(cfg: SuiteConfig) -> SuiteReport:
+def suite_momentum_oracle(cfg: SuiteConfig, rng) -> list[CheckResult]:
     """The positive-frequency on-shell integral is proportional to the
     closed-form kernel; the fitted constant is reported, not asserted."""
     n = cfg.samples or 20
     eps = cfg.epsilon or 0.05
-    tol = cfg.tol or 1e-2
-
-    def run(rng):
-        ratios = np.empty(n, dtype=complex)
-        for i in range(n):
-            if i % 2 == 0:   # spacelike, well off the cone
-                R = rng.uniform(0.9, 2.0)
-                dt = rng.uniform(-0.4, 0.4)
-                if dt * dt - R * R > -0.5:
-                    dt = 0.0
-            else:            # timelike
-                dt = rng.uniform(0.9, 2.0) * rng.choice([-1.0, 1.0])
-                R = rng.uniform(0.0, 0.4)
-                if dt * dt - R * R < 0.5:
-                    R = 0.0
-            x = np.array([dt, R, 0.0, 0.0])
-            xp = np.zeros(4)
-            oracle = corr.momentum_space_oracle(x, xp, eps)
-            ratios[i] = oracle / corr.scalar_vacuum_correlation(x, xp, 2.0 * eps)
-        fitted = complex(np.mean(ratios))
-        deviation = float(np.max(np.abs(ratios - fitted)) / abs(fitted))
-        check = CheckResult(
-            name="proportionality-deviation", statistic=deviation, tolerance=tol,
-            extra={"fitted_constant": [fitted.real, fitted.imag],
-                   "expected_order": -1.0 / (2.0 * np.pi**2),
-                   "samples": n, "epsilon": eps})
-        return [check], {"proportionality-deviation":
-                         np.abs(ratios - fitted).tolist()}
-
-    return _wrap("momentum-oracle", cfg, run)
+    ratios = np.empty(n, dtype=complex)
+    for i in range(n):
+        if i % 2 == 0:   # spacelike, well off the cone
+            R = rng.uniform(0.9, 2.0)
+            dt = rng.uniform(-0.4, 0.4)
+            if dt * dt - R * R > -0.5:
+                dt = 0.0
+        else:            # timelike
+            dt = rng.uniform(0.9, 2.0) * rng.choice([-1.0, 1.0])
+            R = rng.uniform(0.0, 0.4)
+            if dt * dt - R * R < 0.5:
+                R = 0.0
+        x = np.array([dt, R, 0.0, 0.0])
+        xp = np.zeros(4)
+        oracle = corr.momentum_space_oracle(x, xp, eps)
+        ratios[i] = oracle / corr.scalar_vacuum_correlation(x, xp, 2.0 * eps)
+    fitted = complex(np.mean(ratios))
+    spread = np.abs(ratios - fitted)     # the CSV rows; the statistic is their max / |fitted|
+    return [CheckResult(
+        name="proportionality-deviation", statistic=float(np.max(spread) / abs(fitted)),
+        tolerance=cfg.tol or 1e-2, values=spread,
+        extra={"fitted_constant": [fitted.real, fitted.imag],
+               "expected_order": -1.0 / (2.0 * np.pi**2),
+               "samples": n, "epsilon": eps})]
 
 
-def suite_mirror_2d(cfg: SuiteConfig) -> SuiteReport:
+def suite_mirror_2d(cfg: SuiteConfig, rng) -> list[CheckResult]:
     """Mirror verdicts: inertial -> invariant, uniformly accelerated ->
     invariant, sinusoidally perturbed -> modified, with Schwarzian evidence
     separated by orders of magnitude."""
-
-    def run(rng):
-        doppler = np.exp(0.3)
-        inertial = lc2.RayMap2D(
-            f_plus=lc2.Homography2D(1.0 / np.sqrt(doppler), 0, 0, np.sqrt(doppler)),
-            f_minus=lc2.Homography2D(np.sqrt(doppler), 0, 0, 1.0 / np.sqrt(doppler)))
-        accelerated = lc2.accelerated_frame_maps_2d(np.array([0.12, 0.27]), 1.4)
-        sin_rule = lc2.SampledRule.from_callable(
-            lambda u: u + 0.1 * np.sin(u), -2.5, 2.5, n=4001)
-        sinusoidal = lc2.RayMap2D(f_plus=sin_rule,
-                                  f_minus=lc2.Homography2D.identity())
-        cases = {
-            "inertial": (inertial, "invariant"),
-            "uniformly-accelerated": (accelerated, "invariant"),
-            "sinusoidal": (sinusoidal, "modified"),
-        }
-        verdicts = {}
-        invariant_evidence = []
-        modified_evidence = []
-        all_as_expected = True
-        for name, (frame, expected) in cases.items():
-            composite = lc2.mirror_scattering_map(frame)
-            v = lc2.vacuum_verdict(composite)
-            verdicts[name] = {"verdict": v.verdict, "evidence": v.evidence}
-            if v.verdict != expected:
-                all_as_expected = False
-            (invariant_evidence if expected == "invariant"
-             else modified_evidence).append(v.evidence)
-        separation = min(modified_evidence) / max(max(invariant_evidence), 1e-300)
-        checks = [
-            CheckResult(name="verdict-labels",
-                        statistic=0.0 if all_as_expected else 1.0, tolerance=0.5,
-                        extra=verdicts),
-            CheckResult(name="evidence-separation", statistic=separation,
-                        tolerance=1e3, comparator=">",
-                        extra={"invariant_max": max(invariant_evidence),
-                               "modified_min": min(modified_evidence)}),
-        ]
-        return checks, {}
-
-    return _wrap("mirror-2d", cfg, run)
+    doppler = np.exp(0.3)
+    inertial = lc2.RayMap2D(
+        f_plus=lc2.Homography2D(1.0 / np.sqrt(doppler), 0, 0, np.sqrt(doppler)),
+        f_minus=lc2.Homography2D(np.sqrt(doppler), 0, 0, 1.0 / np.sqrt(doppler)))
+    accelerated = lc2.accelerated_frame_maps_2d(np.array([0.12, 0.27]), 1.4)
+    sin_rule = lc2.SampledRule.from_callable(
+        lambda u: u + 0.1 * np.sin(u), -2.5, 2.5, n=4001)
+    sinusoidal = lc2.RayMap2D(f_plus=sin_rule,
+                              f_minus=lc2.Homography2D.identity())
+    cases = {
+        "inertial": (inertial, "invariant"),
+        "uniformly-accelerated": (accelerated, "invariant"),
+        "sinusoidal": (sinusoidal, "modified"),
+    }
+    verdicts = {}
+    invariant_evidence = []
+    modified_evidence = []
+    all_as_expected = True
+    for name, (frame, expected) in cases.items():
+        composite = lc2.mirror_scattering_map(frame)
+        v = lc2.vacuum_verdict(composite)
+        verdicts[name] = {"verdict": v.verdict, "evidence": v.evidence}
+        if v.verdict != expected:
+            all_as_expected = False
+        (invariant_evidence if expected == "invariant"
+         else modified_evidence).append(v.evidence)
+    separation = min(modified_evidence) / max(max(invariant_evidence), 1e-300)
+    return [
+        CheckResult(name="verdict-labels",
+                    statistic=0.0 if all_as_expected else 1.0, tolerance=0.5,
+                    extra=verdicts),
+        CheckResult(name="evidence-separation", statistic=separation,
+                    tolerance=1e3, comparator=">",
+                    extra={"invariant_max": max(invariant_evidence),
+                           "modified_min": min(modified_evidence)}),
+    ]
 
 
 SUITES = {
@@ -732,11 +646,18 @@ SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(config: SuiteConfig) -> SuiteReport:
-    """Run one named suite; writes the report when config.out is set."""
+    """Run one named suite on a generator seeded with config.seed, timing the
+    call, and build its report; writes the report when config.out is set."""
     if config.suite not in SUITES:
         raise ValueError(f"unknown suite {config.suite!r}; "
                          f"known: {', '.join(SUITE_NAMES)}")
-    report = SUITES[config.suite](config)
+    rng = np.random.default_rng(config.seed)
+    t0 = time.perf_counter()
+    checks = SUITES[config.suite](config, rng)
+    report = SuiteReport(
+        suite=config.suite, checks=checks,
+        config={k: v for k, v in dataclasses.asdict(config).items() if v is not None},
+        seed=config.seed, wall_time_s=time.perf_counter() - t0)
     if config.out:
         with open(config.out, "w") as fh:
             if config.fmt == "json":

@@ -11,7 +11,7 @@ from confvac import (AcceleratedFrameForm, ConstraintViolationError,
                      homography_compose, homography_invert, is_homographic,
                      mirror_scattering_map, schwarzian, to_lightcone,
                      vacuum_verdict)
-from confvac.lightcone2d import raymap_from_dict, raymap_to_dict
+from confvac.lightcone2d import VERDICT_THRESHOLD, raymap_from_dict, raymap_to_dict
 
 reasonable = st.floats(-50, 50)
 
@@ -161,12 +161,43 @@ def test_sampled_rule_reproduces_its_samples_exactly():
     np.testing.assert_allclose(d3, [6.0, 6.0], atol=1e-11)
 
 
+def test_sampled_rule_never_extrapolates():
+    # values and derivatives share one check, which names the first point outside
+    rule = SampledRule.from_callable(lambda u: u + 0.1 * np.sin(u), -1, 1, n=401)
+    for call in (rule, rule.derivatives, lambda u: schwarzian(rule, u),
+                 lambda u: is_homographic(rule, u)):
+        with pytest.raises(ValueError, match=r"^3\.0 outside sampled range \[-1\.0, 1\.0\]"):
+            call(np.array([0.5, 3.0, 5.0]))
+    # the end samples are inside
+    assert rule(1.0) == rule.f[-1]
+    assert np.all(rule.derivatives(np.array([-1.0, 1.0]))[0] > 0)
+
+
 def test_sampled_homography_has_no_schwarzian():
     # the samples' rounding enters S as u_ulp / h^3: 1e-6 near n = 2001 here
     h = Homography2D(1.1, 0.05, -0.2, (1 + 0.05 * 0.2) / 1.1)
     for n in (201, 401):
         rule = SampledRule.from_callable(h, -1.0, 1.0, n=n)
         assert is_homographic(rule, np.linspace(-0.95, 0.95, 801)).max_schwarzian < 1e-6
+
+
+def test_sampled_homography_reads_invariant_at_any_density():
+    # the samples' rounding gives |S| up to ~ eps max|f| / (h^3 min f'), past
+    # VERDICT_THRESHOLD from n = 2001 on here; a sampled component's threshold
+    # grows with that floor, while the sine rule's |S| of 1/11 stays far above it
+    h = Homography2D(1.1, 0.05, -0.2, (1 + 0.05 * 0.2) / 1.1)
+    for n in (401, 1001, 2001, 4001, 8001):
+        rule = SampledRule.from_callable(h, -1.0, 1.0, n=n)
+        composite = mirror_scattering_map(RayMap2D(rule, Homography2D.identity()))
+        # f_plus samples the rule's inverse on a non-uniform grid
+        assert np.ptp(np.diff(composite.f_plus.u)) > 1e-6
+        v = vacuum_verdict(composite)
+        assert v.verdict == "invariant", (n, v.evidence, v.threshold)
+    sine = SampledRule.from_callable(lambda u: u + 0.1 * np.sin(u), -2.5, 2.5, n=4001)
+    v = vacuum_verdict(mirror_scattering_map(RayMap2D(sine, Homography2D.identity())))
+    assert v.verdict == "modified"
+    assert v.evidence > 100 * v.threshold
+    assert is_homographic(h, [0.0]).threshold == VERDICT_THRESHOLD
 
 
 def test_sampled_sine_rule_schwarzian_matches_closed_form():

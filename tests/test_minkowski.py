@@ -149,6 +149,8 @@ def test_sampled_domain_and_step_errors():
     sampled = _sampled_copy(wl)
     with pytest.raises(ValueError, match="outside sampled range"):
         sampled.state(2.0)
+    with pytest.raises(ValueError, match=r"^2\.0 outside sampled range"):
+        sampled.position(np.array([0.0, 2.0, 3.0]))
     with pytest.raises(ValueError, match="too large"):
         sampled.state(0.999, step=1e-3)
     with pytest.raises(ValueError, match="positive"):

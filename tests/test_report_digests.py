@@ -5,7 +5,7 @@ Each suite runs at seed 7 and a small sample count; the sha256 of its report
 this test was written.  Any change to a sample stream, a rejection rule or
 the rounding of a statistic shows up here as a changed digest.  The output
 bytes of ``confvac transform`` on a chain map and on a form map are pinned
-the same way.
+the same way, and so are em-invariance's CSV residual rows.
 """
 
 import hashlib
@@ -60,9 +60,24 @@ def test_interval_law_bytes_pinned_across_candidate_blocks():
     # under the driver's strict >), and its map and points reproduce its
     # residual
     worst = report.checks[0].extra["worst"]
-    assert worst["residual"] == max(report.sample_residuals["interval-law-residual"])
+    assert worst["residual"] == max(report.checks[0].values)
     rep = verify_interval_law(map_from_dict(worst["map"]), *worst["points"])
     assert (rep.residual, rep.lhs, rep.rhs) == (worst["residual"], worst["lhs"], worst["rhs"])
+
+
+# em-invariance's residual CSV at seed 7: each check's values under its own
+# name, the ablation rows under "ablation-run-fails-threshold"
+EM_CSV = (10, "85e0b5954d97a028a08166952fd38585e19d21702ad67b4276a2395768f7a757")
+
+
+def test_em_invariance_csv_bytes_pinned(tmp_path):
+    samples, digest = EM_CSV
+    out = tmp_path / "em.csv"
+    run_suite(SuiteConfig(suite="em-invariance", samples=samples, seed=7, out=str(out),
+                          fmt="csv"))
+    text = out.read_bytes()
+    assert hashlib.sha256(text).hexdigest() == digest, text.decode()
+    assert text.count(b",ablation-run-fails-threshold,") == samples
 
 
 # confvac transform: map -> (events, sha256 of the output CSV).  The chain has

@@ -8,7 +8,7 @@ import pytest
 from confvac import (AcceleratedFrameForm, ConformalMap, Dilation, compose, map_from_dict,
                      map_to_dict, minkowski_dot)
 from confvac.cli import _read_events_csv, main
-from confvac.suites import SUITE_NAMES, SuiteConfig, run_suite
+from confvac.suites import SUITE_NAMES, CheckResult, SuiteConfig, run_suite
 
 
 def small_config(name, **kw):
@@ -106,6 +106,36 @@ def test_report_csv_rows(tmp_path):
     assert rows[0] == ["suite", "check", "index", "residual"]
     assert len(rows) == 16
     assert all(float(r[3]) < 1e-10 for r in rows[1:])
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_csv_rows_are_each_checks_values_in_check_order(name, tmp_path):
+    out = tmp_path / "resid.csv"
+    report = run_suite(small_config(name, out=str(out), fmt="csv"))
+    rows = list(csv.reader(out.read_text().splitlines()))[1:]
+    expected = [[name, c.name, str(i), repr(float(v))]
+                for c in report.checks for i, v in enumerate(c.values)]
+    assert rows == expected
+    assert bool(rows) == (name not in ("fdr", "mirror-2d"))
+    # a check built from its samples: statistic and mean are the values' own
+    for c in report.checks:
+        if c.comparator == "<" and c.mean is not None:
+            assert (c.statistic, c.mean) == (max(c.values), float(np.mean(c.values)))
+
+
+def test_check_over_its_values():
+    values = np.array([3e-12, 1e-11, 2e-12, 1e-11])
+    c = CheckResult.over("residual", values.tolist(), 1e-10, samples=4)
+    assert (c.statistic, c.mean) == (1e-11, float(values.mean()))
+    assert (c.comparator, c.extra, c.passed) == ("<", {"samples": 4}, True)
+    assert np.array_equal(c.values, values)
+    assert c.to_dict() == {"name": "residual", "statistic": 1e-11, "tolerance": 1e-10,
+                           "comparator": "<", "passed": True, "mean": float(values.mean()),
+                           "extra": {"samples": 4}}
+    # values never reach the JSON report
+    for name in SUITE_NAMES:
+        for check in run_suite(small_config(name)).to_dict()["checks"]:
+            assert "values" not in check
 
 
 # ---------------------------------------------------------------------------
