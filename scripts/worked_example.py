@@ -44,8 +44,8 @@ def main():
         "uniformly accelerated": cv.accelerated_frame_maps_2d(
             np.array([0.12, 0.27]), 1.4),
         "sinusoidal": cv.RayMap2D(
-            cv.SampledRule.from_callable(lambda u: u + 0.1 * np.sin(u),
-                                         -2.5, 2.5, n=4001),
+            cv.RayRule(lambda u: (u + 0.1 * np.sin(u), 1 + 0.1 * np.cos(u),
+                                  -0.1 * np.sin(u), -0.1 * np.cos(u))),
             cv.Homography2D.identity()),
     }
     for name, frame in cases.items():

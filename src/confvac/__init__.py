@@ -28,7 +28,7 @@ from .errors import (BoundaryError, ConstraintViolationError, ConvergenceError,
                      InternalConsistencyError, PoleError, SingularPointError)
 from .kinematics import (AbrahamVector, MotionClass, abraham_vector, classify_motion,
                          image_state, transform_abraham)
-from .lightcone2d import (Homography2D, MirrorVerdict, RayMap2D, SampledRule,
+from .lightcone2d import (Homography2D, MirrorVerdict, RayMap2D, RayRule,
                           accelerated_frame_maps_2d, cross_ratio, from_lightcone,
                           homography_compose, homography_invert, is_homographic,
                           mirror_scattering_map, schwarzian, to_lightcone,

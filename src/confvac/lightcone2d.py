@@ -11,28 +11,23 @@ vanishes exactly on homographies and is used as the numerical membership
 detector.  Reflection off a mirror at rest at x = 0 is the exchange
 u_+ <-> u_-; scattering off a moving mirror conjugates that exchange by the
 frame map fitting the mirror's trajectory.
+
+A ray component gives (f, f', f'', f''') at u through ``jet(u)``: a
+``Homography2D`` in closed form or a ``RayRule`` holding a closed-form jet.
+Inverses (Newton) and compositions (Faa di Bruno) are components again.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConstraintViolationError, PoleError
-from .numdiff import local_quintic
 
 VERDICT_THRESHOLD = 1e-6   # max |Schwarzian| below this is a homography
-# A sampled rule's threshold is at least ROUNDING_HEADROOM times the |S| that
-# the rounding of its samples alone gives (``_verdict_threshold``).  Measured
-# on 4,030 random sampled homographies (n = 401 to 8001, uniform and
-# composite grids, poles at least 0.3 beyond the samples), 3 read "modified"
-# with this headroom, all at n <= 739 with the pole 0.4 to 1.4 beyond the
-# samples, where interpolation error, not rounding, dominates.  The
-# components of the mirror-2d sine composite (u + 0.1 sin u, n = 4001) are
-# 1.9e5 and 2.9e5 times their floors.
-ROUNDING_HEADROOM = 1e3
 
 
 class LightConeEvent(NamedTuple):
@@ -101,18 +96,17 @@ class Homography2D:
         out = (self.a * u + self.b) / den
         return float(out) if out.ndim == 0 else out
 
-    def derivatives(self, u):
-        """(f', f'', f''') from closed forms (det = 1)."""
+    def jet(self, u):
+        """(f, f', f'', f''') from closed forms (det = 1)."""
         u = np.asarray(u, dtype=float)
         den = self.c * u + self.d
         d1 = 1.0 / den**2
         d2 = -2.0 * self.c / den**3
         d3 = 6.0 * self.c**2 / den**4
-        return d1, d2, d3
+        return self(u), d1, d2, d3
 
-    @property
-    def domain(self):
-        return None  # entire line minus the pole
+    def inverse(self) -> Homography2D:
+        return homography_invert(self)
 
 
 def homography_compose(h1: Homography2D, h2: Homography2D) -> Homography2D:
@@ -126,50 +120,55 @@ def homography_invert(h: Homography2D) -> Homography2D:
 
 
 # ---------------------------------------------------------------------------
-# sampled increasing rules
+# closed-form rules
 
-@dataclass(frozen=True, eq=False)
-class SampledRule:
-    """Strictly increasing map given by (u, f(u)) samples, interpolated by
-    local quintics through six neighbouring samples (third derivatives enter
-    the Schwarzian)."""
+@dataclass(frozen=True)
+class RayRule:
+    """Increasing map given by its jet: ``jet(u)`` returns (f, f', f'', f''')
+    at u, elementwise for an array u."""
 
-    u: np.ndarray
-    f: np.ndarray
-
-    def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
-        f = np.asarray(self.f, dtype=float)
-        if u.ndim != 1 or u.shape != f.shape or u.size < 4:
-            raise ValueError("need matching 1-d sample arrays with >= 4 points")
-        if np.any(np.diff(u) <= 0) or np.any(np.diff(f) <= 0):
-            raise ConstraintViolationError("sampled rule must be strictly increasing")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "f", f)
-
-    @classmethod
-    def from_callable(cls, fn, lo, hi, n=2001):
-        """Sample ``fn`` on n evenly spaced points of [lo, hi]; ``fn`` takes
-        the whole grid array and returns the array of values."""
-        u = np.linspace(lo, hi, n)
-        return cls(u, np.asarray(fn(u), dtype=float))
-
-    @property
-    def domain(self):
-        return float(self.u[0]), float(self.u[-1])
+    jet: Callable
 
     def __call__(self, u):
-        out = local_quintic(self.u, self.f, u)[0]
-        return float(out) if out.ndim == 0 else out
+        return self.jet(u)[0]
 
-    def derivatives(self, u):
-        return tuple(local_quintic(self.u, self.f, u, order=3)[1:])
+    def pole(self):
+        return None   # the verdict grid cuts only a homography's pole
 
-    def inverse(self) -> "SampledRule":
-        return SampledRule(self.f, self.u)
+    def inverse(self) -> RayRule:
+        """f^-1: at the root w of f(w) = u its jet is
+        (w, 1/f', -f''/f'^3, (3 f''^2 - f' f''')/f'^5), f's taken at w.
+
+        Newton from w = u moves each point, on its own, until |f(w) - u| is
+        within 4 ulp of max(|u|, 1) plus 4 f'(w) ulp(w), the step one ulp of
+        w makes in f.  It converges for rules near the identity, as mirror
+        maps are.  A w outside that bound, or not finite, raises
+        ConstraintViolationError naming the first such u.
+        """
+        forward = self.jet
+
+        def jet(u):
+            u = np.asarray(u, dtype=float)
+            with np.errstate(all="ignore"):    # a diverging Newton is caught below
+                w = u
+                for _ in range(60):
+                    f, d1, d2, d3 = forward(w)
+                    tol = 4 * (np.spacing(np.maximum(np.abs(u), 1.0))
+                               + d1 * np.spacing(np.abs(w)))
+                    far = np.abs(f - u) > tol    # NaN compares False
+                    if not np.any(far):
+                        break
+                    w = np.where(far, w - (f - u) / d1, w)
+            missed = ~(np.isfinite(tol) & (np.abs(f - u) <= tol))
+            if np.any(missed):
+                raise ConstraintViolationError(
+                    f"no root of f(w) = u for u = {float(u[missed].flat[0])}")
+            return w, 1.0 / d1, -d2 / d1**3, (3.0 * d2**2 - d1 * d3) / d1**5
+
+        return RayRule(jet)
 
 
-RayComponent = Homography2D | SampledRule
+RayComponent = Homography2D | RayRule
 
 
 @dataclass(frozen=True)
@@ -190,8 +189,7 @@ class RayMap2D:
 
 def schwarzian(component: RayComponent, u):
     """S[f] = f'''/f' - (3/2)(f''/f')^2, zero exactly on homographies."""
-    d1, d2, d3 = component.derivatives(u)
-    d1 = np.asarray(d1, dtype=float)
+    _, d1, d2, d3 = component.jet(u)
     if np.any(d1 <= 0):
         raise ConstraintViolationError("component is not increasing on the grid")
     return d3 / d1 - 1.5 * (d2 / d1) ** 2
@@ -244,22 +242,18 @@ def accelerated_frame_maps_2d(alpha, beta) -> RayMap2D:
 
 
 def _compose_components(first, then):
-    """u -> then(first(u)) for homographies or sampled rules."""
+    """u -> then(first(u)): the matrix product for two homographies, else a
+    rule whose jet is Faa di Bruno's formula to third order."""
     if isinstance(first, Homography2D) and isinstance(then, Homography2D):
         return homography_compose(first, then)
-    # numeric composition: pick a grid whose images stay inside domains
-    if isinstance(first, SampledRule):
-        u = first.u
-    else:
-        # first is a homography feeding a sampled rule: pull its grid back
-        u = homography_invert(first)(then.u)
-    return SampledRule(u, then(first(u)))
 
+    def jet(u):
+        f, f1, f2, f3 = first.jet(u)
+        g, g1, g2, g3 = then.jet(f)
+        return (g, g1 * f1, g2 * f1**2 + g1 * f2,
+                g3 * f1**3 + 3.0 * g2 * f1 * f2 + g1 * f3)
 
-def _invert_component(component):
-    if isinstance(component, Homography2D):
-        return homography_invert(component)
-    return component.inverse()
+    return RayRule(jet)
 
 
 def mirror_scattering_map(frame: RayMap2D) -> RayMap2D:
@@ -270,8 +264,8 @@ def mirror_scattering_map(frame: RayMap2D) -> RayMap2D:
     outgoing u_- = f_-^{-1}(f_+(incoming u_+)).  The returned components sit
     in exchanged slots (see RayMap2D).
     """
-    g_plus = _compose_components(frame.f_minus, _invert_component(frame.f_plus))
-    g_minus = _compose_components(frame.f_plus, _invert_component(frame.f_minus))
+    g_plus = _compose_components(frame.f_minus, frame.f_plus.inverse())
+    g_minus = _compose_components(frame.f_plus, frame.f_minus.inverse())
     return RayMap2D(f_plus=g_plus, f_minus=g_minus)
 
 
@@ -280,51 +274,29 @@ class MirrorVerdict:
     verdict: str               # "invariant" | "modified"
     evidence: float            # max |Schwarzian| across both components
     ray_map: RayMap2D
-    threshold: float           # the larger of the two components' thresholds
 
     @property
     def invariant(self):
         return self.verdict == "invariant"
 
 
-def _verdict_threshold(component: RayComponent) -> float:
-    """VERDICT_THRESHOLD, or for a sampled rule ROUNDING_HEADROOM times the
-    |Schwarzian| its samples' rounding alone gives, eps max|f| / (h^3 min f'),
-    with h the smallest spacing and f' the smallest sampled slope, if larger.
-    A third derivative from samples h apart amplifies their rounding by
-    1 / h^3, so a finely sampled homography exceeds VERDICT_THRESHOLD."""
-    if isinstance(component, Homography2D):
-        return VERDICT_THRESHOLD
-    du, df = np.diff(component.u), np.diff(component.f)
-    floor = (np.finfo(float).eps * np.max(np.abs(component.f))
-             / (np.min(du) ** 3 * np.min(df / du)))
-    return max(VERDICT_THRESHOLD, ROUNDING_HEADROOM * float(floor))
-
-
 def vacuum_verdict(m: RayMap2D) -> MirrorVerdict:
     """Vacuum is preserved iff both light-cone components are homographic
-    (max |Schwarzian| below the component's ``_verdict_threshold``).
+    (max |Schwarzian| below VERDICT_THRESHOLD).
 
     Evidence is the larger max |Schwarzian| of the two components, on 801
-    points of [-1, 1] (away from a homography's pole) or of a sampled rule's
-    domain less 5% at each end.
+    points of [-1, 1] less those within 0.05 of the component's pole.
     """
     reports = []
     for comp in (m.f_plus, m.f_minus):
-        if isinstance(comp, SampledRule):
-            lo, hi = comp.domain
-            pad = 0.05 * (hi - lo)
-            g = np.linspace(lo + pad, hi - pad, 801)
-        else:
-            g = np.linspace(-1.0, 1.0, 801)
-            pole = comp.pole()
-            if pole is not None:
-                g = g[np.abs(g - pole) > 0.05]
-        reports.append(is_homographic(comp, g, threshold=_verdict_threshold(comp)))
+        g = np.linspace(-1.0, 1.0, 801)
+        pole = comp.pole()
+        if pole is not None:
+            g = g[np.abs(g - pole) > 0.05]
+        reports.append(is_homographic(comp, g))
     evidence = max(r.max_schwarzian for r in reports)
     verdict = "invariant" if all(r.homographic for r in reports) else "modified"
-    return MirrorVerdict(verdict=verdict, evidence=evidence, ray_map=m,
-                         threshold=max(r.threshold for r in reports))
+    return MirrorVerdict(verdict=verdict, evidence=evidence, ray_map=m)
 
 
 def cross_ratio(u1, u2, u3, u4) -> float:
@@ -336,18 +308,11 @@ def cross_ratio(u1, u2, u3, u4) -> float:
 # serialization
 
 def raymap_to_dict(m: RayMap2D) -> dict:
+    """JSON form of a pair of homographies; any other component has none and
+    raises TypeError naming its type."""
     def comp(c):
-        if isinstance(c, Homography2D):
+        try:
             return {"kind": "homography", "coeffs": [c.a, c.b, c.c, c.d]}
-        return {"kind": "sampled", "u": [float(v) for v in c.u],
-                "f": [float(v) for v in c.f]}
+        except AttributeError:
+            raise TypeError(f"only homographies serialise, not {type(c).__name__}") from None
     return {"f_plus": comp(m.f_plus), "f_minus": comp(m.f_minus)}
-
-
-def raymap_from_dict(d: dict) -> RayMap2D:
-    def comp(entry):
-        if entry["kind"] == "homography":
-            return Homography2D(*entry["coeffs"])
-        return SampledRule(np.asarray(entry["u"], dtype=float),
-                           np.asarray(entry["f"], dtype=float))
-    return RayMap2D(f_plus=comp(d["f_plus"]), f_minus=comp(d["f_minus"]))

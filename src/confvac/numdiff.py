@@ -3,7 +3,7 @@
 All first/second derivatives use 5-point stencils (4th order accurate);
 third derivatives use the 5-point stencil (2nd order accurate). Mixed
 second derivatives nest two first-derivative stencils (4th order).
-Sampled curves are interpolated, with their first three derivatives, by
+Sampled worldlines are interpolated, with their first three derivatives, by
 local quintics through six neighbouring samples (``local_quintic``).
 """
 

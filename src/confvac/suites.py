@@ -597,8 +597,8 @@ def suite_mirror_2d(cfg: SuiteConfig, rng) -> list[CheckResult]:
         f_plus=lc2.Homography2D(1.0 / np.sqrt(doppler), 0, 0, np.sqrt(doppler)),
         f_minus=lc2.Homography2D(np.sqrt(doppler), 0, 0, 1.0 / np.sqrt(doppler)))
     accelerated = lc2.accelerated_frame_maps_2d(np.array([0.12, 0.27]), 1.4)
-    sin_rule = lc2.SampledRule.from_callable(
-        lambda u: u + 0.1 * np.sin(u), -2.5, 2.5, n=4001)
+    sin_rule = lc2.RayRule(lambda u: (u + 0.1 * np.sin(u), 1 + 0.1 * np.cos(u),
+                                      -0.1 * np.sin(u), -0.1 * np.cos(u)))
     sinusoidal = lc2.RayMap2D(f_plus=sin_rule,
                               f_minus=lc2.Homography2D.identity())
     cases = {

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -6,14 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confvac import (AcceleratedFrameForm, ConstraintViolationError,
-                     Homography2D, PoleError, RayMap2D, SampledRule,
+                     Homography2D, PoleError, RayMap2D, RayRule,
                      accelerated_frame_maps_2d, cross_ratio, from_lightcone,
                      homography_compose, homography_invert, is_homographic,
                      mirror_scattering_map, schwarzian, to_lightcone,
                      vacuum_verdict)
-from confvac.lightcone2d import VERDICT_THRESHOLD, raymap_from_dict, raymap_to_dict
+from confvac.cli import main
+from confvac.lightcone2d import VERDICT_THRESHOLD, _compose_components, raymap_to_dict
 
 reasonable = st.floats(-50, 50)
+
+# f = u + 0.1 sin u, the mirror-2d suite's perturbed rule
+SINE = RayRule(lambda u: (u + 0.1 * np.sin(u), 1 + 0.1 * np.cos(u),
+                          -0.1 * np.sin(u), -0.1 * np.cos(u)))
+EXP = RayRule(lambda u: (np.exp(u),) * 4)
 
 
 # ---------------------------------------------------------------------------
@@ -135,85 +142,96 @@ def test_homography_schwarzian_below_threshold():
 
 
 def test_sine_perturbation_detected():
-    rule = SampledRule.from_callable(lambda u: u + 0.1 * np.sin(u), -1.5, 1.5)
-    rep = is_homographic(rule, np.linspace(-1, 1, 1000))
+    rep = is_homographic(SINE, np.linspace(-1, 1, 1000))
     assert not rep.homographic
     assert rep.max_schwarzian > 0.01
 
 
 def test_exponential_constant_schwarzian():
     # S[exp] = -1/2 everywhere: closed-form check of the detector
-    rule = SampledRule.from_callable(np.exp, -1.5, 1.5, n=3001)
-    vals = schwarzian(rule, np.linspace(-1, 1, 200))
-    np.testing.assert_allclose(vals, -0.5, atol=1e-4)
+    vals = schwarzian(EXP, np.linspace(-1, 1, 200))
+    np.testing.assert_allclose(vals, -0.5, rtol=0, atol=1e-14)
 
 
-def test_sampled_rule_reproduces_its_samples_exactly():
-    rule = SampledRule.from_callable(lambda u: u + 0.1 * np.sin(u), -2.5, 2.5, n=401)
-    assert np.array_equal(rule(rule.u), rule.f)
-    assert [rule(u) for u in rule.u[::50]] == rule.f[::50].tolist()
-    # fewer than six samples: the one polynomial through all of them
-    cubic = SampledRule(np.array([0.0, 0.4, 0.7, 1.0]), np.array([0.0, 0.4, 0.7, 1.0]) ** 3 + 1)
-    assert cubic(0.5) == pytest.approx(1.125, abs=1e-14)
-    d1, d2, d3 = cubic.derivatives(np.array([0.2, 0.9]))
-    np.testing.assert_allclose(d1, [0.12, 2.43], atol=1e-13)
-    np.testing.assert_allclose(d2, [1.2, 5.4], atol=1e-12)
-    np.testing.assert_allclose(d3, [6.0, 6.0], atol=1e-11)
-
-
-def test_sampled_rule_never_extrapolates():
-    # values and derivatives share one check, which names the first point outside
-    rule = SampledRule.from_callable(lambda u: u + 0.1 * np.sin(u), -1, 1, n=401)
-    for call in (rule, rule.derivatives, lambda u: schwarzian(rule, u),
-                 lambda u: is_homographic(rule, u)):
-        with pytest.raises(ValueError, match=r"^3\.0 outside sampled range \[-1\.0, 1\.0\]"):
-            call(np.array([0.5, 3.0, 5.0]))
-    # the end samples are inside
-    assert rule(1.0) == rule.f[-1]
-    assert np.all(rule.derivatives(np.array([-1.0, 1.0]))[0] > 0)
-
-
-def test_sampled_homography_has_no_schwarzian():
-    # the samples' rounding enters S as u_ulp / h^3: 1e-6 near n = 2001 here
-    h = Homography2D(1.1, 0.05, -0.2, (1 + 0.05 * 0.2) / 1.1)
-    for n in (201, 401):
-        rule = SampledRule.from_callable(h, -1.0, 1.0, n=n)
-        assert is_homographic(rule, np.linspace(-0.95, 0.95, 801)).max_schwarzian < 1e-6
-
-
-def test_sampled_homography_reads_invariant_at_any_density():
-    # the samples' rounding gives |S| up to ~ eps max|f| / (h^3 min f'), past
-    # VERDICT_THRESHOLD from n = 2001 on here; a sampled component's threshold
-    # grows with that floor, while the sine rule's |S| of 1/11 stays far above it
-    h = Homography2D(1.1, 0.05, -0.2, (1 + 0.05 * 0.2) / 1.1)
-    for n in (401, 1001, 2001, 4001, 8001):
-        rule = SampledRule.from_callable(h, -1.0, 1.0, n=n)
-        composite = mirror_scattering_map(RayMap2D(rule, Homography2D.identity()))
-        # f_plus samples the rule's inverse on a non-uniform grid
-        assert np.ptp(np.diff(composite.f_plus.u)) > 1e-6
-        v = vacuum_verdict(composite)
-        assert v.verdict == "invariant", (n, v.evidence, v.threshold)
-    sine = SampledRule.from_callable(lambda u: u + 0.1 * np.sin(u), -2.5, 2.5, n=4001)
-    v = vacuum_verdict(mirror_scattering_map(RayMap2D(sine, Homography2D.identity())))
-    assert v.verdict == "modified"
-    assert v.evidence > 100 * v.threshold
-    assert is_homographic(h, [0.0]).threshold == VERDICT_THRESHOLD
-
-
-def test_sampled_sine_rule_schwarzian_matches_closed_form():
-    # f = u + 0.1 sin u, sampled as in the mirror-2d suite:
+def test_sine_rule_schwarzian_matches_closed_form():
     # S[f] = -0.1 cos u / f' - 1.5 (0.1 sin u / f')^2, with |S| largest (1/11) at u = 0
-    rule = SampledRule.from_callable(lambda u: u + 0.1 * np.sin(u), -2.5, 2.5, n=4001)
     g = np.linspace(-2.25, 2.25, 801)
     d1 = 1 + 0.1 * np.cos(g)
     closed = -0.1 * np.cos(g) / d1 - 1.5 * (0.1 * np.sin(g) / d1) ** 2
-    np.testing.assert_allclose(schwarzian(rule, g), closed, rtol=0, atol=1e-5)
-    assert is_homographic(rule, g).max_schwarzian == pytest.approx(1 / 11, rel=1e-6)
+    np.testing.assert_allclose(schwarzian(SINE, g), closed, rtol=0, atol=1e-15)
+    assert is_homographic(SINE, g).max_schwarzian == 1 / 11
+    v = vacuum_verdict(mirror_scattering_map(RayMap2D(SINE, Homography2D.identity())))
+    assert v.evidence == 1 / 11
 
 
 def test_schwarzian_rejects_nonmonotone():
+    wave = RayRule(lambda u: (np.sin(u), np.cos(u), -np.sin(u), -np.cos(u)))
     with pytest.raises(ConstraintViolationError, match="increasing"):
-        SampledRule(np.linspace(-1, 1, 100), np.sin(np.linspace(-4, 4, 100)))
+        schwarzian(wave, np.linspace(-4, 4, 100))
+
+
+def test_homography_rule_reads_invariant():
+    # a homography given only by its jet goes through the rule path: Newton
+    # inverse and Faa di Bruno composition, on the whole [-1, 1] grid
+    h = Homography2D(1.1, 0.05, -0.2, (1 + 0.05 * 0.2) / 1.1)
+    composite = mirror_scattering_map(RayMap2D(RayRule(h.jet), Homography2D.identity()))
+    assert isinstance(composite.f_plus, RayRule) and isinstance(composite.f_minus, RayRule)
+    v = vacuum_verdict(composite)
+    assert v.verdict == "invariant"
+    assert v.evidence < 1e-12
+    assert is_homographic(h, [0.0]).threshold == VERDICT_THRESHOLD
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_rule_inverse_undoes_the_rule_and_negates_the_schwarzian(seed):
+    # f^-1(f(u)) = u and S[f^-1](f(u)) = -S[f](u) / f'(u)^2.  Newton starts
+    # at w = f(u), so the homography is near the identity: a far one can put
+    # its pole between the start and the root
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(-1.5, 1.5, 50)
+    a, b, c = rng.uniform(-0.2, 0.2, 3) + [1, 0, 0]
+    for rule in (SINE, EXP, RayRule(Homography2D(a, b, c, (1 + b * c) / a).jet)):
+        inv = rule.inverse()
+        f, d1 = rule.jet(u)[:2]
+        np.testing.assert_allclose(inv(f), u, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(schwarzian(inv, f), -schwarzian(rule, u) / d1**2,
+                                   rtol=1e-12, atol=1e-12)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_composition_schwarzian_chain_rule(seed):
+    # S[h o f] = S[f] and S[f o h] = (S[f] o h) h'^2 for homographies h
+    # whose pole lies off the grid [-1, 1]
+    rng = np.random.default_rng(seed)
+    h = None
+    while h is None or (h.pole() is not None and abs(h.pole()) <= 1.5):
+        a, b, c = rng.uniform(-2, 2, 3)
+        if abs(a) > 0.2:
+            h = Homography2D(a, b, c, (1 + b * c) / a)
+    g = np.linspace(-1, 1, 201)
+    f = SINE
+    np.testing.assert_allclose(schwarzian(_compose_components(f, h), g), schwarzian(f, g),
+                               rtol=1e-12, atol=1e-12)
+    _, h1, _, _ = h.jet(g)
+    np.testing.assert_allclose(schwarzian(_compose_components(h, f), g),
+                               schwarzian(f, h(g)) * h1**2, rtol=1e-12, atol=1e-12)
+
+
+def test_rule_inverse_rejects_a_non_root():
+    # 2.0 is outside arctan's range: Newton runs off to infinity, and the
+    # inverse raises rather than return a w that is not a root
+    arctan = RayRule(lambda u: (np.arctan(u), 1 / (1 + u**2), -2 * u / (1 + u**2) ** 2,
+                                (6 * u**2 - 2) / (1 + u**2) ** 3))
+    inv = arctan.inverse()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConstraintViolationError, match=r"u = 2\.0$"):
+            inv(2.0)
+        with pytest.raises(ConstraintViolationError, match=r"u = 2\.0$"):
+            inv(np.array([0.5, 2.0, 3.0]))
+        assert inv(1.0) == pytest.approx(np.tan(1.0), rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +326,7 @@ def test_accelerated_mirror_composite_homographic():
 
 
 def test_sinusoidal_mirror_modifies_vacuum():
-    rule = SampledRule.from_callable(lambda u: u + 0.1 * np.sin(u), -2.5, 2.5,
-                                     n=4001)
-    frame = RayMap2D(f_plus=rule, f_minus=Homography2D.identity())
+    frame = RayMap2D(f_plus=SINE, f_minus=Homography2D.identity())
     comp = mirror_scattering_map(frame)
     v = vacuum_verdict(comp)
     assert v.verdict == "modified"
@@ -318,15 +334,14 @@ def test_sinusoidal_mirror_modifies_vacuum():
 
 
 def test_mirror_composition_equals_pointwise_composition():
-    # the sampled composite is built from one array call per rule; its samples
-    # are the point-by-point compositions, bit for bit
-    rule = SampledRule.from_callable(lambda u: u + 0.1 * np.sin(u), -2.5, 2.5, n=401)
+    # a composite rule's values are the point-by-point compositions, bit for
+    # bit, whether it is called on an array or on one point at a time
     h = Homography2D(1.1, 0.05, -0.2, (1 + 0.05 * 0.2) / 1.1)
-    comp = mirror_scattering_map(RayMap2D(f_plus=rule, f_minus=h))
-    inv = rule.inverse()
-    g_plus = comp.f_plus
-    assert np.array_equal(g_plus.f, [inv(h(u)) for u in g_plus.u])
-    assert np.array_equal(rule.f, [u + 0.1 * np.sin(u) for u in rule.u])
+    comp = mirror_scattering_map(RayMap2D(f_plus=SINE, f_minus=h))
+    inv = SINE.inverse()
+    u = np.linspace(-1, 1, 401)
+    assert np.array_equal(comp.f_plus(u), [inv(h(v)) for v in u])
+    assert np.array_equal(comp.f_minus(u), [h.inverse()(SINE(v)) for v in u])
 
 
 def test_inertial_mirror_invariant():
@@ -351,13 +366,17 @@ def test_cross_ratio_preserved_by_homographies_only():
 # ---------------------------------------------------------------------------
 # serialization
 
-def test_raymap_json_round_trip():
+def test_raymap_json_round_trip(capsys):
+    # the frame and mirror maps that ``confvac ray2d --mirror`` writes are
+    # homographies, rebuilt exactly from their coefficients
+    assert main(["ray2d", "--alpha", "0.1,-0.2", "--beta", "1.5", "--mirror"]) == 0
+    payload = json.loads(capsys.readouterr().out)
     frame = accelerated_frame_maps_2d(np.array([0.1, -0.2]), 1.5)
-    loaded = raymap_from_dict(json.loads(json.dumps(raymap_to_dict(frame))))
-    assert loaded.f_plus == frame.f_plus
-    assert loaded.f_minus == frame.f_minus
-    rule = SampledRule.from_callable(lambda u: u + 0.05 * np.sin(u), -1, 1, n=51)
-    mixed = RayMap2D(rule, Homography2D.identity())
-    loaded = raymap_from_dict(json.loads(json.dumps(raymap_to_dict(mixed))))
-    np.testing.assert_allclose(loaded.f_plus.u, rule.u)
-    np.testing.assert_allclose(loaded.f_plus.f, rule.f)
+    composite = mirror_scattering_map(frame)
+    for written, m in ((payload["frame"], frame), (payload["mirror"]["map"], composite)):
+        for slot in ("f_plus", "f_minus"):
+            assert written[slot]["kind"] == "homography"
+            assert Homography2D(*written[slot]["coeffs"]) == getattr(m, slot)
+    assert raymap_to_dict(frame) == payload["frame"]
+    with pytest.raises(TypeError, match="RayRule"):
+        raymap_to_dict(RayMap2D(SINE, Homography2D.identity()))

@@ -30,7 +30,7 @@ DIGESTS = {
     "em-invariance": (10, "db8d5317dfae8c383dbaa01c0ff184acee4f4ec5b30272ead38d69c43459f374"),
     "fdr": (None, "8fb098f415d6b97843f047cb33544cee419ee47ba7cff5e1df6c0387864010e1"),
     "momentum-oracle": (None, "1cedf788889f4f33231bd995bf26660406a6cb58897feb585e3ede594ebb0b62"),
-    "mirror-2d": (None, "ed2f0de89664ff60f69ee4aa3e8d565782352e2b9cb3757e98e15ff6132f746c"),
+    "mirror-2d": (None, "02c7923b8b6035f1b0e6740121bd44572c56b903b1bba6bb1c4a7a6965a419c3"),
 }
 
 

@@ -20,6 +20,8 @@ def test_worked_example_runs(capsys):
     assert "scale factor at (1,0,0,0): 4.0" in out
     assert "singular residual there:  0.25" in out.splitlines()
     assert "classified uniformly_accelerated" in out
+    # the sine mirror's evidence is the exact max |S| = 1/11
+    assert "sinusoidal             -> modified  (Schwarzian evidence 9.09e-02)" in out.splitlines()
 
 
 def test_sweep_em_residuals_runs(tmp_path, monkeypatch, capsys):
