@@ -311,8 +311,7 @@ def raymap_to_dict(m: RayMap2D) -> dict:
     """JSON form of a pair of homographies; any other component has none and
     raises TypeError naming its type."""
     def comp(c):
-        try:
-            return {"kind": "homography", "coeffs": [c.a, c.b, c.c, c.d]}
-        except AttributeError:
-            raise TypeError(f"only homographies serialise, not {type(c).__name__}") from None
+        if not isinstance(c, Homography2D):
+            raise TypeError(f"only homographies serialise, not {type(c).__name__}")
+        return {"kind": "homography", "coeffs": [c.a, c.b, c.c, c.d]}
     return {"f_plus": comp(m.f_plus), "f_minus": comp(m.f_minus)}

@@ -170,7 +170,7 @@ class SampledWorldline:
         return float(self.tau[0]), float(self.tau[-1])
 
     def position(self, tau):
-        return local_quintic(self.tau, self.events, tau)[0]
+        return local_quintic(self.tau, self.events, tau)
 
     def state(self, tau, step=1e-3) -> KinematicState:
         """5-point stencil state at a proper time or an array of them.

@@ -3,8 +3,8 @@
 All first/second derivatives use 5-point stencils (4th order accurate);
 third derivatives use the 5-point stencil (2nd order accurate). Mixed
 second derivatives nest two first-derivative stencils (4th order).
-Sampled worldlines are interpolated, with their first three derivatives, by
-local quintics through six neighbouring samples (``local_quintic``).
+Sampled worldlines are interpolated by local quintics through six
+neighbouring samples (``local_quintic``).
 """
 
 from __future__ import annotations
@@ -42,20 +42,20 @@ def gradient_hessian(f, x, step=1e-3):
     return np.vecdot(centred, W_D1) / step, H
 
 
-def local_quintic(nodes, values, x, order=0):
-    """Derivatives 0..order at ``x`` of the polynomial through the 6 samples
-    around each point: a quintic, so third derivatives keep O(h^3) accuracy.
+def local_quintic(nodes, values, x):
+    """Value at ``x`` of the polynomial through the 6 samples around each
+    point: a quintic, so stencil third derivatives of it keep O(h^3) accuracy.
     With fewer than 6 samples it is the one polynomial through all of them.
 
     ``nodes`` is strictly increasing with shape (n,) and ``values`` has shape
-    (n, ...).  Returns order + 1 arrays of shape x.shape + values.shape[1:].
+    (n, ...).  Returns an array of shape x.shape + values.shape[1:].
     A point's window runs from two samples left of its anchor (the sample at
     or left of it) to three right, shifted to stay inside the samples.  It is
     held as Newton divided differences with the anchor first, so at a node
     the interpolant returns that sample exactly.  Only the windows of the
     points asked for are built, as one (m, 6) array, with no loop over them.
     A point outside [nodes[0], nodes[-1]] raises ValueError naming the first
-    such point: values and derivatives are interpolated, never extrapolated.
+    such point: values are interpolated, never extrapolated.
     """
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
@@ -76,9 +76,7 @@ def local_quintic(nodes, values, x, order=0):
     for j in range(1, k):
         c[:, j:] = (c[:, j:] - c[:, j - 1:-1]) / (t[:, j:] - t[:, :-j])
     d = flat.reshape((-1, 1) + trail) - t
-    p = [c[:, -1]] + [np.zeros_like(c[:, 0])] * order
+    p = c[:, -1]
     for i in range(k - 2, -1, -1):
-        for r in range(order, 0, -1):
-            p[r] = p[r] * d[:, i] + r * p[r - 1]
-        p[0] = p[0] * d[:, i] + c[:, i]
-    return [q.reshape(x.shape + values.shape[1:]) for q in p]
+        p = p * d[:, i] + c[:, i]
+    return p.reshape(x.shape + values.shape[1:])

@@ -142,6 +142,10 @@ def test_sampled_positions_reproduce_the_samples_exactly():
     # a state's position is its stencil's centre: the interpolant at tau itself
     taus = np.linspace(-0.9, 0.9, 37)
     assert np.array_equal(sampled.state(taus, step=1e-3).position, sampled.position(taus))
+    # fewer than six samples: the one polynomial through all of them
+    nodes = np.array([0.0, 0.4, 0.7, 1.0])
+    cubic = SampledWorldline(nodes, np.outer(nodes**3 + 1, [1.0, 0.0, 0.0, 0.0]))
+    assert cubic.position(0.5) == pytest.approx([1.125, 0.0, 0.0, 0.0], abs=1e-14)
 
 
 def test_sampled_domain_and_step_errors():
