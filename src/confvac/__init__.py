@@ -14,9 +14,8 @@ cli           batch front end (``confvac`` console script)
 
 from .conformal import (AcceleratedFrameForm, ConformalMap, Dilation, Inversion,
                         LightRay, LorentzTransform, Translation, apply_map, compose,
-                        jacobian_tetrad, lorentz_boost, map_from_dict, map_to_dict,
-                        ricci_conformal, spatial_rotation, transform_light_ray,
-                        verify_interval_law)
+                        jacobian_tetrad, map_from_dict, map_to_dict, ricci_conformal,
+                        transform_light_ray, verify_interval_law)
 from .correlations import (SpectralPoint, em_potential_correlation,
                            minkowski_field_tensor_correlation,
                            momentum_space_oracle,
@@ -29,10 +28,8 @@ from .errors import (BoundaryError, ConstraintViolationError, ConvergenceError,
 from .kinematics import (AbrahamVector, MotionClass, abraham_vector, classify_motion,
                          image_state, transform_abraham)
 from .lightcone2d import (Homography2D, MirrorVerdict, RayMap2D, RayRule,
-                          accelerated_frame_maps_2d, cross_ratio, from_lightcone,
-                          homography_compose, homography_invert, is_homographic,
-                          mirror_scattering_map, schwarzian, to_lightcone,
-                          vacuum_verdict)
+                          accelerated_frame_maps_2d, homography_compose, is_homographic,
+                          mirror_scattering_map, schwarzian, vacuum_verdict)
 from .minkowski import (ETA, SIGNATURE, HyperbolicWorldline, KinematicState,
                         SampledWorldline, as_event, interval, minkowski_dot,
                         rest_worldline)

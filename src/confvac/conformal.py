@@ -22,9 +22,9 @@ and Y = M X are extended precision (``EXTENDED``); Y is then rounded once.
 
 ``ConformalMap.evaluate`` is the one non-raising evaluation, over event
 rows (n, 4), row j through chain j mod m with the bits of that chain alone
-(every contraction is ``np.vecdot``); ``apply``, ``factor``,
-``pushforward`` and ``jacobian_tetrad`` take one event (a batch of one) or
-rows and raise ``SingularPointError`` for the first singular one.
+(every contraction is ``np.vecdot``); ``apply``, ``factor``, ``pushforward``,
+``phi``, ``phi2``, ``tetrad`` and ``jacobian_tetrad`` take one event (a batch of
+one) or rows and raise ``SingularPointError`` for the first singular one.
 """
 
 from __future__ import annotations
@@ -45,20 +45,32 @@ LORENTZ_TOL = 1e-9      # largest max |L^T eta L - eta| of a Lorentz matrix
 EXTENDED = np.longdouble
 
 
-def _checked(m, x, v=None):
-    """``m.evaluate`` on one event (4,) or rows (n, 4), raising for the first
-    singular row: (images, pushed tangents, signed factors), one event's as
-    a (4,) image and a float factor."""
+def _rows(x, finite=True):
+    """One event (4,) or rows (n, 4) as rows (n, 4), and whether it was one; a
+    bad shape, or (if ``finite``) a component that is not finite, raises."""
     rows = np.asarray(x, dtype=float)
     single = rows.shape == (4,)
     rows = rows[None] if single else rows
     if rows.ndim != 2 or rows.shape[1] != 4:
         raise ValueError(f"expected a 4-vector or rows of shape (n, 4), got shape {rows.shape}")
-    if not np.isfinite(rows).all():
+    if finite and not np.isfinite(rows).all():
         raise ValueError("event components must be finite")
+    return rows, single
+
+
+def _checked(m, x, v=None):
+    """``m.evaluate`` on one event (4,) or rows (n, 4), raising for the first
+    singular row: (images, pushed tangents, signed factors), one event's as
+    a (4,) image and a float factor."""
+    rows, single = _rows(x)
     images, jv, lam, den, singular = m.evaluate(rows, v)
     _raise_first_singular(rows, den, singular)
     return (images[0], jv, float(lam[0])) if single else (images, jv, lam)
+
+
+def singular_rows(den, plus_x2, x2):
+    """Where |Y^+| < SINGULAR_RTOL (1 + |M^+_{x^2} x^2|): the singular rows."""
+    return np.abs(den) < SINGULAR_RTOL * (1.0 + np.abs(plus_x2 * x2))
 
 
 def _raise_first_singular(rows, den, singular):
@@ -260,14 +272,13 @@ class ConformalMap:
         with np.errstate(divide="ignore", invalid="ignore"):
             images = Y[..., 1:5] / den[..., None]
             lam = self.cone[1] / den
-        singular = np.abs(den) < SINGULAR_RTOL * (1.0 + np.abs(self.cone[0][:, 0, 5] * x2))
-        return images, lam, den, singular
+        return images, lam, den, singular_rows(den, self.cone[0][:, 0, 5], x2)
 
     def evaluate(self, x, v=None):
         """(images, J v or None, signed factors, Y^+, singular) of event rows x
         (n, 4) and tangent rows v, row j through chain j mod m; never raises.  A
-        row is singular where |Y^+| < SINGULAR_RTOL (1 + |M^+_{x^2} x^2|), and its
-        other values are meaningless.  J v = (dY - Y dY^+ / Y^+) / Y^+, dY = M (0, v, 2 x.v)."""
+        row is singular as ``singular_rows`` says, and its other values are
+        meaningless.  J v = (dY - Y dY^+ / Y^+) / Y^+, dY = M (0, v, 2 x.v)."""
         n = len(x)
         y, x2, Y = self._lift(x)
         images, lam, den, singular = self._projected(x2, Y)
@@ -292,17 +303,21 @@ class ConformalMap:
         """Images and pushed tangents J v of rows x, v of shape (n, 4)."""
         return _checked(self, x, v)[:2]
 
-    def _closed(self, x, closed_form, k=1):
+    def _closed(self, x, closed_form, k=1, check=True):
         """``closed_form(x, Y)``, Y's first k components, on the blocks of one event
-        (4,) or of rows (n, 4), back on the events of x (a scalar for one's)."""
-        x = np.asarray(x, dtype=float)
-        y, _, Y = self._lift(x.reshape(-1, 4), k)
+        (4,) or of rows (n, 4), back on the events of x (a scalar for one's).  With
+        ``check`` it raises as ``apply`` does, else only for a bad shape."""
+        rows = _rows(x, finite=check)[0]
+        y, x2, Y = self._lift(rows, k)
+        if check:
+            singular = singular_rows(Y[..., 0], self.cone[0][:, 0, 5], x2)
+            _raise_first_singular(rows, Y[..., 0].ravel(), singular.ravel())
         a = closed_form(y, Y)
-        return a.reshape(x.shape[:-1] + a.shape[2:])[()]
+        return a.reshape(np.shape(x)[:-1] + a.shape[2:])[()]
 
     def denominator(self, x):
-        """Y^+ = s / lambda: the product of the slots' denominators."""
-        return self._closed(x, lambda x, Y: Y[..., 0])
+        """Y^+ = s / lambda, the product of the slots' denominators, even where it is 0."""
+        return self._closed(x, lambda x, Y: Y[..., 0], check=False)
 
     def _phi(self, x, Y):
         M = self.cone[0][:, 0].astype(float)
@@ -321,6 +336,10 @@ class ConformalMap:
     def phi(self, x):
         """phi_mu = d_mu ln|lambda| = -d_mu Y^+ / Y^+, lower index, (4,) or (n, 4)."""
         return self._closed(x, self._phi)
+
+    def _phi_rows(self, rows):
+        """``phi`` of rows already checked finite and off the singular sets."""
+        return self._closed(rows, self._phi, check=False)
 
     def phi2(self, x):
         """phi_{mu nu} = d_mu phi_nu = phi_mu phi_nu - 2 M^+_{x^2} eta_{mu nu} / Y^+."""
@@ -685,23 +704,6 @@ def boost_matrix(velocity3) -> np.ndarray:
     outer = (g - 1.0) * (u[..., :, None] * u[..., None, :])
     L[..., 1:, 1:] = np.eye(3) + outer / np.where(u2 == 0.0, 1.0, u2)
     return L
-
-
-def lorentz_boost(velocity3) -> LorentzTransform:
-    """Pure boost with 3-velocity u (|u| < 1)."""
-    return LorentzTransform(boost_matrix(velocity3))
-
-
-def spatial_rotation(axis, angle) -> LorentzTransform:
-    axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
-    K = np.array([[0, -axis[2], axis[1]],
-                  [axis[2], 0, -axis[0]],
-                  [-axis[1], axis[0], 0]])
-    R3 = np.eye(3) + np.sin(angle) * K + (1 - np.cos(angle)) * (K @ K)
-    L = np.eye(4)
-    L[1:, 1:] = R3
-    return LorentzTransform(L)
 
 
 # ---------------------------------------------------------------------------

@@ -160,7 +160,7 @@ def _transformed_em_rows(form, x, xp, epsilon, last_term):
     if last_term not in LAST_TERM_MODES:
         raise ValueError(f"last_term must be one of {LAST_TERM_MODES}")
     c = _kernel_rows(x, xp, epsilon)[..., None, None]
-    phx, phy = form.phi(x), form.phi(xp)
+    phx, phy = form._phi_rows(x), form._phi_rows(xp)
     xl, yl = lower_index(x), lower_index(xp)
     M = ETA * c + _outer(phx, xl - yl) * c + _outer(yl - xl, phy) * c
     if last_term == "exact":
@@ -196,7 +196,7 @@ def tetrad_contraction(form: AcceleratedFrameForm, x, xp) -> TetradContractionRe
     n = len(rows) // 2
     _, _, _, f = _frames(form, rows)
     lhs = np.swapaxes(f[:n], 1, 2) @ ETA @ f[n:]
-    ph = form.phi(rows)
+    ph = form._phi_rows(rows)
     phx, phy = ph[:n], ph[n:]
     xl = lower_index(rows[:n])
     yl = lower_index(rows[n:])

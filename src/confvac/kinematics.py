@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import SINGULAR_RTOL, ConformalMap, jacobian_tetrad
+from .conformal import ConformalMap, jacobian_tetrad, singular_rows
 from .conformal import apply_map  # noqa: F401 (re-export)
 from .errors import SingularPointError
 from .minkowski import ETA, SIGNATURE, KinematicState, minkowski_dot
@@ -163,9 +163,9 @@ def image_state(m: ConformalMap, state: KinematicState) -> KinematicState:
     Y = M X, and the image Y^mu / Y^+ is one series division; dividing by
     the image speed sqrt(xbar'.xbar') turns s-derivatives into image
     proper-time ones.  No image is sampled, splined or differenced.  A row
-    is singular where |Y^+| < SINGULAR_RTOL (1 + |M^+_{x^2} x^2|), as in
-    ``ConformalMap.evaluate``; the ``SingularPointError`` names the first,
-    with the Y^+ that the jets would divide by as its residual.
+    is singular as ``conformal.singular_rows`` says; the
+    ``SingularPointError`` names the first, with the Y^+ that the jets would
+    divide by as its residual.
     """
     m._one_chain()
     M = m.cone[0][0]
@@ -176,7 +176,7 @@ def image_state(m: ConformalMap, state: KinematicState) -> KinematicState:
     x2 = _sdot(x, x)
     Y = np.concatenate([one, x, x2], axis=-1) @ M.astype(float).T
     den = np.atleast_1d(Y[0, ..., 0])
-    singular = np.abs(den) < SINGULAR_RTOL * (1.0 + np.abs(float(M[0, 5]) * x2[0, ..., 0]))
+    singular = singular_rows(den, float(M[0, 5]), x2[0, ..., 0])
     if singular.any():
         i = int(np.argmax(singular))
         raise SingularPointError(

@@ -21,28 +21,12 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConstraintViolationError, PoleError
 
 VERDICT_THRESHOLD = 1e-6   # max |Schwarzian| below this is a homography
-
-
-class LightConeEvent(NamedTuple):
-    u_plus: float
-    u_minus: float
-
-
-def to_lightcone(t, x) -> LightConeEvent:
-    """u_pm = t +- x."""
-    return LightConeEvent(u_plus=float(t) + float(x), u_minus=float(t) - float(x))
-
-
-def from_lightcone(u: LightConeEvent):
-    """(t, x) from light-cone variables; round-trips exactly."""
-    return (0.5 * (u.u_plus + u.u_minus), 0.5 * (u.u_plus - u.u_minus))
 
 
 # ---------------------------------------------------------------------------
@@ -106,17 +90,13 @@ class Homography2D:
         return self(u), d1, d2, d3
 
     def inverse(self) -> Homography2D:
-        return homography_invert(self)
+        return Homography2D(self.d, -self.b, -self.c, self.a)
 
 
 def homography_compose(h1: Homography2D, h2: Homography2D) -> Homography2D:
     """The map u -> h2(h1(u)) (apply h1 first, then h2)."""
     m = h2.matrix @ h1.matrix
     return Homography2D(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
-
-
-def homography_invert(h: Homography2D) -> Homography2D:
-    return Homography2D(h.d, -h.b, -h.c, h.a)
 
 
 # ---------------------------------------------------------------------------
@@ -199,17 +179,15 @@ def schwarzian(component: RayComponent, u):
 class SchwarzianReport:
     max_schwarzian: float
     homographic: bool
-    threshold: float
 
 
-def is_homographic(component: RayComponent, grid,
-                   threshold=VERDICT_THRESHOLD) -> SchwarzianReport:
-    """Membership test for the fractional-linear subgroup on a grid."""
+def is_homographic(component: RayComponent, grid) -> SchwarzianReport:
+    """Membership test for the fractional-linear subgroup on a grid: max
+    |Schwarzian| below VERDICT_THRESHOLD."""
     grid = np.asarray(grid, dtype=float)
     s = np.abs(schwarzian(component, grid))
     m = float(np.max(s))
-    return SchwarzianReport(max_schwarzian=m, homographic=m < threshold,
-                            threshold=threshold)
+    return SchwarzianReport(max_schwarzian=m, homographic=m < VERDICT_THRESHOLD)
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +275,6 @@ def vacuum_verdict(m: RayMap2D) -> MirrorVerdict:
     evidence = max(r.max_schwarzian for r in reports)
     verdict = "invariant" if all(r.homographic for r in reports) else "modified"
     return MirrorVerdict(verdict=verdict, evidence=evidence, ray_map=m)
-
-
-def cross_ratio(u1, u2, u3, u4) -> float:
-    """(u1-u3)(u2-u4) / ((u1-u4)(u2-u3)); preserved exactly by homographies."""
-    return ((u1 - u3) * (u2 - u4)) / ((u1 - u4) * (u2 - u3))
 
 
 # ---------------------------------------------------------------------------

@@ -103,43 +103,23 @@ class HyperbolicWorldline:
         self.accel = a
         self.x0 = x0
 
-    def position(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        a = self.accel
-        if a == 0.0:
-            return self.x0 + np.multiply.outer(tau, self.v0)
-        return (self.x0
-                + np.multiply.outer(np.sinh(a * tau) / a, self.v0)
-                + np.multiply.outer((np.cosh(a * tau) - 1.0) / a**2, self.vdot0))
-
-    def velocity(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        a = self.accel
-        if a == 0.0:
-            return np.broadcast_to(self.v0, tau.shape + (4,)).copy()
-        return (np.multiply.outer(np.cosh(a * tau), self.v0)
-                + np.multiply.outer(np.sinh(a * tau) / a, self.vdot0))
-
-    def velocity_dot(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        a = self.accel
-        if a == 0.0:
-            return np.zeros(tau.shape + (4,))
-        return (np.multiply.outer(a * np.sinh(a * tau), self.v0)
-                + np.multiply.outer(np.cosh(a * tau), self.vdot0))
-
-    def velocity_ddot(self, tau):
-        # second derivative reproduces a^2 v
-        return self.accel**2 * self.velocity(tau)
-
     def state(self, tau, step=None) -> KinematicState:
-        """Closed-form state at a proper time or an array of them."""
+        """Closed-form state at a proper time or an array of them (vddot = a^2 v)."""
         tau = float(tau) if np.ndim(tau) == 0 else np.asarray(tau, dtype=float)
+        a, v0, vdot0 = self.accel, self.v0, self.vdot0
+        if a == 0.0:
+            velocity = np.broadcast_to(v0, np.shape(tau) + (4,)).copy()
+            return KinematicState(position=self.x0 + np.multiply.outer(tau, v0),
+                                  velocity=velocity, velocity_dot=np.zeros_like(velocity),
+                                  velocity_ddot=a**2 * velocity, tau=tau)
+        ch, sh = np.cosh(a * tau), np.sinh(a * tau)
+        velocity = np.multiply.outer(ch, v0) + np.multiply.outer(sh / a, vdot0)
         return KinematicState(
-            position=self.position(tau),
-            velocity=self.velocity(tau),
-            velocity_dot=self.velocity_dot(tau),
-            velocity_ddot=self.velocity_ddot(tau),
+            position=(self.x0 + np.multiply.outer(sh / a, v0)
+                      + np.multiply.outer((ch - 1.0) / a**2, vdot0)),
+            velocity=velocity,
+            velocity_dot=np.multiply.outer(a * sh, v0) + np.multiply.outer(ch, vdot0),
+            velocity_ddot=a**2 * velocity,
             tau=tau,
         )
 

@@ -13,11 +13,23 @@ from confvac import (ETA, AcceleratedFrameForm, ConformalMap,
                      ConstraintViolationError, Dilation, Inversion,
                      LightRay, LorentzTransform, SingularPointError, Translation,
                      apply_map, compose, interval,
-                     jacobian_tetrad, lorentz_boost, map_from_dict, map_to_dict,
-                     minkowski_dot, ricci_conformal, spatial_rotation,
+                     jacobian_tetrad, map_from_dict, map_to_dict,
+                     minkowski_dot, ricci_conformal,
                      transform_light_ray, verify_interval_law, verify_scalar_invariance)
 
 WORKED_FORM = AcceleratedFrameForm(np.array([0.5, 0.0, 0.0, 0.0]), 1.0)
+
+
+def rotation(axis, angle):
+    """Rotation by ``angle`` about ``axis`` (Rodrigues' formula) as a Lorentz
+    transformation."""
+    axis = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    K = np.array([[0, -axis[2], axis[1]],
+                  [axis[2], 0, -axis[0]],
+                  [-axis[1], axis[0], 0]])
+    L = np.eye(4)
+    L[1:, 1:] = np.eye(3) + np.sin(angle) * K + (1 - np.cos(angle)) * (K @ K)
+    return LorentzTransform(L)
 
 
 def fd_jacobian(f, x, step=1e-5):
@@ -71,6 +83,28 @@ def test_singular_residual_examples():
     assert AcceleratedFrameForm(np.zeros(4), 1.0).denominator([0.4, 0.1, 0, 0]) == 1.0
     assert WORKED_FORM.denominator([2.0, 0, 0, 0]) == pytest.approx(0.0)
     assert WORKED_FORM.denominator([1.0, 0, 0, 0]) == pytest.approx(0.25)
+
+
+def test_closed_forms_check_their_input():
+    # phi, phi2 and the tetrad raise as apply does: for the first singular
+    # row (not a NaN with a RuntimeWarning), a row that is not finite or a
+    # bad shape; the denominator raises only for a bad shape
+    rows = np.array([[1.0, 0, 0, 0], [2.0, 0, 0, 0], [2.0, 0, 0, 0]])
+    for closed_form in (WORKED_FORM.phi, WORKED_FORM.phi2, WORKED_FORM.tetrad):
+        with pytest.raises(SingularPointError) as exc:
+            closed_form([2.0, 0, 0, 0])
+        assert exc.value.index == 0 and exc.value.residual == pytest.approx(0.0, abs=1e-12)
+        with pytest.raises(SingularPointError) as exc:
+            closed_form(rows)
+        assert exc.value.index == 1 and np.array_equal(exc.value.point, rows[1])
+        with pytest.raises(ValueError, match="finite"):
+            closed_form([np.nan, 0, 0, 0])
+        for bad in ([1.0, 0, 0], np.zeros((2, 2, 4))):
+            with pytest.raises(ValueError, match=r"4-vector or rows of shape \(n, 4\)"):
+                closed_form(bad)
+    assert WORKED_FORM.denominator(rows).tolist() == [0.25, 0.0, 0.0]
+    with pytest.raises(ValueError, match=r"4-vector or rows of shape \(n, 4\), got shape \(3,\)"):
+        WORKED_FORM.denominator([1.0, 0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +227,8 @@ def test_tetrad_defect_near_the_singular_set():
 
 def test_chain_jacobian_via_chain_rule():
     rng = np.random.default_rng(4)
-    m = ConformalMap([Translation(np.array([0.1, 0.0, -0.2, 0.3])),
-                      Inversion(1.5), Dilation(0.7), lorentz_boost([0.2, 0, 0.1])])
+    m = ConformalMap([Translation(np.array([0.1, 0.0, -0.2, 0.3])), Inversion(1.5),
+                      Dilation(0.7), LorentzTransform(boost_matrix([0.2, 0, 0.1]))])
     for _ in range(5):
         x = rng.uniform(-1, 1, 4)
         if abs(minkowski_dot(x + np.array([0.1, 0.0, -0.2, 0.3]),
@@ -209,8 +243,8 @@ def test_chain_jacobian_via_chain_rule():
 def test_batched_pushforward_matches_apply_and_jacobian():
     rng = np.random.default_rng(5)
     chain = ConformalMap([Translation(np.array([0.1, 0.0, -0.2, 0.3])), Inversion(1.5),
-                          spatial_rotation([1, 2, 0], 0.7), Dilation(0.7),
-                          lorentz_boost([0.2, 0, 0.1])])
+                          rotation([1, 2, 0], 0.7), Dilation(0.7),
+                          LorentzTransform(boost_matrix([0.2, 0, 0.1]))])
     for m in (random_form(rng), random_form(rng), chain):
         x = np.array([safe_event(rng, m) if isinstance(m, AcceleratedFrameForm)
                       else rng.uniform(-1, 1, 4) for _ in range(50)])
@@ -310,8 +344,8 @@ def chain_param(rng, kind):
         return Translation, rng.uniform(-0.5, 0.5, 4)
     if kind == 1:
         if rng.random() < 0.5:
-            return LorentzTransform, lorentz_boost(rng.uniform(-0.4, 0.4, 3)).matrix
-        return LorentzTransform, spatial_rotation(rng.uniform(-1, 1, 3), rng.uniform(0, 6)).matrix
+            return LorentzTransform, boost_matrix(rng.uniform(-0.4, 0.4, 3))
+        return LorentzTransform, rotation(rng.uniform(-1, 1, 3), rng.uniform(0, 6)).matrix
     return (Dilation if kind == 2 else Inversion), rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
 
 
@@ -402,7 +436,7 @@ def test_stacked_boost_matrices_equal_one_at_a_time():
 
 def test_stacked_lorentz_check_names_the_bad_matrix():
     rng = np.random.default_rng(5)
-    stack = np.array([lorentz_boost(rng.uniform(-0.4, 0.4, 3)).matrix for _ in range(5)])
+    stack = np.array([boost_matrix(rng.uniform(-0.4, 0.4, 3)) for _ in range(5)])
     assert same_bits(LorentzTransform(stack).matrix, stack)
     stack[2] = np.diag([1.0, 1.0, 1.0, 2.0])
     with pytest.raises(ConstraintViolationError,
@@ -419,7 +453,7 @@ def test_stacked_lorentz_check_names_the_bad_matrix():
 def test_chain_stack_names_the_chain_and_slot_of_a_bad_matrix():
     # kinds [[0, 1], [1, 2], [0, 1]]: the third drawn matrix is chain 2's
     # slot 1, the second of slot 1's stacked Lorentz transforms
-    good = [lorentz_boost([0.1, 0.2, 0.0]).matrix, lorentz_boost([0.0, -0.3, 0.1]).matrix]
+    good = [boost_matrix([0.1, 0.2, 0.0]), boost_matrix([0.0, -0.3, 0.1])]
     kinds = np.array([[0, 1], [1, 2], [0, 1]])
     drawn = [(np.zeros((2, 4)),), (np.array([*good, np.diag([1.0, 1.0, 1.0, 2.0])]),),
              (np.array([1.5]),), (np.zeros(0),)]
@@ -487,9 +521,9 @@ def test_factor_multiplicative_under_compose(seed):
 def test_chain_pushforward_rows_match_finite_differences_and_are_conformal():
     rng = np.random.default_rng(12)
     t1, t2 = np.array([0.1, 0.0, -0.2, 0.3]), np.array([0.4, -0.1, 0.2, 0.0])
-    m = ConformalMap([Translation(t1), Inversion(1.5), spatial_rotation([1, 2, 0], 0.7),
+    m = ConformalMap([Translation(t1), Inversion(1.5), rotation([1, 2, 0], 0.7),
                       Dilation(0.7), Translation(t2), Inversion(0.8),
-                      lorentz_boost([0.2, 0, 0.1])])
+                      LorentzTransform(boost_matrix([0.2, 0, 0.1]))])
     before_second = ConformalMap(m.chain[:5])
     x = rng.uniform(-1.0, 1.0, (400, 4))
     y, z = x + t1, before_second.evaluate(x)[0]
@@ -1049,7 +1083,7 @@ def test_compose_applies_right_map_first():
 def test_compose_invert_identity_on_random_events():
     rng = np.random.default_rng(10)
     m = ConformalMap([Inversion(1.3), Translation(np.array([0.2, -0.1, 0.0, 0.3])),
-                      Dilation(0.8), lorentz_boost([0.1, 0.2, 0.0])])
+                      Dilation(0.8), LorentzTransform(boost_matrix([0.1, 0.2, 0.0]))])
     round_trip = compose(m.inverse(), m)
     checked = 0
     for _ in range(1000):
@@ -1095,13 +1129,15 @@ def test_inverse_undoes_a_chain_stack(seed, m):
     inverse = stack.inverse()
     back, _, lam_back, _, singular_back = inverse.evaluate(images)
     kept = ~singular & ~singular_back
-    with np.errstate(all="ignore"):           # the singular rows' values
-        rounding = 3.0 * 2.0**-53 * np.abs(images)
-        stretch = np.abs(lam_back[:, None, None] * inverse.tetrad(images))
+    for i in range(m):     # chain i's kept rows, through chain i alone (the same bits)
+        at = np.arange(i, len(x), m)[kept[i::m]]
+        chain = inverse.take(i)
+        rounding = 3.0 * 2.0**-53 * np.abs(images[at])
+        stretch = np.abs(lam_back[at, None, None] * chain.tetrad(images[at]))
         tol = np.maximum(1e-12, np.vecdot(stretch, rounding[:, None, :]))
-        tol_lam = np.maximum(1e-12, np.vecdot(np.abs(inverse.phi(images)), rounding))
-    assert (np.abs(back - x) <= tol)[kept].all()
-    assert (np.abs(lam_back * lam - 1.0) <= tol_lam)[kept].all()
+        tol_lam = np.maximum(1e-12, np.vecdot(np.abs(chain.phi(images[at])), rounding))
+        assert (np.abs(back[at] - x[at]) <= tol).all()
+        assert (np.abs(lam_back[at] * lam[at] - 1.0) <= tol_lam).all()
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 12))
@@ -1138,7 +1174,7 @@ def test_compose_keeps_a_form_regular_on_its_inner_cone():
 
 def test_json_round_trip_of_a_composite_with_a_frame_slot():
     form, x = FORM_ON_CONE
-    chain = ConformalMap([Dilation(0.7), lorentz_boost([0.2, 0.0, 0.1])])
+    chain = ConformalMap([Dilation(0.7), LorentzTransform(boost_matrix([0.2, 0.0, 0.1]))])
     m = compose(chain, compose(form, ConformalMap([Translation(np.array([0.1, 0, 0, 0.2]))])))
     d = map_to_dict(m)
     assert [e["kind"] for e in d["chain"]] == ["translation", "accelerated-frame",
@@ -1219,7 +1255,7 @@ def test_lorentz_validation():
     with pytest.raises(ConstraintViolationError, match="not Lorentz"):
         from confvac import LorentzTransform
         LorentzTransform(np.diag([1.0, 1.0, 1.0, 2.0]))
-    R = spatial_rotation([0, 0, 1], 0.7)
+    R = rotation([0, 0, 1], 0.7)
     np.testing.assert_allclose(R.matrix.T @ ETA @ R.matrix, ETA, atol=1e-12)
 
 
@@ -1238,7 +1274,7 @@ def test_form_json_round_trip(seed):
 
 def test_chain_json_round_trip():
     m = ConformalMap([Inversion(1.25), Translation(np.array([0.1, 0.2, 0.3, 0.4])),
-                      Dilation(-0.5), lorentz_boost([0.3, 0.0, 0.0])])
+                      Dilation(-0.5), LorentzTransform(boost_matrix([0.3, 0.0, 0.0]))])
     parsed = json.loads(json.dumps(map_to_dict(m)))
     assert parsed["chain"][0] == {"kind": "inversion", "beta": 1.25}
     loaded = map_from_dict(parsed)

@@ -37,7 +37,8 @@ def test_frames_suites_and_transform_load_no_scipy(tmp_path):
         import numpy as np
         import confvac, confvac.cli
         from confvac import (AcceleratedFrameForm, ConformalMap, Dilation, Inversion,
-                             Translation, lorentz_boost, map_to_dict)
+                             LorentzTransform, Translation, map_to_dict)
+        from confvac.conformal import boost_matrix
         from confvac.suites import SuiteConfig, run_suite
 
         assert loaded() == [], loaded()
@@ -48,7 +49,7 @@ def test_frames_suites_and_transform_load_no_scipy(tmp_path):
         assert loaded() == [], loaded()
         form = AcceleratedFrameForm(np.array([0.3, 0.1, -0.2, 0.05]), 1.3)
         chain = ConformalMap([Translation(np.array([0.1, 0.2, 0.0, -0.1])),
-                              lorentz_boost([0.3, 0.0, 0.1]),
+                              LorentzTransform(boost_matrix([0.3, 0.0, 0.1])),
                               Inversion(1.0), Dilation(0.5), Inversion(1.5)])
         with open("events.csv", "w") as fh:
             fh.write("t,x1,x2,x3\\n0.5,0.3,0.4,0\\n0.1,-0.2,0.3,0.4\\n")
@@ -97,7 +98,7 @@ def test_no_scipy_module_is_ever_loaded(tmp_path):
                                          seed=7)).passed, name
 
         taus = np.arange(-1.0, 1.0 + 1e-9, 1e-2)
-        pos = HyperbolicWorldline([1, 0, 0, 0], [0, 1, 0, 0], 1.0).position(taus)
+        pos = HyperbolicWorldline([1, 0, 0, 0], [0, 1, 0, 0], 1.0).state(taus).position
         np.savetxt("wl.csv", np.column_stack([taus, pos]), delimiter=",",
                    header="tau,t,x1,x2,x3", comments="")
         with contextlib.redirect_stdout(io.StringIO()):

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from confvac import (AcceleratedFrameForm, ConformalMap, Dilation,
-                     HyperbolicWorldline, Inversion, KinematicState, SampledWorldline,
-                     SingularPointError, Translation, abraham_vector, apply_map,
-                     classify_motion, image_state, jacobian_tetrad, lorentz_boost,
+                     HyperbolicWorldline, Inversion, KinematicState, LorentzTransform,
+                     SampledWorldline, SingularPointError, Translation, abraham_vector,
+                     apply_map, classify_motion, image_state, jacobian_tetrad,
                      minkowski_dot, rest_worldline, transform_abraham)
 from confvac import suites
+from confvac.conformal import boost_matrix
 from confvac.numdiff import gradient_hessian
 
 HYP = HyperbolicWorldline([1, 0, 0, 0], [0, 1, 0, 0], 1.0)
@@ -197,7 +198,7 @@ PUSH_MAPS = {
     "form": AcceleratedFrameForm(np.array([0.1, 0.15, -0.1, 0.05]), 1.2),
     # the translation keeps the inversion's input y^2 >= 1 on every source
     "chain": ConformalMap([Translation(np.array([2.0, 0.1, -0.2, 0.0])), Inversion(0.8),
-                           Dilation(1.3), lorentz_boost([0.2, 0.1, 0.0]),
+                           Dilation(1.3), LorentzTransform(boost_matrix([0.2, 0.1, 0.0])),
                            Translation(np.array([0.1, 0.0, 0.0, 0.4]))]),
 }
 PUSH_SOURCES = {
@@ -401,7 +402,7 @@ def test_jets_through_a_chain_with_a_frame_slot_agree_with_the_spline_pushforwar
     for i in range(4):
         form, wl, grid, _ = suites._conditioned_abraham_sample(rng, hyperbolic=(i % 4 != 3))
         chain = ConformalMap([form, Dilation(1.3), Translation(np.array([0.1, 0.0, -0.2, 0.05])),
-                              lorentz_boost([0.2, 0.0, 0.1])])
+                              LorentzTransform(boost_matrix([0.2, 0.0, 0.1]))])
         jets = image_state(chain, wl.state(grid))
         assert np.max(abraham_vector(jets).residual_norm) < 1e-13
         image = sampled_image(chain, wl, grid)

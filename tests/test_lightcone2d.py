@@ -8,35 +8,15 @@ from hypothesis import strategies as st
 
 from confvac import (AcceleratedFrameForm, ConstraintViolationError,
                      Homography2D, PoleError, RayMap2D, RayRule,
-                     accelerated_frame_maps_2d, cross_ratio, from_lightcone,
-                     homography_compose, homography_invert, is_homographic,
-                     mirror_scattering_map, schwarzian, to_lightcone,
-                     vacuum_verdict)
+                     accelerated_frame_maps_2d, homography_compose, is_homographic,
+                     mirror_scattering_map, schwarzian, vacuum_verdict)
 from confvac.cli import main
-from confvac.lightcone2d import VERDICT_THRESHOLD, _compose_components, raymap_to_dict
-
-reasonable = st.floats(-50, 50)
+from confvac.lightcone2d import _compose_components, raymap_to_dict
 
 # f = u + 0.1 sin u, the mirror-2d suite's perturbed rule
 SINE = RayRule(lambda u: (u + 0.1 * np.sin(u), 1 + 0.1 * np.cos(u),
                           -0.1 * np.sin(u), -0.1 * np.cos(u)))
 EXP = RayRule(lambda u: (np.exp(u),) * 4)
-
-
-# ---------------------------------------------------------------------------
-# light-cone variables
-
-def test_lightcone_examples():
-    assert to_lightcone(1.0, 0.0) == (1.0, 1.0)
-    assert to_lightcone(0.0, 1.0) == (1.0, -1.0)
-
-
-@given(reasonable, reasonable)
-def test_lightcone_round_trip(t, x):
-    u = to_lightcone(t, x)
-    t2, x2 = from_lightcone(u)
-    assert t2 == pytest.approx(t, abs=1e-12)
-    assert x2 == pytest.approx(x, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +53,7 @@ def test_invert_compose_is_identity():
         if d is None:
             continue
         h = Homography2D(a, b, c, d)
-        hinv = homography_invert(h)
+        hinv = h.inverse()
         for u in rng.uniform(-2, 2, 5):
             try:
                 assert hinv(h(u)) == pytest.approx(u, abs=1e-8)
@@ -136,7 +116,7 @@ def test_homography_schwarzian_below_threshold():
         h = Homography2D(a, b, c, (1 + b * c) / a)
         pole = h.pole()
         g = grid if pole is None else grid[np.abs(grid - pole) > 0.1]
-        rep = is_homographic(h, g, threshold=1e-8)
+        rep = is_homographic(h, g)
         assert rep.homographic
         assert rep.max_schwarzian < 1e-8
 
@@ -179,7 +159,6 @@ def test_homography_rule_reads_invariant():
     v = vacuum_verdict(composite)
     assert v.verdict == "invariant"
     assert v.evidence < 1e-12
-    assert is_homographic(h, [0.0]).threshold == VERDICT_THRESHOLD
 
 
 @given(st.integers(0, 10_000))
@@ -258,10 +237,9 @@ def test_2d_maps_match_4d_map_in_lightcone_variables():
         if abs(form.denominator(ev)) < 0.1:
             continue
         img = form.apply(ev)
-        u = to_lightcone(t, x1)
-        ub = to_lightcone(img[0], img[1])
-        assert pair.f_plus(u.u_plus) == pytest.approx(ub.u_plus, abs=1e-12)
-        assert pair.f_minus(u.u_minus) == pytest.approx(ub.u_minus, abs=1e-12)
+        # u_pm = t +- x
+        assert pair.f_plus(t + x1) == pytest.approx(img[0] + img[1], abs=1e-12)
+        assert pair.f_minus(t - x1) == pytest.approx(img[0] - img[1], abs=1e-12)
         checked += 1
     assert checked > 200
 
@@ -288,7 +266,7 @@ def test_frame_components_always_homographic():
             grid = np.linspace(-1, 1, 500)
             if pole is not None:
                 grid = grid[np.abs(grid - pole) > 0.1]
-            assert is_homographic(comp, grid, threshold=1e-8).homographic
+            assert is_homographic(comp, grid).max_schwarzian < 1e-8
 
 
 def test_beta_must_be_positive():
@@ -352,6 +330,9 @@ def test_inertial_mirror_invariant():
 
 
 def test_cross_ratio_preserved_by_homographies_only():
+    def cross_ratio(u1, u2, u3, u4):
+        return ((u1 - u3) * (u2 - u4)) / ((u1 - u4) * (u2 - u3))
+
     rng = np.random.default_rng(5)
     h = Homography2D(1.2, 0.3, -0.4, (1 + 0.3 * -0.4) / 1.2)
     us = rng.uniform(-1, 1, 4)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from confvac import (ConstraintViolationError, HyperbolicWorldline,
                      KinematicState, SampledWorldline, interval, minkowski_dot,
-                     rest_worldline)
+                     rest_worldline, suites)
 from confvac.minkowski import as_event
 
 
@@ -49,20 +49,20 @@ def test_hyperbolic_position_closed_form():
     # independent oracle: cumulative quadrature of the velocity formula
     wl = HyperbolicWorldline([1, 0, 0, 0], [0, 1, 0, 0], 1.0)
     taus = np.linspace(-1.0, 1.0, 2001)
-    vel = wl.velocity(taus)
+    vel = wl.state(taus).velocity
     pos_oracle = np.concatenate(
         [np.zeros((1, 4)), np.cumsum(np.diff(taus)[:, None] * (vel[1:] + vel[:-1]) / 2.0, axis=0)])
-    pos_oracle += wl.position(taus[0])
-    assert np.max(np.abs(wl.position(taus) - pos_oracle)) < 5e-7
+    pos_oracle += wl.state(taus[0]).position
+    assert np.max(np.abs(wl.state(taus).position - pos_oracle)) < 5e-7
     # frozen closed form at tau = 0.7: (sinh, cosh - 1, 0, 0)
     np.testing.assert_allclose(
-        wl.position(0.7),
+        wl.state(0.7).position,
         [math.sinh(0.7), math.cosh(0.7) - 1.0, 0.0, 0.0], atol=1e-15)
 
 
 def test_zero_acceleration_is_rest():
     wl = rest_worldline()
-    np.testing.assert_allclose(wl.position(3.7), [3.7, 0, 0, 0], atol=0)
+    np.testing.assert_allclose(wl.state(3.7).position, [3.7, 0, 0, 0], atol=0)
     st0 = wl.state(1.0)
     np.testing.assert_allclose(st0.velocity, [1, 0, 0, 0])
     assert np.all(st0.velocity_dot == 0)
@@ -104,12 +104,29 @@ def test_hyperbolic_identities(a, rapidity, tau):
     np.testing.assert_allclose(stt.velocity_ddot, a * a * stt.velocity, rtol=1e-12)
 
 
+def test_state_rows_are_the_states_at_each_proper_time():
+    # a state at an array of proper times holds, bit for bit, the states at
+    # each one, for a = 0 (here moving, off the origin) and for a > 0
+    rng = np.random.default_rng(8)
+    v0 = np.array([math.cosh(0.4), math.sinh(0.4), 0.0, 0.0])
+    worldlines = [HyperbolicWorldline(v0, np.zeros(4), 0.0, x0=[0.1, -0.2, 0.3, 0.0]),
+                  *(suites.random_hyperbolic(rng) for _ in range(20))]
+    taus = np.concatenate([[0.0, -0.0], rng.uniform(-1.5, 1.5, 30)])
+    for wl in worldlines:
+        rows = wl.state(taus)
+        for i, tau in enumerate(taus):
+            one = wl.state(tau)
+            for field in ("position", "velocity", "velocity_dot", "velocity_ddot"):
+                a, b = getattr(rows, field)[i], getattr(one, field)
+                assert a.shape == b.shape == (4,) and a.tobytes() == b.tobytes(), (tau, field)
+
+
 # ---------------------------------------------------------------------------
 # sampled worldlines
 
 def _sampled_copy(wl, lo=-1.0, hi=1.0, h=1e-3):
     taus = np.arange(lo, hi + 1e-12, h)
-    return SampledWorldline(taus, wl.position(taus))
+    return SampledWorldline(taus, wl.state(taus).position)
 
 
 def test_sampled_matches_analytic_state():
@@ -132,7 +149,7 @@ def test_sampled_state_convergence_order():
     errs = []
     for step in (8e-3, 4e-3):
         st_s = sampled.state(0.2, step=step)
-        errs.append(np.max(np.abs(st_s.velocity - wl.velocity(0.2))))
+        errs.append(np.max(np.abs(st_s.velocity - wl.state(0.2).velocity)))
     assert errs[0] / errs[1] > 8.0  # ~16 for clean 4th order
 
 

@@ -449,7 +449,7 @@ def test_cli_abraham_classifies_hyperbolic(tmp_path, capsys):
     from confvac import HyperbolicWorldline
     wl = HyperbolicWorldline([1, 0, 0, 0], [0, 1, 0, 0], 1.0)
     taus = np.arange(-1.0, 1.0 + 1e-9, 1e-3)
-    pos = wl.position(taus)
+    pos = wl.state(taus).position
     lines = ["tau,t,x1,x2,x3"]
     lines += [",".join(repr(float(v)) for v in (taus[i], *pos[i]))
               for i in range(len(taus))]
