@@ -20,19 +20,21 @@ checks extrapolate eps -> 0 (linearly or quadratically on an
 (eps, eps/2, eps/4) ladder); finite-eps kernels are not exactly covariant.
 
 Evaluation is batch-first (a single pair is a batch of one): every check
-takes one pair or pair rows with n stacked forms, pair i by form i, and the
-electromagnetic check is one array pass over its pairs, the 64 stencil
-pairs of each and every rung of the regulator ladder.
+takes one pair or pair rows with n stacked forms, pair i by form i.  The
+electromagnetic check makes one lift, one kernel call and one evaluation of
+the four-term formula over all its pairs, stencil events and regulator rungs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import AcceleratedFrameForm, _checked, _frames, _pair_rows
+from .conformal import (AcceleratedFrameForm, _checked, _frames, _pair_rows,
+                        _raise_first_singular)
 from .errors import (BoundaryError, ConvergenceError, InternalConsistencyError,
                      PoleError)
 from .minkowski import ETA, as_event, interval, lower_index, minkowski_dot
@@ -148,19 +150,20 @@ def transformed_em_correlation(form: AcceleratedFrameForm, x, xp, epsilon,
         - (1/2pi) phi(x) phi(x') (x'-x)^2 c
 
     whose last term makes it equal the tetrad transport at finite eps;
-    ``last_term="omit"`` drops it (the ablation).
+    ``last_term="omit"`` drops it (the ablation).  phi is read checked: an
+    event on a singular set raises ``SingularPointError``.
     """
     rows, single = _pair_rows(x, xp)
-    M = _transformed_em_rows(form, *np.split(rows, 2), epsilon, last_term)
+    x, xp = np.split(rows, 2)
+    M = _em_rows(x, xp, *np.split(form.phi(rows), 2), _kernel_rows(x, xp, epsilon), last_term)
     return M[..., 0, :, :] if single else M
 
 
-def _transformed_em_rows(form, x, xp, epsilon, last_term):
-    """``transformed_em_correlation`` on checked pair rows x, x' (n, 4)."""
+def _em_rows(x, xp, phx, phy, c, last_term):
+    """The four-term formula on pair rows x, x' (n, 4), phi rows and kernel c (n,) or (k, n)."""
     if last_term not in LAST_TERM_MODES:
         raise ValueError(f"last_term must be one of {LAST_TERM_MODES}")
-    c = _kernel_rows(x, xp, epsilon)[..., None, None]
-    phx, phy = form._phi_rows(x), form._phi_rows(xp)
+    c = c[..., None, None]
     xl, yl = lower_index(x), lower_index(xp)
     M = ETA * c + _outer(phx, xl - yl) * c + _outer(yl - xl, phy) * c
     if last_term == "exact":
@@ -219,19 +222,11 @@ def _antisymmetrize(A):
     return A - A_nu - A.swapaxes(-2, -1) + A_nu.swapaxes(-2, -1)
 
 
-def _fd_field_tensor(rule, x, xp, h):
-    """Field tensor by central cross stencils in x and x' on pair rows x, x'
-    (n, 4).  ``rule`` maps pair rows a, b (64 n, 4) to correlators
-    (..., 64 n, 4, 4); it is called once, on every pair of the stencil
-    events x +- h e_mu and x' +- h e_rho, row s n + i of stencil pair s
-    belonging to pair i, so that n stacked forms meet them cyclically.
-    Returns (..., n, 4, 4, 4, 4)."""
-    n = len(x)
-    steps = np.concatenate([h * np.eye(4), -h * np.eye(4)])
-    C = np.asarray(rule((np.repeat(steps, 8, axis=0)[:, None] + x).reshape(-1, 4),
-                        (np.tile(steps, (8, 1))[:, None] + xp).reshape(-1, 4)), dtype=complex)
-    lead = C.shape[:-3]
-    C = np.moveaxis(C.reshape(*lead, 64, n, 4, 4), -4, 0).reshape(2, 4, 2, 4, *lead, n, 4, 4)
+def _fd_field_tensor(C, h):
+    """Field tensor (..., n, 4, 4, 4, 4) of n pairs by central cross stencils, from
+    correlators C (..., 64 n, 4, 4): row s n + i, s = 8 a + b, is pair i's stencil
+    pair (x + steps[a], x' + steps[b]), where steps are h e_mu, then -h e_mu."""
+    C = np.moveaxis(C.reshape(*C.shape[:-3], 2, 4, 2, 4, -1, 4, 4), (-7, -6, -5, -4), range(4))
     mixed = (C[0, :, 0] - C[0, :, 1] - C[1, :, 0] + C[1, :, 1]) / (4.0 * h * h)  # mu, rho, ...
     return _antisymmetrize(np.moveaxis(mixed, (0, 1), (-4, -2)))  # d_mu d'_rho C_{nu sig}
 
@@ -312,20 +307,36 @@ def verify_em_invariance(form: AcceleratedFrameForm, x, xp, epsilon=1e-2,
     by the antisymmetrized projection) but breaks this transport consistency
     by roughly |phi|^2 |x - x'|^2 / 2 - the cancellation inside the
     transported correlator is structural, not accidental.
+
+    The first event on a singular set, of a pair or of its stencil, raises
+    ``SingularPointError``; its ``index`` j is the row of the lift (pair j mod n).
     """
     rows, single = _pair_rows(x, xp)
-    n = len(rows) // 2
-    x, xp = rows[:n], rows[n:]
-    ladder = epsilon * LADDER
-    K_trans = _extrapolate(_fd_field_tensor(
-        lambda a, b: _transformed_em_rows(form, a, b, ladder, last_term), x, xp, h))
-    K_mink = _extrapolate(_field_tensor_rows(x, xp, ladder))
-    images, lam, _, f = _frames(form, rows)
-    cbar = _kernel_rows(images[:n], images[n:], ladder)
-    M_trans = _extrapolate(((1.0 / math.pi) * lam[:n] * lam[n:] * cbar)[..., None, None]
+    n, m = len(rows) // 2, len(form.kinds)
+    if n % m:
+        raise ValueError(f"{n} pairs are not whole blocks of the stack's {m} chains")
+    steps = np.concatenate([h * np.eye(4), -h * np.eye(4)])
+    events = np.concatenate([rows, (rows.reshape(2, 1, n, 4) + steps[:, None]).reshape(-1, 4)])
+    y, x2, Y = form._lift(events)
+    images, lam, den, singular = (a.reshape(18 * n, *a.shape[2:]) for a in form._projected(x2, Y))
+    _raise_first_singular(events, den, singular)
+    f = form._tetrad(y[:2 * n // m], Y[:2 * n // m]).reshape(-1, 4, 4)
+    ph = form._phi(y, Y).reshape(18, n, 4)
+    # blocks of n rows: x, x', x + steps[a], x' + steps[b] (a < 8), the images of x and x'
+    points = np.concatenate([events, images[:2 * n]]).reshape(20, n, 4)
+    at_x = [a for a in range(2, 10) for _ in range(8)] + [0, 18]  # stencil pairs, pair, images
+    at_xp = list(range(10, 18)) * 8 + [1, 19]
+    px, pxp = points[at_x].reshape(-1, 4), points[at_xp].reshape(-1, 4)
+    ladder, e = epsilon * LADDER, 65 * n
+    c = _kernel_rows(px, pxp, ladder)
+    M = _em_rows(px[:e], pxp[:e], ph[at_x[:65]].reshape(-1, 4), ph[at_xp[:65]].reshape(-1, 4),
+                 c[:, :e], last_term)
+    K_trans = _extrapolate(_fd_field_tensor(M[:, :64 * n], h))
+    K_mink = _extrapolate(_field_tensor_rows(rows[:n], rows[n:], ladder))
+    M_trans = _extrapolate(((1.0 / math.pi) * lam[:n] * lam[n:2 * n] * c[:, e:])[..., None, None]
                            * (np.swapaxes(f[:n], 1, 2) @ ETA @ f[n:]))
-    M_form = _extrapolate(_transformed_em_rows(form, x, xp, ladder, last_term))
-    field, transport = _relative_max(K_trans, K_mink), _relative_max(M_form, M_trans)
+    field = _relative_max(K_trans, K_mink)
+    transport = _relative_max(_extrapolate(M[:, 64 * n:]), M_trans)
     if single:
         field, transport = float(field[0]), float(transport[0])
     return EmInvarianceReport(field_residual=field, transport_residual=transport,
@@ -397,15 +408,18 @@ def vacuum_spectra(xi, omega) -> SpectralPoint:
 GAUSS_NODES = 16   # per panel of the momentum-space oracle: exact for degree 31
 
 
+@functools.cache
 def _gauss_legendre(n):
     """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]: the
     eigenvalues of the Legendre Jacobi matrix, and twice the squared first
-    components of its eigenvectors (Golub-Welsch).  Built per call, in
-    about 40 us, so that importing the package computes nothing."""
+    components of its eigenvectors (Golub-Welsch).  Built on first use, so
+    that importing the package computes nothing, and kept read-only."""
     k = np.arange(1.0, n)
     off = k / np.sqrt(4.0 * k * k - 1.0)
     nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    return nodes, 2.0 * vectors[0] ** 2
+    weights = 2.0 * vectors[0] ** 2
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def momentum_space_oracle(x, xp, epsilon, cutoff=None) -> complex:

@@ -47,11 +47,6 @@ class MotionClass:
     accel: float | None
     tol: float
 
-    @property
-    def is_uniformly_accelerated(self):
-        """Inertial motion is the a = 0 member of the uniformly accelerated family."""
-        return self.kind in ("inertial", "uniformly_accelerated")
-
 
 def classify_motion(state: KinematicState, tol=1e-5) -> MotionClass:
     """Classify state rows by the weaker class first: inertial if sup|vdot| <

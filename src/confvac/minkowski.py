@@ -62,11 +62,6 @@ class KinematicState:
     velocity_ddot: np.ndarray
     tau: float | np.ndarray
 
-    def constraint_residuals(self):
-        """(|v.v - 1|, |v.vdot|): both vanish for exact proper-time data."""
-        return (abs(minkowski_dot(self.velocity, self.velocity) - 1.0),
-                abs(minkowski_dot(self.velocity, self.velocity_dot)))
-
 
 class HyperbolicWorldline:
     """Uniformly accelerated (for a > 0) or uniform (a = 0) motion.

@@ -249,10 +249,6 @@ def _chain_stack(rng, m) -> ConformalMap:
     return ConformalMap.stack(*_chain_draws(rng, m))
 
 
-def random_chain(rng) -> ConformalMap:
-    return _chain_stack(rng, 1).take(0)
-
-
 def random_hyperbolic(rng):
     a = rng.uniform(0.2, 0.8)
     u = rng.uniform(-0.3, 0.3, 3)

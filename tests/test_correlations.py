@@ -16,7 +16,8 @@ from confvac import (ETA, AcceleratedFrameForm, BoundaryError, ConvergenceError,
                      transformed_em_correlation, vacuum_spectra,
                      verify_em_invariance, verify_scalar_invariance)
 from confvac import correlations, suites
-from confvac.correlations import LAST_TERM_MODES, _fd_field_tensor, _kernel_rows
+from confvac.correlations import (LADDER, LAST_TERM_MODES, _extrapolate, _fd_field_tensor,
+                                  _kernel_rows, _relative_max)
 
 finite4 = st.lists(st.floats(-3, 3), min_size=4, max_size=4)
 
@@ -444,6 +445,15 @@ def _fd_per_pair(rule, x, xp, h):
     return A - A.transpose(1, 0, 2, 3) - A.transpose(0, 1, 3, 2) + A.transpose(1, 0, 3, 2)
 
 
+def _fd_rule(rule, x, xp, h):
+    """``_fd_field_tensor`` of a rule on pair rows x, x' (n, 4): one call of
+    the rule on all 64 n stencil pairs, row s n + i, s = 8 a + b, pairing
+    x_i + steps[a] with x'_i + steps[b], steps h e_mu, then -h e_mu."""
+    steps = np.concatenate([h * np.eye(4), -h * np.eye(4)])
+    return _fd_field_tensor(rule((np.repeat(steps, 8, axis=0)[:, None] + x).reshape(-1, 4),
+                                 (np.tile(steps, (8, 1))[:, None] + xp).reshape(-1, 4)), h)
+
+
 def _minkowski_rule(eps):
     """The Feynman-gauge correlator (1/pi) eta c on pair rows."""
     return lambda a, b: (1.0 / math.pi) * ETA * _kernel_rows(a, b, eps)[..., None, None]
@@ -456,7 +466,7 @@ def test_fd_field_tensor_batch_equals_per_pair_stencils(last_term):
     rng = np.random.default_rng(43)
     ladder = 1e-2 * 0.5 ** np.arange(3)
     forms, x, xp = _stacked_draws(rng, 4, min_interval=0.4)
-    batched = _fd_field_tensor(
+    batched = _fd_rule(
         lambda a, b: transformed_em_correlation(forms, a, b, ladder, last_term), x, xp, 1e-4)
     assert batched.shape == (3, 4, 4, 4, 4, 4)
     for i in range(4):
@@ -471,7 +481,7 @@ def test_fd_field_tensor_batch_equals_per_pair_stencils(last_term):
 def test_field_tensor_antisymmetry_exact():
     rng = np.random.default_rng(38)
     x, xp = rng.uniform(-1, 1, (2, 5, 4))
-    for K in (_fd_field_tensor(_minkowski_rule(1e-2), x, xp, h=1e-4),
+    for K in (_fd_rule(_minkowski_rule(1e-2), x, xp, h=1e-4),
               minkowski_field_tensor_correlation(x, xp, 1e-2)):
         assert np.all(K + K.swapaxes(-4, -3) == 0)
         assert np.all(K + K.swapaxes(-2, -1) == 0)
@@ -483,7 +493,7 @@ def test_field_tensor_fd_matches_analytic_oracle():
     far = np.abs(interval(x, xp)) >= 0.3
     x, xp = x[far], xp[far]
     eps = 1e-2
-    K = _fd_field_tensor(_minkowski_rule(eps), x, xp, h=1e-4)
+    K = _fd_rule(_minkowski_rule(eps), x, xp, h=1e-4)
     K0 = minkowski_field_tensor_correlation(x, xp, eps)
     worst = np.max(np.abs(K - K0), axis=(1, 2, 3, 4)) / np.max(np.abs(K0), axis=(1, 2, 3, 4))
     assert len(x) >= 2 and worst.max() < 1e-5
@@ -496,9 +506,8 @@ def test_gauge_corrections_drop_from_field_tensor():
     rng = np.random.default_rng(40)
     forms, x, xp = _stacked_draws(rng, 3, min_interval=0.4)
     eps, h = 1e-6, 1e-4
-    Kf = _fd_field_tensor(lambda a, b: transformed_em_correlation(forms, a, b, eps),
-                          x, xp, h=h)
-    Kl = _fd_field_tensor(_minkowski_rule(eps), x, xp, h=h)
+    Kf = _fd_rule(lambda a, b: transformed_em_correlation(forms, a, b, eps), x, xp, h=h)
+    Kl = _fd_rule(_minkowski_rule(eps), x, xp, h=h)
     axes = (1, 2, 3, 4)
     assert np.max(np.max(np.abs(Kf - Kl), axis=axes) / np.max(np.abs(Kl), axis=axes)) < 1e-5
 
@@ -516,6 +525,70 @@ def test_verify_em_invariance_rows_equal_single_pairs_bit_for_bit(last_term):
         assert type(one.field_residual) is float and type(one.transport_residual) is float
         assert (one.field_residual, one.transport_residual) == (
             rows.field_residual[i], rows.transport_residual[i])
+
+
+def _em_suite_draws(seed, n):
+    """The em-invariance suite's first n draws at ``seed``, as a stack of n forms."""
+    rng = np.random.default_rng(seed)
+    alpha, beta, x, xp = (np.array(c) for c in zip(*(suites._em_sample(rng) for _ in range(n))))
+    return AcceleratedFrameForm(alpha, beta), x, xp
+
+
+@pytest.mark.parametrize("seed", [6, 7, 20250])
+@pytest.mark.parametrize("last_term", LAST_TERM_MODES)
+def test_verify_em_invariance_one_pair_has_the_bits_of_its_stack_row(seed, last_term):
+    forms, x, xp = _em_suite_draws(seed, 8)
+    rows = verify_em_invariance(forms, x, xp, last_term=last_term)
+    for i in range(8):
+        one = verify_em_invariance(forms.take(i), x[i], xp[i], last_term=last_term)
+        assert same_bits(one.field_residual, rows.field_residual[i])
+        assert same_bits(one.transport_residual, rows.transport_residual[i])
+    with pytest.raises(ValueError, match="4 pairs are not whole blocks of the stack's 8 chains"):
+        verify_em_invariance(forms, x[:4], xp[:4], last_term=last_term)
+
+
+@pytest.mark.parametrize("seed", [6, 7, 20250])
+def test_verify_em_invariance_has_the_bits_of_the_rule_stencil(seed):
+    # the residuals of the one-lift check equal, bit for bit, those built from
+    # separate calls: the stencil of transformed_em_correlation as a rule, the
+    # formula on the pairs and the transport through the checked closed forms
+    forms, x, xp = _em_suite_draws(seed, 10)
+    eps, h = 1e-2, 1e-4
+    ladder = eps * LADDER
+    rows = np.concatenate([x, xp])
+    lam, f, images = forms.factor(rows), forms.tetrad(rows), forms.apply(rows)
+    cbar = _kernel_rows(images[:10], images[10:], ladder)
+    M_trans = _extrapolate(((1.0 / math.pi) * lam[:10] * lam[10:] * cbar)[..., None, None]
+                           * (np.swapaxes(f[:10], 1, 2) @ ETA @ f[10:]))
+    K_mink = _extrapolate(minkowski_field_tensor_correlation(x, xp, ladder))
+    for last_term in LAST_TERM_MODES:
+        rep = verify_em_invariance(forms, x, xp, epsilon=eps, h=h, last_term=last_term)
+        K = _extrapolate(_fd_rule(
+            lambda a, b: transformed_em_correlation(forms, a, b, ladder, last_term), x, xp, h))
+        M = _extrapolate(transformed_em_correlation(forms, x, xp, ladder, last_term))
+        assert same_bits(rep.field_residual, _relative_max(K, K_mink))
+        assert same_bits(rep.transport_residual, _relative_max(M, M_trans))
+
+
+def test_em_singular_events_raise():
+    # singular at 1 - t + (t^2 - r^2) / 4 = 0: the stencil event x + h e_1 of
+    # x = (2.0001, 0, 0, 0) lies on it, and so does (2, 0, 0, 0); the index
+    # counts the lifted rows x, x', x +- h e_mu, x' +- h e_rho, n at a time
+    form = AcceleratedFrameForm(np.array([0.5, 0.0, 0.0, 0.0]), 1.0)
+    x, xp, on = [2.0001, 0, 0, 0], [0.1, 0.2, 0, 0], [2.0001, 1e-4, 0, 0]
+    for pair, index in (((x, xp), 3), ((xp, x), 11)):
+        with pytest.raises(SingularPointError, match="lies on a singular set") as info:
+            verify_em_invariance(form, *pair)
+        assert info.value.index == index and info.value.residual == 0.0
+        np.testing.assert_array_equal(info.value.point, on)
+    forms = AcceleratedFrameForm(np.array([[0.1, 0.2, 0, 0], [0.5, 0, 0, 0]]), np.ones(2))
+    with pytest.raises(SingularPointError) as info:
+        verify_em_invariance(forms, [xp, x], [[0.3, 0.1, 0, 0], xp])
+    assert info.value.index == 2 * 2 + 1 * 2 + 1      # x + h e_1 of pair 1
+    np.testing.assert_array_equal(info.value.point, on)
+    with pytest.raises(SingularPointError) as info:
+        transformed_em_correlation(form, [2.0, 0, 0, 0], xp, 1e-2)
+    np.testing.assert_array_equal(info.value.point, [2.0, 0, 0, 0])
 
 
 def test_verify_em_invariance_identity_map():

@@ -111,6 +111,24 @@ def test_no_scipy_module_is_ever_loaded(tmp_path):
     assert out.splitlines()[-1] == "[]"
 
 
+def test_gauss_legendre_rule_is_built_on_first_use_and_kept(tmp_path):
+    # importing computes nothing; the first oracle call builds the rule,
+    # read-only, and every later call reuses it
+    _run("""
+        import numpy as np
+        from confvac import correlations as corr
+
+        assert corr._gauss_legendre.cache_info().currsize == 0
+        x = np.array([0.3, 1.2, 0.0, 0.0])
+        first = corr.momentum_space_oracle(x, np.zeros(4), 0.05)
+        rule = corr._gauss_legendre(corr.GAUSS_NODES)
+        assert corr._gauss_legendre.cache_info().currsize == 1
+        assert not any(a.flags.writeable for a in rule)
+        assert corr.momentum_space_oracle(x, np.zeros(4), 0.05) == first
+        assert corr._gauss_legendre(corr.GAUSS_NODES) is rule
+    """, tmp_path)
+
+
 def test_numpy_is_the_only_runtime_dependency():
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as fh:
