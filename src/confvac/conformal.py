@@ -91,7 +91,7 @@ def _scales(value, what):
     a = np.asarray(value, dtype=float)
     if a.ndim > 1:
         raise ValueError(f"{what} must be a scalar or a stack (m,), got shape {a.shape}")
-    if np.any((a == 0) | ~np.isfinite(a)):
+    if not (np.isfinite(a) & (a != 0)).all():
         raise ConstraintViolationError(f"{what} must be finite and nonzero")
     return float(a) if a.ndim == 0 else a
 
@@ -328,18 +328,15 @@ class ConformalMap:
         scale = 2.0 * self.cone[0][:, 0, 5].astype(float) / Y[..., 0]
         return ph[..., :, None] * ph[..., None, :] - scale[..., None, None] * ETA
 
-    def _tetrad(self, x, Y):
+    def _tetrad(self, x, Y, ph):
+        """The tetrad of lifted blocks from their phi rows ``ph``."""
         M, s = self.cone[0][:, 1:5].astype(float), self.cone[1]
         dY = M[:, :, 1:5] + 2.0 * M[:, :, 5, None] * lower_index(x)[..., None, :]
-        return (dY + Y[..., 1:5, None] * self._phi(x, Y)[..., None, :]) / s[:, None, None]
+        return (dY + Y[..., 1:5, None] * ph[..., None, :]) / s[:, None, None]
 
     def phi(self, x):
         """phi_mu = d_mu ln|lambda| = -d_mu Y^+ / Y^+, lower index, (4,) or (n, 4)."""
         return self._closed(x, self._phi)
-
-    def _phi_rows(self, rows):
-        """``phi`` of rows already checked finite and off the singular sets."""
-        return self._closed(rows, self._phi, check=False)
 
     def phi2(self, x):
         """phi_{mu nu} = d_mu phi_nu = phi_mu phi_nu - 2 M^+_{x^2} eta_{mu nu} / Y^+."""
@@ -347,7 +344,7 @@ class ConformalMap:
 
     def tetrad(self, x):
         """f = J / lambda = (d_nu Y^mu + Y^mu phi_nu) / s, (4, 4) or (n, 4, 4)."""
-        return self._closed(x, self._tetrad, k=5)
+        return self._closed(x, lambda x, Y: self._tetrad(x, Y, self._phi(x, Y)), k=5)
 
     def inverse(self) -> "ConformalMap":
         """Each chain backwards, each slot inverted, its slots first again."""
@@ -387,6 +384,11 @@ class AcceleratedFrameForm(ConformalMap):
         self._drawn = [()] * FRAME + [(alpha, beta)]
 
     apply = ConformalMap.apply    # in the form's own dict, where bench/test_bench.py traces it
+
+    @cached_property
+    def cone(self):
+        """The frame slot's matrices and scales, without a fold over kinds."""
+        return _frame(np.reshape(self.alpha, (-1, 4)), np.reshape(self.beta, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -477,14 +479,15 @@ def apply_map(m: ConformalMap, x) -> np.ndarray:
 
 def _frames(m: ConformalMap, rows):
     """(images (n, 4), signed factors (n,), Jacobians J = lambda f and
-    tetrads f (n, 4, 4)) of event rows, raising for the first singular one;
-    all from one lift."""
+    tetrads f (n, 4, 4), phi (n, 4)) of event rows, raising for the first
+    singular one; all from one lift."""
     y, x2, Y = m._lift(rows)
     images, lam, den, singular = (a.reshape((len(rows),) + a.shape[2:])
                                   for a in m._projected(x2, Y))
     _raise_first_singular(rows, den, singular)
-    f = m._tetrad(y, Y).reshape(-1, 4, 4)
-    return images, lam, lam[:, None, None] * f, f
+    ph = m._phi(y, Y)
+    f = m._tetrad(y, Y, ph).reshape(-1, 4, 4)
+    return images, lam, lam[:, None, None] * f, f, ph.reshape(-1, 4)
 
 
 def jacobian_tetrad(m: ConformalMap, x):
@@ -493,7 +496,7 @@ def jacobian_tetrad(m: ConformalMap, x):
     J^T eta J = lambda^2 eta, so f is a (pointwise) Lorentz matrix off the
     singular sets.  One evaluation gives all three.
     """
-    _, lam, J, f = _frames(m, as_event(x)[None])
+    _, lam, J, f, _ = _frames(m, as_event(x)[None])
     return J[0], float(lam[0]), f[0]
 
 

@@ -37,10 +37,16 @@ from .conformal import (AcceleratedFrameForm, _checked, _frames, _pair_rows,
                         _raise_first_singular)
 from .errors import (BoundaryError, ConvergenceError, InternalConsistencyError,
                      PoleError)
-from .minkowski import ETA, as_event, interval, lower_index, minkowski_dot
+from .minkowski import ETA, SIGNATURE, as_event, interval, lower_index
 
 LAST_TERM_MODES = ("exact", "omit")
 LADDER = np.array([1.0, 0.5, 0.25])   # regulators eps * LADDER of the invariance checks
+STEPS = np.concatenate([np.eye(4), -np.eye(4)])   # the em stencil's steps / h: e_mu, then -e_mu
+# the em check's kernel pairs, as blocks of n rows of (x, x', x + h steps[a] (8 blocks),
+# x' + h steps[b] (8 blocks), the images of x and x'): the 64 stencil pairs s = 8 a + b,
+# the pair, the image pair
+AT_X, AT_XP = np.array([(2 + s // 8, 10 + s % 8) for s in range(64)] + [(0, 1), (18, 19)]).T
+IROT, I_T = np.array([-1.0, 1.0]), np.array([1j, 0, 0, 0])   # i (re, im) = (re, im)[::-1] IROT
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +62,7 @@ def _kernel_rows(x, xp, epsilon):
     A value that is not finite is a pole: 0 / 0 at a zero denominator, or an
     overflow where the interval underflows to a subnormal."""
     d = x - xp
-    re = minkowski_dot(d, d)
+    re = (SIGNATURE * d * d).sum(axis=-1)             # minkowski_dot(d, d)
     im = 0.0 - np.multiply.outer(epsilon, d[:, 0])
     by_re = np.abs(re) >= np.abs(im)
     big = np.where(by_re, re, im)
@@ -65,11 +71,10 @@ def _kernel_rows(x, xp, epsilon):
         ratio = small / big
         denom = big + small * ratio
         c = np.empty(ratio.shape, dtype=complex)
-        c.real = np.where(by_re, 1.0, ratio + 0.0) / denom
-        c.imag = np.where(by_re, 0.0 - ratio, -1.0) / denom
-    pole = ~np.isfinite(c)
-    if pole.any():
-        i = np.unravel_index(np.argmax(pole), pole.shape)[-1]
+        np.divide(np.where(by_re, 1.0, ratio + 0.0), denom, out=c.real)
+        np.divide(np.where(by_re, 0.0 - ratio, -1.0), denom, out=c.imag)
+    if not np.isfinite(c).all():
+        i = np.unravel_index(np.argmin(np.isfinite(c)), c.shape)[-1]
         raise PoleError(f"scalar kernel pole: (x - x')^2 - i eps (t - t') = 0 "
                         f"at x = {x[i].tolist()}, x' = {xp[i].tolist()}")
     return c
@@ -160,15 +165,23 @@ def transformed_em_correlation(form: AcceleratedFrameForm, x, xp, epsilon,
 
 
 def _em_rows(x, xp, phx, phy, c, last_term):
-    """The four-term formula on pair rows x, x' (n, 4), phi rows and kernel c (n,) or (k, n)."""
+    """The four-term formula on pair rows x, x' (n, 4), phi rows and kernel c (n,) or
+    (k, n), term by term in place: eta c on the diagonal alone, yl - xl as -(xl - yl),
+    and 1/pi times each real part and imaginary part, as a complex product rounds them."""
     if last_term not in LAST_TERM_MODES:
         raise ValueError(f"last_term must be one of {LAST_TERM_MODES}")
+    d = x - xp
+    dl = lower_index(d)
     c = c[..., None, None]
-    xl, yl = lower_index(x), lower_index(xp)
-    M = ETA * c + _outer(phx, xl - yl) * c + _outer(yl - xl, phy) * c
+    M = _outer(phx, dl) * c
+    M.reshape(c.shape[:-2] + (16,))[..., 0] += c[..., 0, 0]
+    M.reshape(c.shape[:-2] + (16,))[..., 5::5] -= c[..., 0]
+    term = np.multiply(_outer(dl, phy), c, out=np.empty_like(M))
+    M -= term
     if last_term == "exact":
-        M = M - 0.5 * _outer(phx, phy) * (interval(x, xp)[:, None, None] * c)
-    return (1.0 / math.pi) * M
+        M -= np.multiply(0.5 * _outer(phx, phy), (dl * d).sum(axis=-1)[:, None, None] * c, out=term)
+    M.view(float)[...] *= 1.0 / math.pi
+    return M
 
 
 @dataclass(frozen=True)
@@ -197,9 +210,8 @@ def tetrad_contraction(form: AcceleratedFrameForm, x, xp) -> TetradContractionRe
     """
     rows, single = _pair_rows(x, xp)
     n = len(rows) // 2
-    _, _, _, f = _frames(form, rows)
+    _, _, _, f, ph = _frames(form, rows)
     lhs = np.swapaxes(f[:n], 1, 2) @ ETA @ f[n:]
-    ph = form._phi_rows(rows)
     phx, phy = ph[:n], ph[n:]
     xl = lower_index(rows[:n])
     yl = lower_index(rows[n:])
@@ -225,10 +237,15 @@ def _antisymmetrize(A):
 def _fd_field_tensor(C, h):
     """Field tensor (..., n, 4, 4, 4, 4) of n pairs by central cross stencils, from
     correlators C (..., 64 n, 4, 4): row s n + i, s = 8 a + b, is pair i's stencil
-    pair (x + steps[a], x' + steps[b]), where steps are h e_mu, then -h e_mu."""
-    C = np.moveaxis(C.reshape(*C.shape[:-3], 2, 4, 2, 4, -1, 4, 4), (-7, -6, -5, -4), range(4))
-    mixed = (C[0, :, 0] - C[0, :, 1] - C[1, :, 0] + C[1, :, 1]) / (4.0 * h * h)  # mu, rho, ...
-    return _antisymmetrize(np.moveaxis(mixed, (0, 1), (-4, -2)))  # d_mu d'_rho C_{nu sig}
+    pair (x + steps[a], x' + steps[b]), where steps are h e_mu, then -h e_mu.  A
+    complex quotient by the real 4 h^2 is the product with its reciprocal."""
+    C = C.reshape(*C.shape[:-3], 2, 4, 2, 4, -1, 4, 4)  # ..., (a, mu), (b, rho), i, nu, sig
+    mixed = C[..., 0, :, 0, :, :, :, :] - C[..., 0, :, 1, :, :, :, :]
+    mixed -= C[..., 1, :, 0, :, :, :, :]
+    mixed += C[..., 1, :, 1, :, :, :, :]
+    mixed.view(float)[...] *= 1.0 / (4.0 * h * h)
+    # (mu, rho, i, nu, sig) -> (i, mu, nu, rho, sig): d_mu d'_rho C_{nu sig}
+    return _antisymmetrize(mixed.swapaxes(-5, -3).swapaxes(-4, -3).swapaxes(-3, -2))
 
 
 def minkowski_field_tensor_correlation(x, xp, epsilon) -> np.ndarray:
@@ -251,32 +268,30 @@ def minkowski_field_tensor_correlation(x, xp, epsilon) -> np.ndarray:
 
 
 def _field_tensor_rows(x, xp, epsilon):
-    """``minkowski_field_tensor_correlation`` on checked pair rows x, x' (n, 4)."""
+    """``minkowski_field_tensor_correlation`` on checked pair rows x, x' (n, 4).  D = a + i b
+    is held as (a, b), so D^2 = a D + b (i D) and D^3 = a D^2 + b (i D^2) are the real
+    products; 2 eta / D^2, 0 off the diagonal, is added on the diagonal alone."""
     s = x - xp
-    eps = np.multiply.outer(epsilon, np.ones(len(s)))
-    a = minkowski_dot(s, s)
+    sl = lower_index(s)
+    eps = np.asarray(epsilon)[..., None]
     b = 0.0 - eps * s[:, 0]
-    p, q = a * a - b * b, a * b + b * a           # D^2
-    D2 = (p + 1j * q)[..., None, None]
-    D3 = (a * p - b * q + 1j * (a * q + b * p))[..., None, None]
-    g = np.zeros(eps.shape + (4,), dtype=complex)
-    g.real = 2.0 * lower_index(s)
-    g.imag[..., 0] = 0.0 - eps
+    D = np.empty(b.shape + (2,))             # (re, im) of D
+    D[..., 0], D[..., 1] = (sl * s).sum(axis=-1), b
+    a, b = D[..., :1], D[..., 1:]
+    D2 = a * D + b * (D[..., ::-1] * IROT)
+    D3 = a * D2 + b * (D2[..., ::-1] * IROT)
+    g = 2.0 * sl - eps[..., None] * I_T
     with np.errstate(divide="ignore", invalid="ignore"):
-        Kmix = -2.0 * (g[..., :, None] * g[..., None, :]) / D3 + 2.0 * ETA.astype(complex) / D2
-    pole = ~np.isfinite(Kmix).all(axis=(-2, -1))
-    if pole.any():
-        i = np.unravel_index(np.argmax(pole), pole.shape)[-1]
+        Kmix = -2.0 * (g[..., :, None] * g[..., None, :]) / D3.view(complex)[..., None]
+        Kmix.reshape(*a.shape[:-1], 16)[..., ::5] += 2.0 * SIGNATURE / D2.view(complex)
+    if not np.isfinite(Kmix).all():
+        i = np.unravel_index(np.argmin(np.isfinite(Kmix).all(axis=(-2, -1))), a.shape[:-1])[-1]
         raise PoleError(f"field-tensor pole: (x - x')^2 - i eps (t - t') = 0 "
                         f"at x = {x[i].tolist()}, x' = {xp[i].tolist()}")
     # A[mu,nu,rho,sig] = eta_{nu sig} Kmix_{mu rho}
-    return (1.0 / math.pi) * _antisymmetrize(ETA[None, :, None, :] * Kmix[..., :, None, :, None])
-
-
-def _relative_max(a, b):
-    """max |a - b| / max |b| over each pair's tensor: (n,) from (n, ...)."""
-    axes = tuple(range(1, a.ndim))
-    return np.max(np.abs(a - b), axis=axes) / np.maximum(np.max(np.abs(b), axis=axes), 1e-300)
+    K = _antisymmetrize(ETA[:, None, :] * Kmix[..., :, None, :, None])
+    K.view(float)[...] *= 1.0 / math.pi
+    return K
 
 
 @dataclass(frozen=True)
@@ -315,28 +330,29 @@ def verify_em_invariance(form: AcceleratedFrameForm, x, xp, epsilon=1e-2,
     n, m = len(rows) // 2, len(form.kinds)
     if n % m:
         raise ValueError(f"{n} pairs are not whole blocks of the stack's {m} chains")
-    steps = np.concatenate([h * np.eye(4), -h * np.eye(4)])
-    events = np.concatenate([rows, (rows.reshape(2, 1, n, 4) + steps[:, None]).reshape(-1, 4)])
+    events = np.concatenate([rows, (rows.reshape(2, 1, n, 4) + h * STEPS[:, None]).reshape(-1, 4)])
     y, x2, Y = form._lift(events)
     images, lam, den, singular = (a.reshape(18 * n, *a.shape[2:]) for a in form._projected(x2, Y))
     _raise_first_singular(events, den, singular)
-    f = form._tetrad(y[:2 * n // m], Y[:2 * n // m]).reshape(-1, 4, 4)
-    ph = form._phi(y, Y).reshape(18, n, 4)
-    # blocks of n rows: x, x', x + steps[a], x' + steps[b] (a < 8), the images of x and x'
+    ph = form._phi(y, Y)
+    f = form._tetrad(y[:2 * n // m], Y[:2 * n // m], ph[:2 * n // m]).reshape(-1, 4, 4)
+    ph = ph.reshape(18, n, 4)
     points = np.concatenate([events, images[:2 * n]]).reshape(20, n, 4)
-    at_x = [a for a in range(2, 10) for _ in range(8)] + [0, 18]  # stencil pairs, pair, images
-    at_xp = list(range(10, 18)) * 8 + [1, 19]
-    px, pxp = points[at_x].reshape(-1, 4), points[at_xp].reshape(-1, 4)
+    px, pxp = points[AT_X].reshape(-1, 4), points[AT_XP].reshape(-1, 4)
     ladder, e = epsilon * LADDER, 65 * n
     c = _kernel_rows(px, pxp, ladder)
-    M = _em_rows(px[:e], pxp[:e], ph[at_x[:65]].reshape(-1, 4), ph[at_xp[:65]].reshape(-1, 4),
+    M = _em_rows(px[:e], pxp[:e], ph[AT_X[:65]].reshape(-1, 4), ph[AT_XP[:65]].reshape(-1, 4),
                  c[:, :e], last_term)
-    K_trans = _extrapolate(_fd_field_tensor(M[:, :64 * n], h))
-    K_mink = _extrapolate(_field_tensor_rows(rows[:n], rows[n:], ladder))
-    M_trans = _extrapolate(((1.0 / math.pi) * lam[:n] * lam[n:2 * n] * c[:, e:])[..., None, None]
-                           * (np.swapaxes(f[:n], 1, 2) @ ETA @ f[n:]))
-    field = _relative_max(K_trans, K_mink)
-    transport = _relative_max(_extrapolate(M[:, 64 * n:]), M_trans)
+    M_trans = (((1.0 / math.pi) * lam[:n] * lam[n:2 * n] * c[:, e:])[..., None, None]
+               * (np.swapaxes(f[:n], 1, 2) @ ETA @ f[n:]))
+    # the rungs of (FD field tensor, formula on the pairs) and of (closed form, transport),
+    # extrapolated in one pass; each residual is max |a - b| / max |b| over its entries
+    E = _extrapolate(np.concatenate([a.reshape(3, n, -1) for a in (
+        _fd_field_tensor(M[:, :64 * n], h), M[:, 64 * n:],
+        _field_tensor_rows(rows[:n], rows[n:], ladder), M_trans)], axis=-1)).reshape(n, 2, 272)
+    diff, ref = (np.maximum.reduceat(np.abs(a), [0, 256], axis=-1)
+                 for a in (E[:, 0] - E[:, 1], E[:, 1]))
+    field, transport = (diff / np.maximum(ref, 1e-300)).T
     if single:
         field, transport = float(field[0]), float(transport[0])
     return EmInvarianceReport(field_residual=field, transport_residual=transport,

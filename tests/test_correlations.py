@@ -17,7 +17,7 @@ from confvac import (ETA, AcceleratedFrameForm, BoundaryError, ConvergenceError,
                      verify_em_invariance, verify_scalar_invariance)
 from confvac import correlations, suites
 from confvac.correlations import (LADDER, LAST_TERM_MODES, _extrapolate, _fd_field_tensor,
-                                  _kernel_rows, _relative_max)
+                                  _kernel_rows)
 
 finite4 = st.lists(st.floats(-3, 3), min_size=4, max_size=4)
 
@@ -322,8 +322,8 @@ class BentTetradForm(AcceleratedFrameForm):
         super().__init__(form.alpha, form.beta)
         self.n, self.delta = np.asarray(n, dtype=float), delta
 
-    def _tetrad(self, x, Y):
-        return super()._tetrad(x, Y) + self.delta * np.outer(self.n, self.n)
+    def _tetrad(self, x, Y, ph):
+        return super()._tetrad(x, Y, ph) + self.delta * np.outer(self.n, self.n)
 
 
 def test_tetrad_contraction_fails_three_decades_on_bent_tetrad():
@@ -545,6 +545,12 @@ def test_verify_em_invariance_one_pair_has_the_bits_of_its_stack_row(seed, last_
         assert same_bits(one.transport_residual, rows.transport_residual[i])
     with pytest.raises(ValueError, match="4 pairs are not whole blocks of the stack's 8 chains"):
         verify_em_invariance(forms, x[:4], xp[:4], last_term=last_term)
+
+
+def _relative_max(a, b):
+    """max |a - b| / max |b| over each pair's tensor: (n,) from (n, ...)."""
+    axes = tuple(range(1, a.ndim))
+    return np.max(np.abs(a - b), axis=axes) / np.maximum(np.max(np.abs(b), axis=axes), 1e-300)
 
 
 @pytest.mark.parametrize("seed", [6, 7, 20250])
