@@ -319,24 +319,31 @@ class ConformalMap:
         """Y^+ = s / lambda, the product of the slots' denominators, even where it is 0."""
         return self._closed(x, lambda x, Y: Y[..., 0], check=False)
 
-    def _phi(self, x, Y):
-        M = self.cone[0][:, 0].astype(float)
-        return -(M[:, 1:5] + 2.0 * M[:, 5, None] * lower_index(x)) / Y[..., :1]
+    def _dY(self, x, k=1):
+        """d_nu Y^a of lifted blocks x for the first k components of Y: (..., k, 4)."""
+        M = self.cone[0][:, :k].astype(float)
+        return M[:, :, 1:5] + 2.0 * M[:, :, 5, None] * lower_index(x)[..., None, :]
+
+    def _phi(self, Y, dY):
+        return -dY[..., 0, :] / Y[..., :1]
 
     def _phi2(self, x, Y):
-        ph = self._phi(x, Y)
+        ph = self._phi(Y, self._dY(x))
         scale = 2.0 * self.cone[0][:, 0, 5].astype(float) / Y[..., 0]
         return ph[..., :, None] * ph[..., None, :] - scale[..., None, None] * ETA
 
-    def _tetrad(self, x, Y, ph):
-        """The tetrad of lifted blocks from their phi rows ``ph``."""
-        M, s = self.cone[0][:, 1:5].astype(float), self.cone[1]
-        dY = M[:, :, 1:5] + 2.0 * M[:, :, 5, None] * lower_index(x)[..., None, :]
-        return (dY + Y[..., 1:5, None] * ph[..., None, :]) / s[:, None, None]
+    def _tetrad(self, Y, dY, ph):
+        """The tetrad of lifted blocks from their d Y (k = 5) and phi rows."""
+        return (dY[..., 1:5, :] + Y[..., 1:5, None] * ph[..., None, :]) / self.cone[1][:, None, None]
+
+    def _frame_rows(self, x, Y):
+        """(d Y, phi) of lifted blocks, for their tetrads."""
+        dY = self._dY(x, 5)
+        return dY, self._phi(Y, dY)
 
     def phi(self, x):
         """phi_mu = d_mu ln|lambda| = -d_mu Y^+ / Y^+, lower index, (4,) or (n, 4)."""
-        return self._closed(x, self._phi)
+        return self._closed(x, lambda x, Y: self._phi(Y, self._dY(x)))
 
     def phi2(self, x):
         """phi_{mu nu} = d_mu phi_nu = phi_mu phi_nu - 2 M^+_{x^2} eta_{mu nu} / Y^+."""
@@ -344,7 +351,7 @@ class ConformalMap:
 
     def tetrad(self, x):
         """f = J / lambda = (d_nu Y^mu + Y^mu phi_nu) / s, (4, 4) or (n, 4, 4)."""
-        return self._closed(x, lambda x, Y: self._tetrad(x, Y, self._phi(x, Y)), k=5)
+        return self._closed(x, lambda x, Y: self._tetrad(Y, *self._frame_rows(x, Y)), k=5)
 
     def inverse(self) -> "ConformalMap":
         """Each chain backwards, each slot inverted, its slots first again."""
@@ -485,8 +492,8 @@ def _frames(m: ConformalMap, rows):
     images, lam, den, singular = (a.reshape((len(rows),) + a.shape[2:])
                                   for a in m._projected(x2, Y))
     _raise_first_singular(rows, den, singular)
-    ph = m._phi(y, Y)
-    f = m._tetrad(y, Y, ph).reshape(-1, 4, 4)
+    dY, ph = m._frame_rows(y, Y)
+    f = m._tetrad(Y, dY, ph).reshape(-1, 4, 4)
     return images, lam, lam[:, None, None] * f, f, ph.reshape(-1, 4)
 
 

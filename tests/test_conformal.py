@@ -765,9 +765,9 @@ class BentTetrad(AcceleratedFrameForm):
             pushed = pushed + self.delta * (v @ self.n)[:, None] * self.n
         return images, pushed, lam, den, singular
 
-    def _tetrad(self, x, Y, ph):
+    def _tetrad(self, Y, dY, ph):
         bend = self.delta * np.outer(self.n, self.n)
-        return super()._tetrad(x, Y, ph) + bend * (Y[..., 0, None, None] / self.cone[1][:, None, None])
+        return super()._tetrad(Y, dY, ph) + bend * (Y[..., 0, None, None] / self.cone[1][:, None, None])
 
 
 def test_light_ray_names_the_tetrad_defect_of_a_bent_tetrad():

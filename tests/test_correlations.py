@@ -322,8 +322,8 @@ class BentTetradForm(AcceleratedFrameForm):
         super().__init__(form.alpha, form.beta)
         self.n, self.delta = np.asarray(n, dtype=float), delta
 
-    def _tetrad(self, x, Y, ph):
-        return super()._tetrad(x, Y, ph) + self.delta * np.outer(self.n, self.n)
+    def _tetrad(self, Y, dY, ph):
+        return super()._tetrad(Y, dY, ph) + self.delta * np.outer(self.n, self.n)
 
 
 def test_tetrad_contraction_fails_three_decades_on_bent_tetrad():
