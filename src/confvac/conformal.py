@@ -334,12 +334,8 @@ class ConformalMap:
 
     def _tetrad(self, Y, dY, ph):
         """The tetrad of lifted blocks from their d Y (k = 5) and phi rows."""
-        return (dY[..., 1:5, :] + Y[..., 1:5, None] * ph[..., None, :]) / self.cone[1][:, None, None]
-
-    def _frame_rows(self, x, Y):
-        """(d Y, phi) of lifted blocks, for their tetrads."""
-        dY = self._dY(x, 5)
-        return dY, self._phi(Y, dY)
+        s = self.cone[1][:, None, None]
+        return (dY[..., 1:5, :] + Y[..., 1:5, None] * ph[..., None, :]) / s
 
     def phi(self, x):
         """phi_mu = d_mu ln|lambda| = -d_mu Y^+ / Y^+, lower index, (4,) or (n, 4)."""
@@ -351,7 +347,8 @@ class ConformalMap:
 
     def tetrad(self, x):
         """f = J / lambda = (d_nu Y^mu + Y^mu phi_nu) / s, (4, 4) or (n, 4, 4)."""
-        return self._closed(x, lambda x, Y: self._tetrad(Y, *self._frame_rows(x, Y)), k=5)
+        return self._closed(x, lambda x, Y: self._tetrad(Y, dY := self._dY(x, 5), self._phi(Y, dY)),
+                            k=5)
 
     def inverse(self) -> "ConformalMap":
         """Each chain backwards, each slot inverted, its slots first again."""
@@ -492,7 +489,8 @@ def _frames(m: ConformalMap, rows):
     images, lam, den, singular = (a.reshape((len(rows),) + a.shape[2:])
                                   for a in m._projected(x2, Y))
     _raise_first_singular(rows, den, singular)
-    dY, ph = m._frame_rows(y, Y)
+    dY = m._dY(y, 5)
+    ph = m._phi(Y, dY)
     f = m._tetrad(Y, dY, ph).reshape(-1, 4, 4)
     return images, lam, lam[:, None, None] * f, f, ph.reshape(-1, 4)
 

@@ -23,8 +23,7 @@ Evaluation is batch-first (a single pair is a batch of one): every check
 takes one pair or pair rows with n stacked forms, pair i by form i.  The
 electromagnetic check makes one lift, one kernel call and one evaluation of
 the four-term formula over all its pairs, stencil events and regulator rungs.
-At one pair its cost is fixed numpy cost on arrays of a few hundred entries:
-about PERCALL with a freshly built form (2-vCPU x86-64 host, numpy 2.4).
+One pair with a fresh form costs about PERCALL, fixed numpy cost (2-vCPU x86-64).
 """
 
 from __future__ import annotations
@@ -167,9 +166,8 @@ def transformed_em_correlation(form: AcceleratedFrameForm, x, xp, epsilon,
 
 
 def _em_rows(x, xp, phx, phy, c, last_term):
-    """The four-term formula on pair rows x, x' (n, 4), phi rows and kernel c (n,) or
-    (k, n), term by term in place: eta c on the diagonal alone, yl - xl as -(xl - yl),
-    and 1/pi times each real part and imaginary part, as a complex product rounds them."""
+    """The four-term formula on pair rows x, x' (n, 4), phi rows and kernel c (n,) or (k, n),
+    in place: eta c on the diagonal alone, yl - xl as -(xl - yl), 1/pi on Re and Im alone."""
     if last_term not in LAST_TERM_MODES:
         raise ValueError(f"last_term must be one of {LAST_TERM_MODES}")
     d = x - xp
@@ -336,7 +334,8 @@ def verify_em_invariance(form: AcceleratedFrameForm, x, xp, epsilon=1e-2,
     y, x2, Y = form._lift(events)
     images, lam, den, singular = (a.reshape(18 * n, *a.shape[2:]) for a in form._projected(x2, Y))
     _raise_first_singular(events, den, singular)
-    dY, ph = form._frame_rows(y, Y)
+    dY = form._dY(y, 5)
+    ph = form._phi(Y, dY)
     f = form._tetrad(Y[:2 * n // m], dY[:2 * n // m], ph[:2 * n // m]).reshape(-1, 4, 4)
     ph = ph.reshape(18, n, 4)
     points = np.concatenate([events, images[:2 * n]]).reshape(20, n, 4)
