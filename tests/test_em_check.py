@@ -6,8 +6,8 @@
   finite-difference stencil are compared with the formulations they
   replaced, copied here as oracles, on one pair and on a stack of 100.
 - One ``verify_em_invariance`` call lifts its events once, calls the kernel
-  once, evaluates the Minkowski closed form once and builds its form's cone
-  once, for a pair and for a stack.
+  once, evaluates the Minkowski closed form and the four-term formula once
+  each and builds its form's cone once, for a pair and for a stack.
 """
 
 import functools
